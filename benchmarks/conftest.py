@@ -15,7 +15,8 @@ from typing import Dict, List
 
 import pytest
 
-from repro.core import AnalysisConfig, AnalysisResult, ArtifactCache, analyze_bytecode
+from repro import api
+from repro.core import AnalysisConfig, AnalysisResult, ArtifactCache
 from repro.corpus import CorpusContract, generate_corpus
 
 CORPUS_SIZE = 600
@@ -45,7 +46,7 @@ class AnalyzedCorpus:
 def _analyze_corpus(contracts, config=None, cache=None) -> AnalyzedCorpus:
     analyzed = AnalyzedCorpus(contracts=contracts)
     for contract in contracts:
-        analyzed.results[contract.index] = analyze_bytecode(
+        analyzed.results[contract.index] = api.analyze(
             contract.runtime, config, cache=cache
         )
     return analyzed

@@ -26,7 +26,8 @@ from typing import Dict, List
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.core.analysis import AnalysisConfig, analyze_bytecode
+from repro import api
+from repro.core.analysis import AnalysisConfig
 from repro.core.datalog_rules import ETHAINTER_RULES, facts_from_program
 from repro.core.lang import (
     AbstractProgram,
@@ -195,7 +196,7 @@ class TestCompiledEnginePerf:
             derived = 0
             iterations = 0
             for contract in contracts:
-                result = analyze_bytecode(
+                result = api.analyze(
                     contract.runtime,
                     AnalysisConfig(engine=engine_name),
                     cache=cache,

@@ -119,7 +119,7 @@ def test_exp1_solver_assisted_extension(benchmark, corpus, analyzed):
 
     import random
 
-    from repro.core import analyze_bytecode
+    from repro import api
     from repro.corpus.templates import kill_magic_value
     from repro.minisol import compile_source
 
@@ -150,7 +150,7 @@ def test_exp1_solver_assisted_extension(benchmark, corpus, analyzed):
                 destroyed += 1
         for compiled in extra_targets:
             receipt = chain.deploy(DEPLOYER, compiled.init_with_args(), value=1000)
-            result = analyze_bytecode(compiled.runtime)
+            result = api.analyze(compiled.runtime)
             flagged += 1
             if killer.attack(receipt.contract_address, result).destroyed:
                 destroyed += 1

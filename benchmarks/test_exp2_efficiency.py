@@ -15,8 +15,8 @@ than) the symbolic baseline's.
 import time
 
 from benchmarks.conftest import print_table
+from repro import api
 from repro.baselines import TeEtherAnalysis
-from repro.core import analyze_bytecode
 from repro.decompiler import lift
 
 
@@ -26,7 +26,7 @@ def test_exp2_throughput(benchmark, corpus):
         timeouts = 0
         slowest = 0.0
         for contract in corpus:
-            result = analyze_bytecode(contract.runtime)
+            result = api.analyze(contract.runtime)
             slowest = max(slowest, result.elapsed_seconds)
             if result.timed_out:
                 timeouts += 1
@@ -60,7 +60,7 @@ def test_scaling_is_linear_in_contract_size(benchmark, corpus):
     def sweep():
         buckets = {"small": [], "medium": [], "large": []}
         for contract in corpus:
-            result = analyze_bytecode(contract.runtime)
+            result = api.analyze(contract.runtime)
             if result.statement_count == 0:
                 continue
             per_statement = result.elapsed_seconds / result.statement_count
@@ -104,7 +104,7 @@ def test_analysis_vs_symbolic_latency(benchmark, corpus):
     contract = next(c for c in corpus if c.template == "safe_token")
 
     started = time.monotonic()
-    analyze_bytecode(contract.runtime)
+    api.analyze(contract.runtime)
     static_time = time.monotonic() - started
 
     def symbolic():
@@ -127,28 +127,27 @@ def test_analysis_vs_symbolic_latency(benchmark, corpus):
 
 
 def test_parallel_batch_analysis(benchmark, corpus):
-    """The paper runs 45 concurrent analysis processes; repro.core.batch is
-    the equivalent driver.  Parallel and sequential runs must agree exactly;
-    wall-clock speedup is reported (informational — fork overhead dominates
-    at corpus scale, the paper's win comes at 240K contracts)."""
+    """The paper runs 45 concurrent analysis processes; ``api.sweep`` over
+    the supervised orchestrator is the equivalent driver.  Parallel and
+    sequential runs must agree exactly; wall-clock speedup is reported
+    (informational — fork overhead dominates at corpus scale, the paper's
+    win comes at 240K contracts)."""
     import os
-
-    from repro.core.batch import analyze_many
 
     bytecodes = [contract.runtime for contract in corpus[:200]]
 
     started = time.monotonic()
-    sequential = analyze_many(bytecodes, jobs=1)
+    sequential = api.sweep(bytecodes, jobs=1)
     sequential_time = time.monotonic() - started
 
     jobs = min(4, os.cpu_count() or 1)
 
     def parallel_run():
-        return analyze_many(bytecodes, jobs=jobs)
+        return api.sweep(bytecodes, jobs=jobs)
 
     parallel = benchmark.pedantic(parallel_run, rounds=1, iterations=1)
     started = time.monotonic()
-    analyze_many(bytecodes, jobs=jobs)
+    api.sweep(bytecodes, jobs=jobs)
     parallel_time = time.monotonic() - started
 
     print_table(

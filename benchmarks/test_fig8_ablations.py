@@ -142,8 +142,8 @@ def test_fig8_battery_shared_prefix_cache(corpus, benchmark):
     import time
 
     from benchmarks.conftest import print_table
-    from repro.core import AnalysisConfig, analyze_bytecode
-    from repro.core.batch import analyze_battery
+    from repro import api
+    from repro.core import AnalysisConfig
 
     contracts = corpus[:150]
     bytecodes = [contract.runtime for contract in contracts]
@@ -156,17 +156,17 @@ def test_fig8_battery_shared_prefix_cache(corpus, benchmark):
 
     started = time.monotonic()
     cold = [
-        [analyze_bytecode(bytecode, config) for bytecode in bytecodes]
+        [api.analyze(bytecode, config) for bytecode in bytecodes]
         for config in configs
     ]
     cold_time = time.monotonic() - started
 
     def battery():
-        return analyze_battery(bytecodes, configs, jobs=1)
+        return api.battery(bytecodes, configs, jobs=1)
 
     summaries = benchmark.pedantic(battery, rounds=1, iterations=1)
     started = time.monotonic()
-    summaries = analyze_battery(bytecodes, configs, jobs=1)
+    summaries = api.battery(bytecodes, configs, jobs=1)
     shared_time = time.monotonic() - started
 
     for cold_results, summary in zip(cold, summaries):

@@ -96,7 +96,7 @@ class TestSweepScale:
 
         # Controlled comparison: orchestrator on both sides, stage caches
         # off (see module docstring for why).
-        no_cache = api.OrchestratorOptions(executor="orchestrator", cache_entries=0)
+        no_cache = api.OrchestratorOptions(cache_entries=0)
         naive, naive_s = _timed_sweep(
             bytecodes, jobs=JOBS, dedup=False, options=no_cache
         )
@@ -114,8 +114,8 @@ class TestSweepScale:
 
         # Informational context: the same sweep with default per-worker
         # caches (which mask the dedup win at toy scale) and serially.
-        _, cached_s = _timed_sweep(bytecodes, jobs=JOBS, executor="orchestrator")
-        _, serial_s = _timed_sweep(bytecodes, executor="serial")
+        _, cached_s = _timed_sweep(bytecodes, jobs=JOBS)
+        _, serial_s = _timed_sweep(bytecodes, jobs=1)
 
         orchestrator = dict(deduped.orchestrator)
         _RESULTS["synthetic_mainnet"] = {

@@ -16,7 +16,7 @@ distribution is strongly skewed.
 """
 
 from benchmarks.conftest import print_table
-from repro.core import analyze_bytecode
+from repro import api
 from repro.core.vulnerabilities import (
     ACCESSIBLE_SELFDESTRUCT,
     TAINTED_DELEGATECALL,
@@ -78,5 +78,5 @@ def test_table1_flag_rates(benchmark, corpus, analyzed):
 def test_single_contract_analysis_cost(benchmark, corpus):
     """Per-contract analysis latency, the unit underlying the whole table."""
     contract = next(c for c in corpus if c.template == "composite_victim")
-    result = benchmark(lambda: analyze_bytecode(contract.runtime))
+    result = benchmark(lambda: api.analyze(contract.runtime))
     assert result.flagged

@@ -10,7 +10,8 @@ With the flag off, behavior must be identical to the default pipeline.
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.core import AnalysisConfig, analyze_bytecode
+from repro import api
+from repro.core import AnalysisConfig
 
 
 @pytest.fixture(scope="session")
@@ -68,7 +69,7 @@ def test_flag_off_is_identical_to_default(corpus, analyzed):
     sample fresh (no shared cache) must reproduce the default warnings
     exactly, byte for byte."""
     for contract in corpus[:40]:
-        fresh = analyze_bytecode(
+        fresh = api.analyze(
             contract.runtime, AnalysisConfig(value_analysis=False)
         )
         cached = analyzed.results[contract.index]

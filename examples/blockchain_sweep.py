@@ -13,7 +13,7 @@ Run with::
 import sys
 from collections import defaultdict
 
-from repro import analyze_bytecode
+from repro import api
 from repro.chain import Blockchain
 from repro.core.vulnerabilities import VULNERABILITY_KINDS
 from repro.corpus import generate_corpus
@@ -28,7 +28,7 @@ def main(size: int = 300) -> None:
     eth_by_kind = defaultdict(int)
     results = {}
     for contract in corpus:
-        result = analyze_bytecode(contract.runtime)
+        result = api.analyze(contract.runtime)
         results[contract.index] = result
         for kind in {w.kind for w in result.warnings}:
             flagged_by_kind[kind].append(contract)

@@ -11,7 +11,7 @@ Run with::
     python examples/composite_attack.py
 """
 
-from repro import analyze_bytecode, compile_source
+from repro import api, compile_source
 from repro.chain import Blockchain
 from repro.kill import EthainterKill
 
@@ -59,7 +59,7 @@ def main() -> None:
 
     # Ethainter sees through the guards: referAdmin lets any *user* mint
     # admins, and registerSelf lets anyone become a user.
-    result = analyze_bytecode(contract.runtime)
+    result = api.analyze(contract.runtime)
     print("\nEthainter findings:")
     for warning in result.warnings:
         print("  [%s] %s" % (warning.kind, warning.detail))

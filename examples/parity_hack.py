@@ -16,7 +16,7 @@ Run with::
     python examples/parity_hack.py
 """
 
-from repro import analyze_bytecode, compile_source
+from repro import api, compile_source
 from repro.chain import Blockchain
 from repro.minisol.abi import decode_word
 
@@ -89,7 +89,7 @@ def main() -> None:
     print("wallet owner slot: 0x%x" % chain.state.get_storage(wallet_address, 0))
 
     # Static analysis of the library flags the whole class.
-    result = analyze_bytecode(library.runtime)
+    result = api.analyze(library.runtime)
     print("\nEthainter on WalletLibrary:")
     for warning in sorted({w.kind for w in result.warnings}):
         print("  [%s]" % warning)

@@ -5,7 +5,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import analyze_bytecode, compile_source
+from repro import api, compile_source
 
 # A contract with the paper's §3.1 "tainted owner variable" bug: anyone can
 # call initOwner and then pass the owner guard on kill().
@@ -34,7 +34,7 @@ def main() -> None:
     contract = compile_source(SOURCE)
     print("compiled %s: %d bytes of runtime bytecode" % (contract.name, len(contract.runtime)))
 
-    result = analyze_bytecode(contract.runtime)
+    result = api.analyze(contract.runtime)
     print(
         "analyzed %d basic blocks / %d TAC statements in %.3f s"
         % (result.block_count, result.statement_count, result.elapsed_seconds)
@@ -52,7 +52,7 @@ def main() -> None:
         "function initOwner(address newOwner) public {\n"
         "        require(msg.sender == owner);\n        owner",
     )
-    fixed_result = analyze_bytecode(compile_source(fixed).runtime)
+    fixed_result = api.analyze(compile_source(fixed).runtime)
     print("\nafter guarding initOwner: %d warning(s)" % len(fixed_result.warnings))
 
 

@@ -11,7 +11,7 @@ Run with::
     python examples/staticcall_bug.py
 """
 
-from repro import analyze_bytecode, compile_source
+from repro import api, compile_source
 from repro.chain import Blockchain
 from repro.minisol.abi import decode_word
 
@@ -59,7 +59,7 @@ def main() -> None:
     )
 
     # Ethainter statically distinguishes the two patterns.
-    analysis = analyze_bytecode(verifier.runtime)
+    analysis = api.analyze(verifier.runtime)
     print("\nEthainter warnings:")
     for warning in analysis.warnings:
         print("  [%s] pc=0x%x — %s" % (warning.kind, warning.pc, warning.detail))

@@ -11,7 +11,7 @@ Run with::
 import sys
 from collections import Counter
 
-from repro import analyze_bytecode
+from repro import api
 from repro.baselines import SecurifyAnalysis, Securify2Analysis, TeEtherAnalysis
 from repro.corpus import generate_corpus
 
@@ -27,7 +27,7 @@ def main(size: int = 200) -> None:
     for contract in corpus:
         truth_vulnerable = contract.is_vulnerable
 
-        ethainter_result = analyze_bytecode(contract.runtime)
+        ethainter_result = api.analyze(contract.runtime)
         securify_result = securify.analyze(contract.runtime)
         teether_result = teether.analyze(contract.runtime)
         securify2_result = securify2.analyze(

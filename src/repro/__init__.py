@@ -23,7 +23,6 @@ from repro.core import (
     AnalysisResult,
     EthainterAnalysis,
     Warning,
-    analyze_bytecode,
 )
 from repro.minisol import compile_source
 
@@ -31,7 +30,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "api",
-    "analyze_bytecode",
     "compile_source",
     "EthainterAnalysis",
     "AnalysisConfig",

@@ -1,8 +1,6 @@
 """The supported public surface of the Ethainter reproduction.
 
-Everything downstream tooling needs lives here; deeper imports
-(``repro.core.analysis.analyze_bytecode``, ``repro.core.batch.
-analyze_many``) still work but are deprecated shims.  Three call shapes:
+Everything downstream tooling needs lives here.  Three call shapes:
 
 * :func:`analyze` — one contract, one configuration;
 * :func:`sweep` — a corpus under one configuration, optionally parallel on
@@ -315,7 +313,6 @@ def analyze_bundle(
 
 
 def _options(
-    executor: Optional[str],
     mp_context: Optional[str],
     max_retries: Optional[int],
     journal: Optional[str],
@@ -328,8 +325,6 @@ def _options(
     """Fold the convenience keywords into a (copied) options object; a
     keyword left at its default never overrides an explicit ``options``."""
     options = OrchestratorOptions() if options is None else dataclasses.replace(options)
-    if executor is not None:
-        options.executor = executor
     if mp_context is not None:
         options.mp_context = mp_context
     if max_retries is not None:
@@ -352,7 +347,6 @@ def sweep(
     *,
     jobs: int = 1,
     cache: Optional[ArtifactCache] = None,
-    executor: Optional[str] = None,
     mp_context: Optional[str] = None,
     max_retries: Optional[int] = None,
     journal: Optional[str] = None,
@@ -364,14 +358,14 @@ def sweep(
 ) -> BatchSummary:
     """Analyze ``bytecodes`` under one configuration.
 
-    ``jobs > 1`` fans out over the supervised orchestrator (``executor=
-    "pool"`` selects the legacy process pool instead).  ``journal`` names a
-    JSONL checkpoint file; with ``resume=True`` contracts already recorded
-    there (same bytecode digest and config fingerprint) are skipped and
-    their journaled entries reused verbatim.  Entries come back ordered by
-    input index regardless of completion order; a shared ``cache`` is
-    honored in-process, while workers build per-process caches (caches do
-    not cross process boundaries).
+    ``jobs > 1`` fans out over the supervised orchestrator's worker
+    processes; ``jobs=1`` (or a single submission) runs in process.
+    ``journal`` names a JSONL checkpoint file; with ``resume=True``
+    contracts already recorded there (same bytecode digest and config
+    fingerprint) are skipped and their journaled entries reused verbatim.
+    Entries come back ordered by input index regardless of completion
+    order; a shared ``cache`` is honored in-process, while workers build
+    per-process caches (caches do not cross process boundaries).
 
     Duplicate submissions (same bytecode digest + config fingerprint) are
     coalesced by default: one representative is analyzed per unique
@@ -385,8 +379,8 @@ def sweep(
     """
     config = _coerce_config(config) or AnalysisConfig()
     resolved = _options(
-        executor, mp_context, max_retries, journal, resume, dedup,
-        result_cache, on_event, options,
+        mp_context, max_retries, journal, resume, dedup, result_cache,
+        on_event, options,
     )
     return run_sweep(bytecodes, (config,), jobs=jobs, cache=cache, options=resolved)[0]
 
@@ -397,7 +391,6 @@ def battery(
     *,
     jobs: int = 1,
     cache: Optional[ArtifactCache] = None,
-    executor: Optional[str] = None,
     mp_context: Optional[str] = None,
     max_retries: Optional[int] = None,
     journal: Optional[str] = None,
@@ -421,7 +414,7 @@ def battery(
         raise ValueError("battery needs at least one configuration")
     configs = [_coerce_config(config) for config in configs]
     resolved = _options(
-        executor, mp_context, max_retries, journal, resume, dedup,
-        result_cache, on_event, options,
+        mp_context, max_retries, journal, resume, dedup, result_cache,
+        on_event, options,
     )
     return run_sweep(bytecodes, configs, jobs=jobs, cache=cache, options=resolved)

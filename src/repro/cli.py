@@ -102,7 +102,7 @@ def _print_precision(precision: dict, stream=None) -> None:
 
 
 def _print_orchestrator(stats: dict, stream=None) -> None:
-    """Sweep-executor health counters (the ``--profile`` section for the
+    """Sweep health counters (the ``--profile`` section for the
     orchestrator: crashes, watchdog kills, retries, recycles, resumed)."""
     stream = stream if stream is not None else sys.stdout
     print("orchestrator:", file=stream)
@@ -420,7 +420,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         [contract.runtime for contract in corpus],
         request,
         jobs=args.jobs,
-        executor=args.executor,
         mp_context=args.mp_context,
         max_retries=args.max_retries,
         journal=args.resume,
@@ -737,7 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes (>1 runs the supervised orchestrator)",
+        help="worker processes (>1 runs the supervised orchestrator; "
+        "1 analyzes in this process)",
     )
     sweep.add_argument(
         "--resume",
@@ -755,13 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mp-context",
         choices=["fork", "spawn", "forkserver"],
         help="multiprocessing start method (default: fork where available)",
-    )
-    sweep.add_argument(
-        "--executor",
-        choices=["auto", "orchestrator", "pool", "serial"],
-        default="auto",
-        help="sweep executor: the supervised orchestrator, the legacy "
-        "process pool, or in-process serial (auto picks by --jobs)",
     )
     sweep.add_argument(
         "--no-dedup",

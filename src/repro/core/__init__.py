@@ -22,7 +22,6 @@ from repro.core.analysis import (
     AnalysisResult,
     EthainterAnalysis,
     Warning,
-    analyze_bytecode,
 )
 from repro.core.pipeline import (
     ArtifactCache,
@@ -40,7 +39,6 @@ __all__ = [
     "AnalysisConfig",
     "AnalysisResult",
     "Warning",
-    "analyze_bytecode",
     "ArtifactCache",
     "Deadline",
     "DeadlineExceeded",

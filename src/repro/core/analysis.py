@@ -275,22 +275,3 @@ def _fill_precision(result: AnalysisResult) -> None:
     from repro.datalog.lint import shipped_finding_count
 
     counters.lint_findings = shipped_finding_count()
-
-
-def analyze_bytecode(
-    runtime_bytecode: bytes,
-    config: Optional[AnalysisConfig] = None,
-    cache: Optional[ArtifactCache] = None,
-) -> AnalysisResult:
-    """Deprecated deep-import shim for :func:`repro.api.analyze`.
-
-    Kept so historical callers (and the test suite) continue to work; it
-    warns once per process and delegates to :class:`EthainterAnalysis`,
-    which — like :mod:`repro.api` — is the supported surface.
-    """
-    from repro._compat import warn_deprecated_entry
-
-    warn_deprecated_entry(
-        "repro.core.analysis.analyze_bytecode", "repro.api.analyze"
-    )
-    return EthainterAnalysis(config, cache=cache).analyze(runtime_bytecode)

@@ -1,16 +1,11 @@
-"""Batch analysis data model and the legacy process-pool executor.
+"""Batch analysis data model.
 
 The paper analyzes the whole chain with "45 concurrent analysis processes"
-(§6).  The *supervised* driver for that workload lives in
+(§6).  The supervised driver for that workload lives in
 :mod:`repro.core.orchestrator` (watchdog, crash isolation, retries, worker
-recycling, checkpoint journal); this module keeps:
-
-* the wire/data model — :class:`BatchEntry` / :class:`BatchSummary` — shared
-  by every executor,
-* the legacy ``multiprocessing.Pool`` executor (``executor="pool"``), kept
-  as the overhead baseline for the orchestrator benchmarks,
-* the deprecated deep-import entry points :func:`analyze_many` /
-  :func:`analyze_battery`, now thin shims over :mod:`repro.api`.
+recycling, checkpoint journal); this module keeps the wire/data model —
+:class:`BatchEntry` / :class:`BatchSummary` — that workers, the in-process
+path and every report builder share.
 
 Worker processes return compact :class:`BatchEntry` summaries rather than
 full :class:`~repro.core.analysis.AnalysisResult` objects — the heavyweight
@@ -21,12 +16,10 @@ profile, and scalar counters.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.analysis import AnalysisConfig, AnalysisResult, EthainterAnalysis
-from repro.core.pipeline import ArtifactCache
+from repro.core.analysis import AnalysisResult
 
 
 @dataclass
@@ -83,8 +76,8 @@ class BatchSummary:
     degraded: bool = False
     degraded_reason: str = ""
     # Orchestrator counters (crashes, watchdog_kills, retries, recycles,
-    # resumed, ...) for the executor that produced this summary; empty for
-    # the legacy pool path.  See OrchestratorStats.as_dict().
+    # resumed, ...) for the sweep that produced this summary.  See
+    # OrchestratorStats.as_dict().
     orchestrator: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -206,130 +199,3 @@ def _entry_from_result(index: int, result: AnalysisResult) -> BatchEntry:
         ],
         precision=result.precision.as_dict(),
     )
-
-
-# Module-level worker state, initialized per process (configs are small and
-# picklable; passing them once via the initializer avoids re-pickling per
-# task — and keeps the initializer spawn-safe: no state crosses process
-# boundaries except these explicit, picklable arguments).  The cache lives
-# per worker process: it cannot be shared across processes, but within one
-# worker it de-duplicates repeated bytecodes and, for battery runs, shares
-# the ablation-independent prefix across configs.
-_WORKER_CONFIGS: Tuple[AnalysisConfig, ...] = ()
-_WORKER_CACHE: Optional[ArtifactCache] = None
-_WORKER_WARM = None  # WarmEngineCache when any config runs a datalog tier
-
-
-def _init_worker(
-    configs: Tuple[AnalysisConfig, ...], cache_entries: int = 0
-) -> None:
-    global _WORKER_CONFIGS, _WORKER_CACHE, _WORKER_WARM
-    _WORKER_CONFIGS = configs
-    _WORKER_CACHE = ArtifactCache(cache_entries) if cache_entries > 0 else None
-    _WORKER_WARM = None
-    if any(
-        getattr(config, "engine", "python").startswith("datalog")
-        for config in configs
-    ):
-        from repro.core.bytecode_datalog import WarmEngineCache
-
-        # Battery runs analyze one contract under several configurations
-        # in the same worker: the warm cache lets the datalog tiers repair
-        # one live fixpoint per contract (DRed) across the flag flips.
-        _WORKER_WARM = WarmEngineCache()
-
-
-def _analyze_one(task: Tuple[int, bytes]) -> Tuple[BatchEntry, ...]:
-    index, runtime = task
-    return tuple(
-        _entry_from_result(
-            index,
-            EthainterAnalysis(
-                config, cache=_WORKER_CACHE, warm=_WORKER_WARM
-            ).analyze(runtime),
-        )
-        for config in _WORKER_CONFIGS[:1]
-    )
-
-
-def _analyze_battery_one(task: Tuple[int, bytes]) -> Tuple[BatchEntry, ...]:
-    """Analyze one contract under every configured ablation, sharing the
-    worker cache so the lift+extract prefix is computed once."""
-    index, runtime = task
-    return tuple(
-        _entry_from_result(
-            index,
-            EthainterAnalysis(
-                config, cache=_WORKER_CACHE, warm=_WORKER_WARM
-            ).analyze(runtime),
-        )
-        for config in _WORKER_CONFIGS
-    )
-
-
-def _pool_run(tasks, worker, configs, jobs, cache_entries, context=None):
-    """Run ``worker`` over ``tasks`` on a legacy process pool; returns
-    (rows, degraded_reason).  ``context`` is a resolved multiprocessing
-    context (see :func:`repro.core.orchestrator.resolve_mp_context`) —
-    no start method is hard-coded here anymore."""
-    if context is None:
-        from repro.core.orchestrator import resolve_mp_context
-
-        context = resolve_mp_context()
-    chunksize = max(1, len(tasks) // (jobs * 4))
-    try:
-        with context.Pool(
-            processes=jobs,
-            initializer=_init_worker,
-            initargs=(configs, cache_entries),
-        ) as pool:
-            # imap_unordered: collect completions as they arrive instead of
-            # blocking on in-order delivery behind the slowest contract.
-            return list(pool.imap_unordered(worker, tasks, chunksize=chunksize)), None
-    except (OSError, RuntimeError) as error:  # pool unavailable: degrade
-        reason = "%s: %s" % (type(error).__name__, error)
-        _init_worker(configs, cache_entries)
-        return [worker(task) for task in tasks], reason
-
-
-def analyze_many(
-    bytecodes: Sequence[bytes],
-    config: Optional[AnalysisConfig] = None,
-    jobs: int = 1,
-    cache: Optional[ArtifactCache] = None,
-    **options,
-) -> BatchSummary:
-    """Deprecated deep-import shim for :func:`repro.api.sweep`.
-
-    Entries come back ordered by input index regardless of completion
-    order.  A shared ``cache`` is honored in-process; pool/orchestrator
-    workers build their own per-process caches instead (caches do not
-    cross process boundaries).
-    """
-    from repro._compat import warn_deprecated_entry
-    from repro import api
-
-    warn_deprecated_entry("repro.core.batch.analyze_many", "repro.api.sweep")
-    return api.sweep(bytecodes, config, jobs=jobs, cache=cache, **options)
-
-
-def analyze_battery(
-    bytecodes: Sequence[bytes],
-    configs: Sequence[AnalysisConfig],
-    jobs: int = 1,
-    cache: Optional[ArtifactCache] = None,
-    **options,
-) -> List[BatchSummary]:
-    """Deprecated deep-import shim for :func:`repro.api.battery`.
-
-    Returns one :class:`BatchSummary` per configuration, index-aligned with
-    ``configs``.  All configurations of one contract run in the same worker
-    against a shared :class:`ArtifactCache`, so stages whose configuration
-    fingerprints agree (the lift/facts/storage/guards prefix for the Fig. 8
-    ablations) are computed once per contract.
-    """
-    from repro._compat import warn_deprecated_entry
-    from repro import api
-
-    warn_deprecated_entry("repro.core.batch.analyze_battery", "repro.api.battery")
-    return api.battery(bytecodes, configs, jobs=jobs, cache=cache, **options)

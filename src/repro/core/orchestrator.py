@@ -1,4 +1,5 @@
-"""Supervised worker-pool sweep executor (the §6 harness, made survivable).
+"""Supervised worker processes for sweeps and the serving daemon (the §6
+harness, made survivable).
 
 The paper runs Ethainter over the whole chain with 45 concurrent analysis
 processes and a per-contract cutoff (§6).  At that scale the harness itself
@@ -6,8 +7,8 @@ is part of the analysis: a lifter that wedges on one pathological contract,
 a worker the kernel OOM-kills, or an operator restart must each cost *one
 contract*, not the sweep.  This module owns ``multiprocessing.Process``
 workers directly (one private duplex pipe per worker — no shared queue
-locks a dying worker could leave held) and adds, over the bare
-``Pool.imap_unordered`` it replaces:
+locks a dying worker could leave held) and adds, over a bare
+``Pool.imap_unordered``:
 
 * **watchdog** — a wall-clock backstop that SIGKILLs and respawns workers
   stuck past ``deadline x grace_factor``, catching hangs the cooperative
@@ -23,7 +24,9 @@ locks a dying worker could leave held) and adds, over the bare
   retried;
 * **worker recycling** — workers exit cleanly after ``recycle_after`` tasks
   (the ``maxtasksperchild`` analog) to bound allocator/cache growth on
-  blockchain-scale corpora;
+  blockchain-scale corpora; the supervisor never dispatches past a
+  worker's remaining budget, so no chunk is sent to a worker that will
+  exit without reading it;
 * **checkpoint journal** — completed entries append to a JSONL journal
   keyed by ``sha256(bytecode) + config fingerprint`` (the same identity as
   :class:`~repro.core.pipeline.ArtifactCache`); ``repro sweep --resume
@@ -45,7 +48,7 @@ locks a dying worker could leave held) and adds, over the bare
   warm daemon-style workloads resolve duplicate submissions without any
   analysis (``result_cache_hits``).  Harness-fault rows are never stored;
 * **chunked IPC dispatch** — tasks travel to workers in batches of
-  ``dispatch_chunk`` (auto-sized like the legacy pool's ``chunksize``), so
+  ``dispatch_chunk`` (auto-sized like ``Pool.map``'s ``chunksize``), so
   per-task pipe round-trips amortize in the small-task regime; replies
   stay per-task so crash isolation still costs one contract;
 * **progress events** — heartbeat / task_done / retry / worker_crashed /
@@ -54,10 +57,15 @@ locks a dying worker could leave held) and adds, over the bare
   :class:`BatchSummary.orchestrator`, sweep JSON reports, and
   ``--profile`` output.
 
-:func:`run_sweep` is the single entry point; ``executor="pool"`` keeps the
-legacy :func:`repro.core.batch._pool_run` path as the overhead baseline,
-and both executors degrade to in-process execution (recorded, never
-silent) when worker processes cannot be spawned.
+One supervisor, :class:`Orchestrator`, has two drivers: :func:`run_sweep`
+steps it on the caller's thread over one sweep's tasks, and
+:class:`PersistentPool` steps it from a thread of its own for the daemon.
+Both send every worker the same task shape — ``(runtime, configs)``, one
+entry per configuration — and receive every resolved row through
+``on_row``.  Work that does not go to workers — ``jobs <= 1``, sweeps of
+fewer than two submissions, ``repro serve --jobs 0``, and whatever is
+still open when worker processes cannot be spawned (recorded, never
+silent) — runs on the one in-process path, :class:`_InProcess`.
 """
 
 from __future__ import annotations
@@ -72,27 +80,20 @@ import time
 from concurrent.futures import Future
 from multiprocessing import connection as mp_connection
 from collections import deque
-from dataclasses import (
-    asdict,
-    dataclass,
-    field,
-    fields as dataclass_fields,
-    replace as dataclass_replace,
-)
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.analysis import AnalysisConfig, EthainterAnalysis
-from repro.core.batch import (
-    BatchEntry,
-    BatchSummary,
-    _analyze_battery_one,
-    _analyze_one,
-    _entry_from_result,
-    _pool_run,
-)
+from repro.core.batch import BatchEntry, BatchSummary, _entry_from_result
+from repro.core.bytecode_datalog import WarmEngineCache
 from repro.core.pipeline import ArtifactCache, analysis_fingerprint, bytecode_digest
 
 JOURNAL_VERSION = 1
+
+# A task as workers and the in-process path receive it: runtime bytecode
+# and the configurations to analyze it under (a sweep's battery, or one
+# daemon request's config).
+Task = Tuple[bytes, Tuple[AnalysisConfig, ...]]
 
 
 class TransientTaskError(Exception):
@@ -127,8 +128,8 @@ class FaultPlan:
     ``crash_indices`` hard-exit the worker (``os._exit``), ``hang_indices``
     sleep past any watchdog, and ``transient_failures`` maps a task index
     to how many attempts fail with :class:`TransientTaskError` before the
-    task succeeds.  Ignored entirely by in-process (serial) execution —
-    injecting a crash into the supervisor would defeat the point.
+    task succeeds.  Ignored entirely by in-process execution — injecting
+    a crash into the supervisor would defeat the point.
     """
 
     crash_indices: Tuple[int, ...] = ()
@@ -152,16 +153,12 @@ class FaultPlan:
 
 @dataclass
 class OrchestratorOptions:
-    """Knobs for :func:`run_sweep` (shared by every executor).
+    """Knobs for :func:`run_sweep` and :class:`PersistentPool`.
 
-    ``executor="auto"`` picks the supervised orchestrator for parallel
-    runs and in-process execution otherwise; ``"pool"`` is the legacy
-    ``multiprocessing.Pool`` baseline (no watchdog/journal/retries).
     ``watchdog_seconds`` overrides the default budget-derived timeout of
     ``timeout_seconds * grace_factor``.
     """
 
-    executor: str = "auto"  # "auto" | "orchestrator" | "pool" | "serial"
     mp_context: Optional[str] = None  # "fork" | "spawn" | "forkserver"
     max_retries: int = 2
     backoff_seconds: float = 0.05
@@ -180,12 +177,8 @@ class OrchestratorOptions:
     # Directory for the cross-run ResultCache; None disables it.
     result_cache_path: Optional[str] = None
     # Tasks per worker dispatch message; None auto-sizes from the task
-    # count (like the legacy pool's chunksize), capped by recycle_after.
+    # count (like Pool.map's chunksize), capped by recycle_after.
     dispatch_chunk: Optional[int] = None
-    # Worker-side task runner (a TASK_RUNNERS name): "sweep" analyzes a
-    # bytecode payload under every spawn-time config; "request" analyzes a
-    # (bytecode, config) payload — the serving daemon's per-request shape.
-    task_runner: str = "sweep"
     on_event: Optional[Callable[[Dict], None]] = None
     fault_plan: Optional[FaultPlan] = None
 
@@ -201,7 +194,8 @@ class OrchestratorOptions:
 class OrchestratorStats:
     """Sweep-level health counters, surfaced on every summary/report."""
 
-    mode: str = "orchestrator"  # "orchestrator" | "pool" | "serial"
+    # Sweeps: "orchestrator" | "serial"; serve: "persistent" | "inline".
+    mode: str = "orchestrator"
     workers: int = 0
     dispatched: int = 0  # tasks sent to workers, retries included
     completed: int = 0  # tasks that produced a result row
@@ -410,40 +404,101 @@ class ResultCache:
         self.stores += 1
 
 
-# ------------------------------------------------------------------ runners
+# ------------------------------------------------------------------- runner
 
 
-def _run_sweep_task(configs, cache, warm, index, payload):
-    """The batch shape: payload is runtime bytecode, one entry per
-    spawn-time configuration (the Fig. 8 battery contract)."""
+def _analyze_task(
+    index: int,
+    task: Task,
+    cache: Optional[ArtifactCache],
+    warm: WarmEngineCache,
+) -> Tuple[BatchEntry, ...]:
+    """One entry per configuration, in order: the Fig. 8 battery shape for
+    sweeps, a single entry for a daemon request (each request carries its
+    own configuration, so one warm pool serves mixed traffic)."""
+    runtime, configs = task
     return tuple(
         _entry_from_result(
             index,
-            EthainterAnalysis(config, cache=cache, warm=warm).analyze(payload),
+            EthainterAnalysis(config, cache=cache, warm=warm).analyze(runtime),
         )
         for config in configs
     )
 
 
-def _run_request_task(configs, cache, warm, index, payload):
-    """The serving shape: payload is ``(runtime, AnalysisConfig)`` — each
-    request carries its own configuration, so one warm pool serves mixed
-    engine/kinds/deadline traffic."""
-    runtime, config = payload
-    return (
-        _entry_from_result(
-            index,
-            EthainterAnalysis(config, cache=cache, warm=warm).analyze(runtime),
-        ),
+def _fault_row(
+    index: int,
+    configs: Sequence[AnalysisConfig],
+    attempt: int,
+    error: str,
+    elapsed: float,
+) -> Tuple[BatchEntry, ...]:
+    """One error entry per configuration for a harness fault."""
+    return tuple(
+        BatchEntry(
+            index=index,
+            kinds=(),
+            error=error,
+            elapsed_seconds=elapsed,
+            statement_count=0,
+            attempts=attempt + 1,
+        )
+        for _ in configs
     )
 
 
-# Worker-side task runners, selected *by name* so the choice pickles across
-# process boundaries under any start method.
-TASK_RUNNERS: Dict[str, Callable] = {
-    "sweep": _run_sweep_task,
-    "request": _run_request_task,
-}
+def _send_event(
+    on_event: Optional[Callable[[Dict], None]], event: str, **data
+) -> None:
+    if on_event is not None:
+        payload = {"event": event}
+        payload.update(data)
+        on_event(payload)
+
+
+class _InProcess:
+    """Analysis on the calling thread, with what a worker holds: one
+    :class:`ArtifactCache` and one :class:`WarmEngineCache`.
+
+    Serves ``jobs <= 1`` and tiny sweeps, ``repro serve --jobs 0``, and
+    both drivers' fallback when workers cannot be spawned.  Rows go to
+    ``on_row`` exactly as the supervisor reports them; an exception from
+    the analysis becomes a ``task_failed`` row instead of escaping.
+    """
+
+    def __init__(
+        self,
+        cache: Optional[ArtifactCache],
+        stats: "OrchestratorStats",
+        on_row: Callable[[int, Tuple[BatchEntry, ...]], None],
+        on_event: Optional[Callable[[Dict], None]],
+    ):
+        self.cache = cache
+        self.warm = WarmEngineCache()
+        self.stats = stats
+        self.on_row = on_row
+        self.on_event = on_event
+
+    def run(self, index: int, task: Task) -> None:
+        error = None
+        try:
+            row = _analyze_task(index, task, self.cache, self.warm)
+        except Exception as failure:  # same surface as an exhausted retry
+            error = "%s: %s" % (type(failure).__name__, failure)
+            row = _fault_row(
+                index,
+                task[1],
+                0,
+                "task_failed: %s (after 1 attempt(s))" % error,
+                0.0,
+            )
+        self.stats.dispatched += 1
+        self.stats.completed += 1
+        self.on_row(index, row)
+        if error is None:
+            _send_event(self.on_event, "task_done", index=index, attempt=0)
+        else:
+            _send_event(self.on_event, "task_failed", index=index, error=error)
 
 
 # ------------------------------------------------------------------- worker
@@ -452,11 +507,9 @@ TASK_RUNNERS: Dict[str, Callable] = {
 def _worker_main(
     worker_id: int,
     conn,
-    configs: Tuple[AnalysisConfig, ...],
     cache_entries: int,
     recycle_after: Optional[int],
     fault_plan: Optional[FaultPlan],
-    runner: str = "sweep",
 ) -> None:
     """Worker loop: one task in flight, on a private duplex pipe.
 
@@ -472,36 +525,27 @@ def _worker_main(
     Spawn-safe by construction: a top-level function whose arguments are
     all picklable; per-worker state (the artifact cache) is built here,
     never inherited.  Each message is a *chunk* — a list of ``(index,
-    payload, attempt)`` tasks (payload shape per :data:`TASK_RUNNERS`
-    entry), processed strictly in order so the
-    supervisor always knows which task is in flight (the head of the
+    (runtime, configs), attempt)`` tasks, processed strictly in order so
+    the supervisor always knows which task is in flight (the head of the
     chunk's unacknowledged remainder).  Replies stay per-task —
     ``("done", wid, index, attempt, row)`` or ``("fail", wid, index,
     attempt, message)`` — so crash isolation still costs one contract;
     only the dispatch direction is batched.  ``("recycle", wid)`` precedes
-    a clean exit, only ever between chunks.
+    a clean exit after ``recycle_after`` tasks; the supervisor never sends
+    more than that, so the exit falls between chunks.
     """
     cache = ArtifactCache(cache_entries) if cache_entries > 0 else None
-    warm = None
-    if runner != "sweep":
-        # The serving runner sees mixed per-request configurations, so the
-        # warm fixpoint cache is always worth holding; the sweep runner
-        # keeps its historical per-config behavior (byte-identical entries
-        # against the serial executor).
-        from repro.core.bytecode_datalog import WarmEngineCache
-
-        warm = WarmEngineCache()
-    run_task = TASK_RUNNERS[runner]
+    warm = WarmEngineCache()
     done = 0
     while True:
         message = conn.recv()
         if message is None:
             return
-        for index, payload, attempt in message:
+        for index, task, attempt in message:
             try:
                 if fault_plan is not None:
                     fault_plan.apply(index, attempt)
-                row = run_task(configs, cache, warm, index, payload)
+                row = _analyze_task(index, task, cache, warm)
                 conn.send(("done", worker_id, index, attempt, row))
             except Exception as error:  # reported; the supervisor decides retry
                 conn.send(
@@ -522,9 +566,9 @@ def _worker_main(
 class _Worker:
     """Supervisor-side view of one worker process."""
 
-    __slots__ = ("process", "conn", "queue", "started", "retiring")
+    __slots__ = ("process", "conn", "queue", "started", "budget")
 
-    def __init__(self, process, conn):
+    def __init__(self, process, conn, budget: Optional[int]):
         self.process = process
         self.conn = conn
         # Dispatched-but-unacknowledged (index, attempt) tasks, in the
@@ -535,7 +579,10 @@ class _Worker:
         # When the head task started (the previous reply's arrival, or the
         # chunk's dispatch); None while the queue is empty.
         self.started: Optional[float] = None
-        self.retiring = False
+        # Tasks the worker may still be sent before it recycles (None:
+        # never recycles).  At 0 it gets nothing more and exits once its
+        # queue drains.
+        self.budget = budget
 
 
 class _PoolBroken(Exception):
@@ -546,7 +593,7 @@ class _PoolBroken(Exception):
 
 
 class Orchestrator:
-    """Supervises worker processes over one sweep's task list.
+    """Supervises worker processes over the open tasks.
 
     Single-threaded supervisor: each loop iteration reaps dead workers
     (crash isolation), enforces the watchdog, dispatches ready tasks to
@@ -556,53 +603,45 @@ class Orchestrator:
     emits heartbeats.  Workers carry unique ids for their whole lifetime,
     so late messages from a replaced worker can never be mis-attributed to
     its successor.
+
+    Each resolved task's row goes to ``on_row`` and the task is forgotten,
+    so a long-lived daemon holds no state per finished request.  The first
+    row wins: :meth:`_drain` reads a dead worker's buffered replies before
+    anything is charged, so a completed task's real row always precedes a
+    fault charge.  ``config`` sets the watchdog budget.
     """
 
     def __init__(
         self,
-        configs: Tuple[AnalysisConfig, ...],
         jobs: int,
         options: OrchestratorOptions,
         stats: OrchestratorStats,
-        journal: Optional[SweepJournal] = None,
-        keys: Optional[Dict[int, str]] = None,
-        persistent: bool = False,
+        config: AnalysisConfig,
+        on_row: Callable[[int, Tuple[BatchEntry, ...]], None],
     ):
-        self.configs = configs
         self.jobs = jobs
         self.options = options
         self.stats = stats
-        self.journal = journal
-        self.keys = keys or {}
+        self.on_row = on_row
         self.context = resolve_mp_context(options.mp_context)
-        self.watchdog = options.effective_watchdog(configs[0])
-        self.rows: Dict[int, Tuple[BatchEntry, ...]] = {}
-        # index -> task payload (runtime bytes for the sweep runner,
-        # (runtime, config) for the request runner).
-        self.tasks_by_index: Dict[int, object] = {}
+        self.watchdog = options.effective_watchdog(config)
+        self.tasks_by_index: Dict[int, Task] = {}  # the open tasks
         self.pending: "deque[Tuple[int, int, float]]" = deque()  # index, attempt, not_before
         self.workers: Dict[int, _Worker] = {}
         self.next_worker_id = 0
         self.chunk = 1  # set per run() from dispatch_chunk / task count
-        # Persistent mode (PersistentPool): resolved tasks are *forgotten*
-        # instead of accumulated in ``rows`` — a long-lived daemon must not
-        # grow state per request — and each resolved row is handed to
-        # ``on_row`` (the pool resolves the submitter's Future there).
-        self.persistent = persistent
-        self.on_row: Optional[Callable[[int, Tuple[BatchEntry, ...]], None]] = None
         # Optional readable fd included in the supervision wait set so an
         # external submitter can interrupt an idle wait immediately.
         self.wake_fd: Optional[int] = None
         self._started_at = time.monotonic()
         self._last_heartbeat = self._started_at
 
-    # -- events
-
     def _emit(self, event: str, **data) -> None:
-        if self.options.on_event is not None:
-            payload = {"event": event}
-            payload.update(data)
-            self.options.on_event(payload)
+        _send_event(self.options.on_event, event, **data)
+
+    def submit(self, index: int, task: Task) -> None:
+        self.tasks_by_index[index] = task
+        self._requeue(index, attempt=0)
 
     # -- worker lifecycle
 
@@ -616,11 +655,9 @@ class Orchestrator:
                 args=(
                     worker_id,
                     child_conn,
-                    self.configs,
                     self.options.cache_entries,
                     self.options.recycle_after,
                     self.options.fault_plan,
-                    self.options.task_runner,
                 ),
                 daemon=True,
             )
@@ -630,56 +667,30 @@ class Orchestrator:
         # Close the supervisor's copy of the child end so a worker death
         # surfaces as EOF on the parent end instead of a silent stall.
         child_conn.close()
-        self.workers[worker_id] = _Worker(process, parent_conn)
+        budget = self.options.recycle_after
+        self.workers[worker_id] = _Worker(
+            process, parent_conn, None if budget is None else max(1, budget)
+        )
 
     # -- task resolution
 
     def _requeue(self, index: int, attempt: int, delay: float = 0.0) -> None:
         self.pending.append((index, attempt, time.monotonic() + delay))
 
-    def _record_row(
-        self, index: int, row: Tuple[BatchEntry, ...], journal: bool
-    ) -> None:
-        if self.persistent:
-            if index not in self.tasks_by_index:
-                return  # late duplicate: a fault charge raced the real row
-            del self.tasks_by_index[index]
-            self.stats.completed += 1
-            if self.on_row is not None:
-                self.on_row(index, row)
-            return
-        if index in self.rows:
-            # A worker that finished a task and then died before its result
-            # drained gets charged a crash first; the real row wins.
-            self.rows[index] = row
-        else:
-            self.rows[index] = row
-            self.stats.completed += 1
-        if journal and self.journal is not None and index in self.keys:
-            self.journal.record(self.keys[index], index, row)
+    def _resolve(self, index: int, row: Tuple[BatchEntry, ...]) -> bool:
+        """Hand ``row`` to ``on_row`` and forget the task; False when the
+        task was already resolved (a late reply after a fault charge)."""
+        if self.tasks_by_index.pop(index, None) is None:
+            return False
+        self.stats.completed += 1
+        self.on_row(index, row)
+        return True
 
-    def _fault_row(self, index: int, attempt: int, error: str, elapsed: float):
-        """One error entry per battery configuration for a harness fault.
-
-        Deliberately *not* journaled: crashes and hangs may be
-        environmental, so a resumed run gets a fresh attempt at these
-        contracts.
-        """
-        row = tuple(
-            BatchEntry(
-                index=index,
-                kinds=(),
-                error=error,
-                elapsed_seconds=elapsed,
-                statement_count=0,
-                attempts=attempt + 1,
-            )
-            for _ in self.configs
-        )
-        self._record_row(index, row, journal=False)
-
-    def _unresolved(self) -> int:
-        return len(self.tasks_by_index) - len(self.rows)
+    def _charge(self, index: int, attempt: int, error: str, elapsed: float) -> None:
+        """Resolve a task with a harness-fault row."""
+        task = self.tasks_by_index.get(index)
+        if task is not None:
+            self._resolve(index, _fault_row(index, task[1], attempt, error, elapsed))
 
     # -- supervision steps
 
@@ -718,7 +729,7 @@ class Orchestrator:
                         exitcode=exitcode,
                         attempt=attempt,
                     )
-                    self._fault_row(
+                    self._charge(
                         index,
                         attempt,
                         "worker_crashed: worker exit code %s while analyzing "
@@ -732,7 +743,7 @@ class Orchestrator:
                 else:
                     self._emit("worker_crashed", index=None, exitcode=exitcode)
             worker.queue.clear()
-            if self._unresolved() and len(self.workers) < self.jobs:
+            if self.tasks_by_index and len(self.workers) < self.jobs:
                 self._spawn_worker()
 
     def _check_watchdog(self) -> None:
@@ -763,7 +774,7 @@ class Orchestrator:
                     attempt=attempt,
                     stuck_seconds=now - started,
                 )
-                self._fault_row(
+                self._charge(
                     index,
                     attempt,
                     "watchdog_killed: contract %d still running after %.3fs "
@@ -774,7 +785,7 @@ class Orchestrator:
                 for idx, att in worker.queue:
                     self._requeue(idx, att)
                 worker.queue.clear()
-            if self._unresolved() and len(self.workers) < self.jobs:
+            if self.tasks_by_index and len(self.workers) < self.jobs:
                 self._spawn_worker()
 
     def _dispatch(self) -> None:
@@ -786,15 +797,18 @@ class Orchestrator:
                 return
             if (
                 len(worker.queue) > 1  # refill while the last task runs
-                or worker.retiring
+                or worker.budget == 0
                 or worker.process.exitcode is not None
             ):
                 continue
+            limit = self.chunk
+            if worker.budget is not None:
+                limit = min(limit, worker.budget)
             # Honor retry backoff: scan the (small) queue for ready tasks,
             # gathering up to one chunk per dispatch message.
-            batch: List[Tuple[int, bytes, int]] = []
+            batch: List[Tuple[int, Task, int]] = []
             for _ in range(len(self.pending)):
-                if len(batch) >= self.chunk or not self.pending:
+                if len(batch) >= limit or not self.pending:
                     break
                 index, attempt, not_before = self.pending[0]
                 if not_before <= now:
@@ -809,14 +823,14 @@ class Orchestrator:
             except (OSError, ValueError):
                 # Worker died before taking the chunk: requeue it
                 # uncharged; _reap collects the corpse.
-                for index, _runtime, attempt in batch:
+                for index, _task, attempt in batch:
                     self._requeue(index, attempt)
                 continue
+            if worker.budget is not None:
+                worker.budget -= len(batch)
             if not worker.queue:
                 worker.started = time.monotonic()
-            worker.queue.extend(
-                (index, attempt) for index, _runtime, attempt in batch
-            )
+            worker.queue.extend((index, attempt) for index, _task, attempt in batch)
             self.stats.dispatched += len(batch)
             self.stats.ipc_batches += 1
 
@@ -824,9 +838,6 @@ class Orchestrator:
         kind = message[0]
         if kind == "recycle":
             _, worker_id = message
-            worker = self.workers.get(worker_id)
-            if worker is not None:
-                worker.retiring = True
             self.stats.recycles += 1
             self._emit("recycle", worker=worker_id)
             return
@@ -839,10 +850,10 @@ class Orchestrator:
             row = tuple(
                 _entry_with_attempts(entry, attempt + 1) for entry in payload
             )
-            self._record_row(index, row, journal=True)
-            self._emit("task_done", index=index, attempt=attempt)
+            if self._resolve(index, row):
+                self._emit("task_done", index=index, attempt=attempt)
         elif kind == "fail":
-            if index in self.rows or index not in self.tasks_by_index:
+            if index not in self.tasks_by_index:
                 return  # already resolved (e.g. watchdog raced the reply)
             if attempt < self.options.max_retries:
                 self.stats.retries += 1
@@ -852,7 +863,7 @@ class Orchestrator:
                     "retry", index=index, attempt=attempt + 1, error=payload
                 )
             else:
-                self._fault_row(
+                self._charge(
                     index,
                     attempt,
                     "task_failed: %s (after %d attempt(s))"
@@ -864,8 +875,8 @@ class Orchestrator:
     # -- main loop
 
     def _effective_chunk(self, task_count: int) -> int:
-        """Tasks per dispatch message: explicit, or auto-sized like the
-        legacy pool's chunksize, capped so recycling still bounds worker
+        """Tasks per dispatch message: explicit, or auto-sized like
+        ``Pool.map``'s chunksize, capped so recycling still bounds worker
         lifetime and no single worker hoards the queue."""
         chunk = self.options.dispatch_chunk
         if chunk is None:
@@ -880,9 +891,9 @@ class Orchestrator:
 
     def _step(self, timeout: float = 0.05) -> None:
         """One supervision iteration: reap, watchdog, dispatch, then wait
-        for worker replies / deaths / an external wake.  Both the one-shot
-        sweep (:meth:`run`) and the long-lived :class:`PersistentPool`
-        drive this method; it never blocks longer than ``timeout``."""
+        for worker replies / deaths / an external wake.  Both the sweep
+        (:meth:`run`) and the long-lived :class:`PersistentPool` drive
+        this method; it never blocks longer than ``timeout``."""
         self._reap()
         self._check_watchdog()
         self._dispatch()
@@ -920,9 +931,7 @@ class Orchestrator:
             self._emit(
                 "heartbeat",
                 completed=self.stats.completed,
-                total=self.stats.completed + self._unresolved()
-                if self.persistent
-                else len(self.tasks_by_index),
+                total=self.stats.completed + len(self.tasks_by_index),
                 in_flight=sum(
                     len(worker.queue) for worker in self.workers.values()
                 ),
@@ -936,23 +945,22 @@ class Orchestrator:
                 ),
             )
 
-    def run(
-        self, tasks: List[Tuple[int, bytes]]
-    ) -> Dict[int, Tuple[BatchEntry, ...]]:
-        self.tasks_by_index = dict(tasks)
+    def run(self, tasks: List[Tuple[int, Task]]) -> None:
+        """The sweep driver: step on the caller's thread until every task
+        resolved.  Raises :class:`_PoolBroken` with the unresolved tasks
+        still in ``tasks_by_index``."""
+        for index, task in tasks:
+            self.submit(index, task)
         self.chunk = self._effective_chunk(len(tasks))
-        for index, _runtime in tasks:
-            self._requeue(index, attempt=0)
         try:
             while len(self.workers) < min(self.jobs, len(tasks)):
                 self._spawn_worker()
             self.stats.workers = len(self.workers)
             self._begin()
-            while self._unresolved():
+            while self.tasks_by_index:
                 self._step()
         finally:
             self._shutdown()
-        return self.rows
 
     def _shutdown(self) -> None:
         for worker in self.workers.values():
@@ -977,9 +985,9 @@ class PersistentPool:
     """A long-lived supervised worker pool decoupled from any one sweep.
 
     This is the serving backend behind ``repro serve``: worker processes
-    stay warm across requests, each submission is one ``"request"``-runner
-    task carrying its own :class:`AnalysisConfig` (so a single pool serves
-    mixed engine/kinds/deadline traffic), and :meth:`submit` returns a
+    stay warm across requests, each submission is one task carrying its
+    own :class:`AnalysisConfig` (so a single pool serves mixed
+    engine/kinds/deadline traffic), and :meth:`submit` returns a
     :class:`concurrent.futures.Future` resolving to the task's row — a
     1-tuple of :class:`BatchEntry`, the same shape a single-config sweep
     produces, so every report builder downstream works unchanged.
@@ -998,13 +1006,14 @@ class PersistentPool:
     processes — the single-operator deployment), and a failed spawn
     (:class:`_PoolBroken`) degrades to the same inline mode mid-flight:
     open requests are re-run in-process, recorded in ``stats.mode``,
-    never dropped.  Inline mode holds a warm
+    never dropped.  Inline mode is the sweep's in-process path
+    (:class:`_InProcess`): it holds a warm
     :class:`~repro.core.bytecode_datalog.WarmEngineCache` and
     :class:`ArtifactCache` across requests, mirroring what warm workers
     hold.
 
     ``task_hook`` is a test seam: called (inline mode only) with
-    ``(index, runtime, config)`` before each analysis, letting tests
+    ``(index, runtime, configs)`` before each analysis, letting tests
     hold the pool busy deterministically to exercise admission limits.
     """
 
@@ -1016,14 +1025,12 @@ class PersistentPool:
     ):
         self.config = config if config is not None else AnalysisConfig()
         self.jobs = max(0, jobs)
-        self.options = dataclass_replace(
-            options or OrchestratorOptions(), task_runner="request"
-        )
+        self.options = options or OrchestratorOptions()
         self.stats = OrchestratorStats(
             mode="persistent" if self.jobs > 0 else "inline"
         )
         self.task_hook: Optional[
-            Callable[[int, bytes, AnalysisConfig], None]
+            Callable[[int, bytes, Tuple[AnalysisConfig, ...]], None]
         ] = None
         self._lock = threading.Lock()
         self._inbox: "queue_module.SimpleQueue" = queue_module.SimpleQueue()
@@ -1032,19 +1039,13 @@ class PersistentPool:
         self._open = 0
         self._closed = False
         self._abandon = False
-        self._inline_cache: Optional[ArtifactCache] = None
-        self._inline_warm = None
+        self._inline: Optional[_InProcess] = None
         if self.jobs > 0:
             self._wake_read, self._wake_write = os.pipe()
             self._supervisor: Optional[Orchestrator] = Orchestrator(
-                (self.config,),
-                self.jobs,
-                self.options,
-                self.stats,
-                persistent=True,
+                self.jobs, self.options, self.stats, self.config, self._finish
             )
             self._supervisor.wake_fd = self._wake_read
-            self._supervisor.on_row = self._finish
             # Serving trades batching for latency: one request per
             # dispatch message unless explicitly chunked.
             self._supervisor.chunk = max(1, self.options.dispatch_chunk or 1)
@@ -1085,7 +1086,7 @@ class PersistentPool:
             self._open += 1
             self.stats.tasks_total += 1
             self._futures[index] = future
-            self._inbox.put((index, runtime, config))
+            self._inbox.put((index, (runtime, (config,))))
         self._wake()
         return future
 
@@ -1138,7 +1139,7 @@ class PersistentPool:
                         self._drain_inbox(supervisor)
                         if (
                             self._closed
-                            and not supervisor._unresolved()
+                            and not supervisor.tasks_by_index
                             and self._inbox.empty()
                         ):
                             break
@@ -1147,24 +1148,23 @@ class PersistentPool:
                     except _PoolBroken as broken:
                         inline = True
                         self.stats.mode = "inline"
-                        if self.options.on_event is not None:
-                            self.options.on_event(
-                                {"event": "degraded", "reason": str(broken)}
-                            )
+                        _send_event(
+                            self.options.on_event, "degraded", reason=str(broken)
+                        )
                         open_tasks = sorted(supervisor.tasks_by_index.items())
                         supervisor.tasks_by_index.clear()
                         supervisor.pending.clear()
                         supervisor._shutdown()
-                        for index, (runtime, config) in open_tasks:
-                            self._run_inline(index, runtime, config)
+                        for index, task in open_tasks:
+                            self._run_inline(index, task)
                 else:
                     try:
-                        index, runtime, config = self._inbox.get(timeout=0.2)
+                        index, task = self._inbox.get(timeout=0.2)
                     except queue_module.Empty:
                         if self._closed:
                             break
                         continue
-                    self._run_inline(index, runtime, config)
+                    self._run_inline(index, task)
         finally:
             if supervisor is not None:
                 supervisor._shutdown()
@@ -1173,11 +1173,10 @@ class PersistentPool:
     def _drain_inbox(self, supervisor: Orchestrator) -> None:
         while True:
             try:
-                index, runtime, config = self._inbox.get_nowait()
+                index, task = self._inbox.get_nowait()
             except queue_module.Empty:
                 return
-            supervisor.tasks_by_index[index] = (runtime, config)
-            supervisor._requeue(index, attempt=0)
+            supervisor.submit(index, task)
 
     def _maintain_workers(self, supervisor: Orchestrator) -> None:
         # Keep the pool warm at full strength (recycled/crashed workers
@@ -1187,41 +1186,21 @@ class PersistentPool:
         if len(supervisor.workers) > self.stats.workers:
             self.stats.workers = len(supervisor.workers)
 
-    def _run_inline(self, index: int, runtime: bytes, config) -> None:
-        if self._inline_cache is None and self.options.cache_entries > 0:
-            self._inline_cache = ArtifactCache(self.options.cache_entries)
-        if self._inline_warm is None:
-            from repro.core.bytecode_datalog import WarmEngineCache
-
-            self._inline_warm = WarmEngineCache()
-        if self.stats.workers == 0:
-            self.stats.workers = 1
+    def _run_inline(self, index: int, task: Task) -> None:
+        if self._inline is None:
+            cache_entries = self.options.cache_entries
+            self._inline = _InProcess(
+                ArtifactCache(cache_entries) if cache_entries > 0 else None,
+                self.stats,
+                self._finish,
+                self.options.on_event,
+            )
+            if self.stats.workers == 0:
+                self.stats.workers = 1
         hook = self.task_hook
         if hook is not None:
-            hook(index, runtime, config)
-        try:
-            row = _run_request_task(
-                (config,),
-                self._inline_cache,
-                self._inline_warm,
-                index,
-                (runtime, config),
-            )
-        except Exception as error:  # same surface as an exhausted retry
-            row = (
-                BatchEntry(
-                    index=index,
-                    kinds=(),
-                    error="task_failed: %s: %s (after 1 attempt(s))"
-                    % (type(error).__name__, error),
-                    elapsed_seconds=0.0,
-                    statement_count=0,
-                    attempts=1,
-                ),
-            )
-        self.stats.dispatched += 1
-        self.stats.completed += 1
-        self._finish(index, row)
+            hook(index, *task)
+        self._inline.run(index, task)
 
     def _finish(self, index: int, row: Tuple[BatchEntry, ...]) -> None:
         with self._lock:
@@ -1277,35 +1256,6 @@ def _entry_with_index(entry: BatchEntry, index: int) -> BatchEntry:
 # ------------------------------------------------------------------ driving
 
 
-def _serial_rows(
-    tasks: List[Tuple[int, bytes]],
-    configs: Tuple[AnalysisConfig, ...],
-    cache: Optional[ArtifactCache],
-    stats: OrchestratorStats,
-    journal: Optional[SweepJournal],
-    keys: Dict[int, str],
-    on_event: Optional[Callable[[Dict], None]],
-) -> Dict[int, Tuple[BatchEntry, ...]]:
-    """In-process execution (jobs=1, tiny batches, or degraded mode);
-    journal checkpoints work identically to the orchestrated path."""
-    rows: Dict[int, Tuple[BatchEntry, ...]] = {}
-    for index, runtime in tasks:
-        row = tuple(
-            _entry_from_result(
-                index, EthainterAnalysis(config, cache=cache).analyze(runtime)
-            )
-            for config in configs
-        )
-        rows[index] = row
-        stats.dispatched += 1
-        stats.completed += 1
-        if journal is not None and index in keys:
-            journal.record(keys[index], index, row)
-        if on_event is not None:
-            on_event({"event": "task_done", "index": index, "attempt": 0})
-    return rows
-
-
 def run_sweep(
     bytecodes: Sequence[bytes],
     configs: Sequence[AnalysisConfig],
@@ -1316,10 +1266,13 @@ def run_sweep(
     """Analyze ``bytecodes`` under every configuration in ``configs``.
 
     Returns one :class:`BatchSummary` per configuration, index-aligned with
-    ``configs`` and entry-ordered by input index.  The executor is chosen
-    by ``options.executor`` (default: supervised orchestrator when
-    ``jobs > 1``); every summary carries the sweep's
-    :class:`OrchestratorStats` counters in ``summary.orchestrator``.
+    ``configs`` and entry-ordered by input index.  ``jobs > 1`` over at
+    least two submissions runs the supervised :class:`Orchestrator` on
+    the caller's thread (mode ``orchestrator``); anything else runs in
+    process (mode ``serial``), as does whatever is still open if worker
+    processes cannot be spawned (``summary.degraded``).  Every summary
+    carries the sweep's :class:`OrchestratorStats` counters in
+    ``summary.orchestrator``.
 
     With ``options.dedup`` (the default) submissions are coalesced by
     sweep identity — ``sha256(bytecode) + config fingerprint`` — before
@@ -1336,27 +1289,9 @@ def run_sweep(
     tasks = list(enumerate(bytecodes))
     started = time.monotonic()
 
-    executor = options.executor
-    if executor not in ("auto", "orchestrator", "pool", "serial"):
-        raise ValueError("unknown executor %r" % (executor,))
-    if executor == "auto":
-        executor = "orchestrator" if jobs > 1 else "serial"
-    if executor in ("orchestrator", "pool") and (jobs <= 1 or len(tasks) < 2):
-        executor = "serial"
-    if executor == "pool" and options.journal_path:
-        raise ValueError(
-            "checkpoint journals need the orchestrator (or serial) executor; "
-            "the legacy pool cannot journal"
-        )
-
-    stats = OrchestratorStats(mode=executor)
+    workers = jobs > 1 and len(tasks) >= 2
+    stats = OrchestratorStats(mode="orchestrator" if workers else "serial")
     degraded_reason: Optional[str] = None
-
-    def _emit(event: str, **data) -> None:
-        if options.on_event is not None:
-            payload = {"event": event}
-            payload.update(data)
-            options.on_event(payload)
 
     # Every submission's sweep identity (the journal/result-cache/dedup
     # key): bytecode digest + the full configuration fingerprint.
@@ -1367,8 +1302,7 @@ def run_sweep(
     stats.tasks_total = len(tasks)
     stats.tasks_unique = len(set(keys.values()))
 
-    # Resolve the journal and resumed rows up front (every executor but
-    # the legacy pool shares this path).
+    # Resolve the journal and resumed rows up front.
     journal: Optional[SweepJournal] = None
     rows: Dict[int, Tuple[BatchEntry, ...]] = {}
     remaining = tasks
@@ -1384,7 +1318,7 @@ def run_sweep(
                     _entry_from_dict(entry, index=index) for entry in entries
                 )
                 stats.resumed += 1
-                _emit("resumed", index=index)
+                _send_event(options.on_event, "resumed", index=index)
             else:
                 remaining.append((index, runtime))
 
@@ -1419,56 +1353,39 @@ def run_sweep(
                 stats.result_cache_hits += 1
                 if journal is not None:
                     journal.record(keys[index], index, rows[index])
-                _emit("result_cache_hit", index=index)
+                _send_event(options.on_event, "result_cache_hit", index=index)
             else:
                 uncached.append((index, runtime))
         run_list = uncached
 
+    def on_row(index: int, row: Tuple[BatchEntry, ...]) -> None:
+        # Journaled as each row resolves; harness faults never are, so a
+        # resumed run retries them (the fault may have been environmental).
+        rows[index] = row
+        if journal is not None and not _is_harness_fault_row(row):
+            journal.record(keys[index], index, row)
+
     try:
-        if executor == "orchestrator" and run_list:
-            supervisor = Orchestrator(
-                configs, jobs, options, stats, journal=journal, keys=keys
-            )
+        if workers and run_list:
+            supervisor = Orchestrator(jobs, options, stats, configs[0], on_row)
             try:
-                rows.update(supervisor.run(run_list))
+                supervisor.run(
+                    [(index, (runtime, configs)) for index, runtime in run_list]
+                )
             except _PoolBroken as broken:
                 degraded_reason = str(broken)
-                rows.update(supervisor.rows)
-                run_list = [
-                    task for task in run_list if task[0] not in rows
-                ]
-                executor = "serial"
-        elif executor == "pool" and run_list:
-            worker = _analyze_one if len(configs) == 1 else _analyze_battery_one
-            context = resolve_mp_context(options.mp_context)
-            pooled, degraded_reason = _pool_run(
-                run_list,
-                worker,
-                configs,
-                jobs,
-                cache_entries=options.cache_entries,
-                context=context,
-            )
-            rows.update({row[0].index: tuple(row) for row in pooled})
-            run_list = []
-
-        if executor == "serial" and run_list:
-            serial_cache = cache
-            if serial_cache is None:
-                serial_cache = ArtifactCache(
+                stats.mode = "serial"
+            run_list = [
+                task for task in run_list if task[0] in supervisor.tasks_by_index
+            ]
+        if run_list:
+            if cache is None:
+                cache = ArtifactCache(
                     max_entries=max(4096, 8 * len(tasks) * len(configs))
                 )
-            rows.update(
-                _serial_rows(
-                    run_list,
-                    configs,
-                    serial_cache,
-                    stats,
-                    journal,
-                    keys,
-                    options.on_event,
-                )
-            )
+            in_process = _InProcess(cache, stats, on_row, options.on_event)
+            for index, runtime in run_list:
+                in_process.run(index, (runtime, configs))
     finally:
         if journal is not None:
             journal.close()
@@ -1485,20 +1402,18 @@ def run_sweep(
     # Fan each representative's row out to its duplicate group — the
     # representative's outcome (verdicts, analysis errors, even a harness
     # fault after retries) resolves the whole group at once.
-    for key, members in groups.items():
-        row = rows.get(members[0])
-        if row is None:
-            continue  # degraded mid-run before the representative resolved
+    for members in groups.values():
+        row = rows[members[0]]
         for index in members[1:]:
             rows[index] = tuple(
                 _entry_with_index(entry, index) for entry in row
             )
             stats.dedup_hits += 1
-            _emit("dedup_hit", index=index, representative=members[0])
+            _send_event(
+                options.on_event, "dedup_hit", index=index, representative=members[0]
+            )
 
     stats.elapsed_seconds = time.monotonic() - started
-    if degraded_reason is not None:
-        stats.mode = "serial"
 
     summaries = [BatchSummary() for _ in configs]
     for index in sorted(rows):

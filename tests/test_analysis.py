@@ -2,18 +2,19 @@
 
 import pytest
 
-from repro.core import AnalysisConfig, EthainterAnalysis, analyze_bytecode
+from repro import api
+from repro.core import AnalysisConfig, EthainterAnalysis
 
 
 class TestResultShape:
     def test_counts_populated(self, victim_contract):
-        result = analyze_bytecode(victim_contract.runtime)
+        result = api.analyze(victim_contract.runtime)
         assert result.block_count > 0
         assert result.statement_count > result.block_count
         assert result.elapsed_seconds >= 0
 
     def test_artifacts_exposed(self, victim_contract):
-        result = analyze_bytecode(victim_contract.runtime)
+        result = api.analyze(victim_contract.runtime)
         assert result.program is not None
         assert result.facts is not None
         assert result.guards is not None
@@ -21,32 +22,32 @@ class TestResultShape:
         assert result.taint is not None
 
     def test_flagged_property(self, victim_contract, safe_contract):
-        assert analyze_bytecode(victim_contract.runtime).flagged
-        assert not analyze_bytecode(safe_contract.runtime).flagged
+        assert api.analyze(victim_contract.runtime).flagged
+        assert not api.analyze(safe_contract.runtime).flagged
 
     def test_kinds_histogram_keys(self, safe_contract):
-        counts = analyze_bytecode(safe_contract.runtime).kinds()
+        counts = api.analyze(safe_contract.runtime).kinds()
         assert all(count == 0 for count in counts.values())
 
 
 class TestErrorHandling:
     def test_empty_bytecode(self):
-        result = analyze_bytecode(b"")
+        result = api.analyze(b"")
         assert result.error is None
         assert result.warnings == []
 
     def test_junk_bytecode_does_not_crash(self):
-        result = analyze_bytecode(bytes(range(256)) * 4)
+        result = api.analyze(bytes(range(256)) * 4)
         assert result.error is None or result.error.startswith("lift-error")
 
     def test_timeout_reported(self, victim_contract):
         config = AnalysisConfig(timeout_seconds=0.0)
-        result = analyze_bytecode(victim_contract.runtime, config)
+        result = api.analyze(victim_contract.runtime, config)
         assert result.timed_out
 
     def test_lift_cap_becomes_lift_error(self, victim_contract):
         config = AnalysisConfig(max_lift_states=2)
-        result = analyze_bytecode(victim_contract.runtime, config)
+        result = api.analyze(victim_contract.runtime, config)
         assert result.error is not None and result.error.startswith("lift-error")
 
 
@@ -72,8 +73,8 @@ class TestConfig:
         assert first.flagged and not second.flagged
 
     def test_deterministic(self, victim_contract):
-        first = analyze_bytecode(victim_contract.runtime)
-        second = analyze_bytecode(victim_contract.runtime)
+        first = api.analyze(victim_contract.runtime)
+        second = api.analyze(victim_contract.runtime)
         assert {(w.kind, w.pc) for w in first.warnings} == {
             (w.kind, w.pc) for w in second.warnings
         }
@@ -82,8 +83,8 @@ class TestConfig:
 class TestEngineSelection:
     def test_datalog_engine_same_warnings(self, victim_contract, safe_contract):
         for contract in (victim_contract, safe_contract):
-            python_result = analyze_bytecode(contract.runtime)
-            datalog_result = analyze_bytecode(
+            python_result = api.analyze(contract.runtime)
+            datalog_result = api.analyze(
                 contract.runtime, AnalysisConfig(engine="datalog")
             )
             assert {(w.kind, w.pc) for w in python_result.warnings} == {
@@ -91,15 +92,15 @@ class TestEngineSelection:
             }
 
     def test_datalog_engine_with_ablation(self, token_contract):
-        result = analyze_bytecode(
+        result = api.analyze(
             token_contract.runtime,
             AnalysisConfig(engine="datalog", conservative_storage=True),
         )
         assert result.has("tainted-owner-variable")
 
     def test_datalog_engine_slower_but_same_counts(self, victim_contract):
-        python_result = analyze_bytecode(victim_contract.runtime)
-        datalog_result = analyze_bytecode(
+        python_result = api.analyze(victim_contract.runtime)
+        datalog_result = api.analyze(
             victim_contract.runtime, AnalysisConfig(engine="datalog")
         )
         assert python_result.taint.tainted_slots == datalog_result.taint.tainted_slots

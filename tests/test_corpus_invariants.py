@@ -8,7 +8,7 @@ test sees.
 
 import pytest
 
-from repro.core import analyze_bytecode
+from repro import api
 from repro.core.facts import extract_facts
 from repro.corpus import generate_corpus
 from repro.decompiler import find_public_functions, lift
@@ -49,12 +49,12 @@ class TestDecompilerInvariants:
 class TestAnalysisInvariants:
     def test_analysis_never_errors(self, sample):
         for contract in sample:
-            result = analyze_bytecode(contract.runtime)
+            result = api.analyze(contract.runtime)
             assert result.error is None, contract.template
 
     def test_flags_match_ground_truth_expectations(self, sample):
         for contract in sample:
-            result = analyze_bytecode(contract.runtime)
+            result = api.analyze(contract.runtime)
             flagged = {w.kind for w in result.warnings}
             expected = contract.labels | contract.expected_fp_kinds
             assert flagged == expected, (contract.template, flagged, expected)
@@ -73,11 +73,11 @@ class TestAnalysisInvariants:
 
         for contract in sample[:25]:
             default_kinds = {
-                w.kind for w in analyze_bytecode(contract.runtime).warnings
+                w.kind for w in api.analyze(contract.runtime).warnings
             }
             ablated_kinds = {
                 w.kind
-                for w in analyze_bytecode(
+                for w in api.analyze(
                     contract.runtime, AnalysisConfig(model_storage_taint=False)
                 ).warnings
             }
@@ -88,11 +88,11 @@ class TestAnalysisInvariants:
 
         for contract in sample[:25]:
             default_kinds = {
-                w.kind for w in analyze_bytecode(contract.runtime).warnings
+                w.kind for w in api.analyze(contract.runtime).warnings
             }
             ablated_kinds = {
                 w.kind
-                for w in analyze_bytecode(
+                for w in api.analyze(
                     contract.runtime, AnalysisConfig(model_guards=False)
                 ).warnings
             }

@@ -295,7 +295,8 @@ class TestStatsThreading:
         assert result.engine_stats["rule_derivations"]
 
     def test_legacy_config_value_matches_compiled_warnings(self):
-        from repro.core.analysis import AnalysisConfig, analyze_bytecode
+        from repro import api
+        from repro.core.analysis import AnalysisConfig
         from repro.corpus import generate_corpus
 
         def rows(result):
@@ -305,10 +306,10 @@ class TestStatsThreading:
             ]
 
         for contract in generate_corpus(4, seed=11):
-            compiled = analyze_bytecode(
+            compiled = api.analyze(
                 contract.runtime, AnalysisConfig(engine="datalog")
             )
-            legacy = analyze_bytecode(
+            legacy = api.analyze(
                 contract.runtime, AnalysisConfig(engine="datalog-legacy")
             )
             assert rows(compiled) == rows(legacy)

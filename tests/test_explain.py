@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import analyze_bytecode
+from repro import api
 from repro.core.bytecode_datalog import analyze_with_datalog, explain_warning
 from repro.core.taint import TaintOptions
 from repro.minisol import compile_source
@@ -10,7 +10,7 @@ from repro.minisol import compile_source
 
 @pytest.fixture(scope="module")
 def explained(tainted_owner_module):
-    result = analyze_bytecode(tainted_owner_module.runtime)
+    result = api.analyze(tainted_owner_module.runtime)
     taint = analyze_with_datalog(
         facts=result.facts,
         storage=result.storage,
@@ -55,7 +55,7 @@ class TestExplainWarning:
         assert "StorageTaint" in text or "InputTaint" in text
 
     def test_composite_chain_explanation_crosses_guards(self, victim_contract):
-        result = analyze_bytecode(victim_contract.runtime)
+        result = api.analyze(victim_contract.runtime)
         taint = analyze_with_datalog(
             facts=result.facts,
             storage=result.storage,

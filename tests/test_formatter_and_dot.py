@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import analyze_bytecode
+from repro import api
 from repro.decompiler import lift
 from repro.ir.dot import to_dot
 from repro.minisol import ast_nodes as ast
@@ -53,9 +53,9 @@ class TestFormatterRoundTrip:
         original = compile_source(VICTIM_SOURCE)
         formatted_source = format_program(parse(VICTIM_SOURCE))
         reformatted = compile_source(formatted_source)
-        original_kinds = {w.kind for w in analyze_bytecode(original.runtime).warnings}
+        original_kinds = {w.kind for w in api.analyze(original.runtime).warnings}
         reformatted_kinds = {
-            w.kind for w in analyze_bytecode(reformatted.runtime).warnings
+            w.kind for w in api.analyze(reformatted.runtime).warnings
         }
         assert original_kinds == reformatted_kinds
 
@@ -102,7 +102,7 @@ class TestDotExport:
         assert "->" in dot
 
     def test_highlighting_marks_flagged_statement(self, victim_contract):
-        result = analyze_bytecode(victim_contract.runtime)
+        result = api.analyze(victim_contract.runtime)
         flagged = {w.statement for w in result.warnings if w.statement}
         dot = to_dot(result.program, highlight_statements=flagged)
         assert "color=red" in dot

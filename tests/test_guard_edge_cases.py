@@ -1,12 +1,12 @@
 """Guard analysis edge cases: polarity, else branches, loops, dominance."""
 
-from repro.core import analyze_bytecode
+from repro import api
 from repro.decompiler import lift
 from repro.minisol import compile_source
 
 
 def kinds_of(source):
-    result = analyze_bytecode(compile_source(source).runtime)
+    result = api.analyze(compile_source(source).runtime)
     return {w.kind for w in result.warnings}
 
 

@@ -5,7 +5,7 @@ Each test tells one of the paper's narratives end to end.
 
 import pytest
 
-from repro import analyze_bytecode, compile_source
+from repro import api, compile_source
 from repro.chain import Blockchain
 from repro.kill import EthainterKill
 from repro.minisol.abi import decode_word
@@ -76,7 +76,7 @@ contract Wallet {
 """
 
     def test_library_statically_flagged(self):
-        result = analyze_bytecode(compile_source(self.LIBRARY).runtime)
+        result = api.analyze(compile_source(self.LIBRARY).runtime)
         kinds = {w.kind for w in result.warnings}
         assert "tainted-owner-variable" in kinds
         assert "accessible-selfdestruct" in kinds
@@ -113,7 +113,7 @@ class TestVictimStory:
         assert not receipt.success
 
         # 2. Ethainter statically predicts the composite escalation.
-        result = analyze_bytecode(victim_contract.runtime)
+        result = api.analyze(victim_contract.runtime)
         assert result.has("accessible-selfdestruct")
         assert result.taint.writable_mappings == {0, 1}
 

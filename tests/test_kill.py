@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import api
 from repro.chain import Blockchain
-from repro.core import analyze_bytecode
 from repro.kill import EthainterKill
 from repro.minisol import compile_source
 
@@ -20,7 +20,7 @@ def chain():
 def deploy_and_attack(chain, contract, value=1000, ctor_args=()):
     receipt = chain.deploy(DEPLOYER, contract.init_with_args(*ctor_args), value=value)
     assert receipt.success
-    result = analyze_bytecode(contract.runtime)
+    result = api.analyze(contract.runtime)
     killer = EthainterKill(chain)
     return killer, receipt.contract_address, killer.attack(receipt.contract_address, result)
 
@@ -51,7 +51,7 @@ contract C {
 """
         contract = compile_source(source)
         receipt = chain.deploy(DEPLOYER, contract.init_with_args(), value=777)
-        result = analyze_bytecode(contract.runtime)
+        result = api.analyze(contract.runtime)
         killer = EthainterKill(chain)
         before = chain.state.get_balance(killer.attacker)
         outcome = killer.attack(receipt.contract_address, result)
@@ -143,7 +143,7 @@ class TestBatchReport:
         for contract in (open_kill_contract, safe_contract):
             receipt = chain.deploy(DEPLOYER, contract.init_with_args())
             targets.append(
-                (receipt.contract_address, analyze_bytecode(contract.runtime))
+                (receipt.contract_address, api.analyze(contract.runtime))
             )
         killer = EthainterKill(chain)
         report = killer.attack_many(targets)

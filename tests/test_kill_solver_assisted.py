@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import api
 from repro.chain import Blockchain
-from repro.core import analyze_bytecode
 from repro.kill import EthainterKill
 from repro.minisol import compile_source
 
@@ -34,7 +34,7 @@ def attack(source, assisted, value=100):
     chain.fund(0xD, 10**18)
     address = chain.deploy(0xD, contract.init_with_args(), value=value).contract_address
     killer = EthainterKill(chain, solver_assisted=assisted)
-    outcome = killer.attack(address, analyze_bytecode(contract.runtime))
+    outcome = killer.attack(address, api.analyze(contract.runtime))
     return chain, address, outcome
 
 
@@ -63,7 +63,7 @@ class TestSolverAssist:
         chain.fund(0xD, 10**18)
         address = chain.deploy(0xD, victim_contract.init_with_args()).contract_address
         killer = EthainterKill(chain, solver_assisted=True)
-        outcome = killer.attack(address, analyze_bytecode(victim_contract.runtime))
+        outcome = killer.attack(address, api.analyze(victim_contract.runtime))
         assert outcome.destroyed
         assert outcome.reason != "solver-assisted"  # plan alone sufficed
 

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import api
 from repro.chain import Blockchain
-from repro.core import analyze_bytecode
 from repro.minisol import ast_nodes as ast
 from repro.minisol import compile_source
 from repro.minisol.abi import decode_word
@@ -118,7 +118,7 @@ contract A {
 """
 
     def test_unchecked_array_write_triggers_storage_write2(self):
-        result = analyze_bytecode(compile_source(self.UNCHECKED).runtime)
+        result = api.analyze(compile_source(self.UNCHECKED).runtime)
         kinds = {w.kind for w in result.warnings}
         assert "tainted-owner-variable" in kinds
         assert "accessible-selfdestruct" in kinds
@@ -137,7 +137,7 @@ contract A {
     }
 }
 """
-        result = analyze_bytecode(compile_source(source).runtime)
+        result = api.analyze(compile_source(source).runtime)
         assert not result.warnings
 
     def test_untainted_value_write_is_precise(self):
@@ -154,7 +154,7 @@ contract A {
     }
 }
 """
-        result = analyze_bytecode(compile_source(source).runtime)
+        result = api.analyze(compile_source(source).runtime)
         assert not result.warnings
 
     def test_exploit_end_to_end(self):

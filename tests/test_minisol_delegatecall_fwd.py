@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import analyze_bytecode
+from repro import api
 from repro.minisol import ast_nodes as ast
 from repro.minisol import compile_source
 from repro.minisol.parser import parse
@@ -48,7 +48,7 @@ class TestCodegen:
 
 class TestAnalysis:
     def test_forwarded_delegatecall_with_tainted_target_flagged(self):
-        result = analyze_bytecode(
+        result = api.analyze(
             compile_source(
                 'contract C { function f(address t) public { delegatecall(t, "g()"); } }'
             ).runtime
@@ -56,7 +56,7 @@ class TestAnalysis:
         assert result.has("tainted-delegatecall")
 
     def test_forwarded_delegatecall_with_fixed_target_clean(self):
-        result = analyze_bytecode(
+        result = api.analyze(
             compile_source(
                 """
 contract C {

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import api
 from repro.chain import Blockchain
-from repro.core import analyze_bytecode
 from repro.evm.hashing import keccak_int
 from repro.minisol import ast_nodes as ast
 from repro.minisol import compile_source
@@ -114,7 +114,7 @@ class TestAnalysisNeutrality:
     def test_events_do_not_affect_findings(self):
         """LOG instructions are not taint sinks: a benign token with events
         stays clean, a vulnerable contract with events stays flagged."""
-        assert not analyze_bytecode(compile_source(SOURCE).runtime).warnings
+        assert not api.analyze(compile_source(SOURCE).runtime).warnings
         vulnerable = """
 contract C {
     event Died(address to);
@@ -124,6 +124,6 @@ contract C {
     }
 }
 """
-        result = analyze_bytecode(compile_source(vulnerable).runtime)
+        result = api.analyze(compile_source(vulnerable).runtime)
         kinds = {w.kind for w in result.warnings}
         assert kinds == {"accessible-selfdestruct", "tainted-selfdestruct"}

@@ -203,6 +203,20 @@ class TestRecycling:
             range(len(tasks))
         )
 
+    def test_no_chunk_is_sent_past_a_workers_budget(self):
+        # A worker that reaches recycle_after exits without reading
+        # another chunk, so a chunk sent past its budget would be
+        # requeued and dispatched twice.
+        bytecodes = [c.runtime for c in generate_corpus(40, seed=5)]
+        summary = api.sweep(
+            bytecodes,
+            jobs=2,
+            options=OrchestratorOptions(recycle_after=4, dispatch_chunk=2),
+        )
+        assert summary.errors == 0
+        assert summary.orchestrator["recycles"] >= 1
+        assert summary.orchestrator["dispatched"] == summary.tasks_unique
+
 
 class TestExecutors:
     def test_parallel_matches_serial(self, bytecodes):
@@ -213,27 +227,6 @@ class TestExecutors:
         ]
         assert serial.orchestrator["mode"] == "serial"
         assert parallel.orchestrator["mode"] == "orchestrator"
-
-    def test_pool_executor_matches(self, bytecodes):
-        pool = api.sweep(bytecodes, jobs=2, executor="pool")
-        serial = api.sweep(bytecodes)
-        assert [e.kinds for e in pool.entries] == [
-            e.kinds for e in serial.entries
-        ]
-        assert pool.orchestrator["mode"] == "pool"
-
-    def test_pool_rejects_journal(self, bytecodes, tmp_path):
-        with pytest.raises(ValueError):
-            api.sweep(
-                bytecodes,
-                jobs=2,
-                executor="pool",
-                journal=str(tmp_path / "j.jsonl"),
-            )
-
-    def test_unknown_executor_rejected(self, bytecodes):
-        with pytest.raises(ValueError):
-            api.sweep(bytecodes, jobs=2, executor="threads")
 
     def test_spawn_context_smoke(self, bytecodes):
         summary = api.sweep(
@@ -256,6 +249,62 @@ class TestExecutors:
         assert summaries[1].flagged >= summaries[0].flagged
         for summary in summaries:
             assert summary.total == len(bytecodes)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_task_done_once_per_representative(self, bytecodes, jobs):
+        # The corpus is duplicate-free, so its own indices are the
+        # representatives; the four trailing resubmissions are fanned out.
+        events = []
+        summary = api.sweep(
+            bytecodes + bytecodes[:4], jobs=jobs, on_event=events.append
+        )
+        assert summary.errors == 0 and summary.dedup_hits == 4
+        done = [event["index"] for event in events if event["event"] == "task_done"]
+        assert sorted(done) == list(range(len(bytecodes)))
+
+    def test_in_process_exception_is_one_task_failed_row(
+        self, bytecodes, monkeypatch, tmp_path
+    ):
+        from repro.core import orchestrator
+
+        clean = api.sweep(bytecodes)
+        analyze = orchestrator.EthainterAnalysis.analyze
+
+        def flaky(self, runtime):
+            if runtime == bytecodes[4]:
+                raise RuntimeError("injected analysis bug")
+            return analyze(self, runtime)
+
+        monkeypatch.setattr(orchestrator.EthainterAnalysis, "analyze", flaky)
+        journal = str(tmp_path / "sweep.jsonl")
+        cache_dir = str(tmp_path / "results")
+        events = []
+        summary = api.sweep(
+            bytecodes,
+            jobs=1,
+            journal=journal,
+            result_cache=cache_dir,
+            on_event=events.append,
+        )
+        failed = [entry for entry in summary.entries if entry.error]
+        assert [entry.index for entry in failed] == [4]
+        assert failed[0].error_kind == "task_failed"
+        assert "RuntimeError: injected analysis bug" in failed[0].error
+        assert [
+            event["index"] for event in events if event["event"] == "task_failed"
+        ] == [4]
+        for before, after in zip(clean.entries, summary.entries):
+            if after.index != 4:
+                assert (after.kinds, after.warnings) == (before.kinds, before.warnings)
+        # Neither journaled nor cached: a later run retries the contract.
+        monkeypatch.undo()
+        resumed = api.sweep(
+            bytecodes, journal=journal, resume=True, result_cache=cache_dir
+        )
+        assert resumed.orchestrator["resumed"] == len(bytecodes) - 1
+        assert resumed.orchestrator["result_cache_hits"] == 0
+        assert resumed.orchestrator["dispatched"] == 1
+        assert resumed.errors == 0
 
     def test_heartbeat_events(self, bytecodes):
         events = []

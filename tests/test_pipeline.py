@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import AnalysisConfig, analyze_bytecode
+from repro import api
+from repro.core import AnalysisConfig
 from repro.core.pipeline import (
     ArtifactCache,
     Deadline,
@@ -177,10 +178,10 @@ class TestArtifactCache:
 
     def test_second_run_hits_every_stage(self, victim_contract):
         cache = ArtifactCache()
-        cold = analyze_bytecode(victim_contract.runtime, cache=cache)
+        cold = api.analyze(victim_contract.runtime, cache=cache)
         assert cold.cache_hits == 0
         assert cold.cache_misses == len(STAGE_NAMES)
-        warm = analyze_bytecode(victim_contract.runtime, cache=cache)
+        warm = api.analyze(victim_contract.runtime, cache=cache)
         assert warm.cache_hits == len(STAGE_NAMES)
         assert warm.cache_misses == 0
         assert all(timing.cached for timing in warm.stage_timings)
@@ -190,8 +191,8 @@ class TestArtifactCache:
 
     def test_ablation_shares_prefix_only(self, victim_contract):
         cache = ArtifactCache()
-        analyze_bytecode(victim_contract.runtime, cache=cache)
-        ablated = analyze_bytecode(
+        api.analyze(victim_contract.runtime, cache=cache)
+        ablated = api.analyze(
             victim_contract.runtime, AnalysisConfig(model_guards=False), cache=cache
         )
         cached_stages = {
@@ -202,13 +203,13 @@ class TestArtifactCache:
 
 class TestFacadeIntegration:
     def test_result_exposes_stage_profile(self, victim_contract):
-        result = analyze_bytecode(victim_contract.runtime)
+        result = api.analyze(victim_contract.runtime)
         profile = result.stage_seconds()
         assert set(profile) == set(STAGE_NAMES)
         assert result.elapsed_seconds >= sum(profile.values()) * 0.5
 
     def test_abort_sets_deadline_exceeded(self, victim_contract):
-        result = analyze_bytecode(
+        result = api.analyze(
             victim_contract.runtime, AnalysisConfig(timeout_seconds=0.0)
         )
         assert result.timed_out
@@ -217,10 +218,10 @@ class TestFacadeIntegration:
 
     def test_datalog_engine_honors_cache(self, victim_contract):
         cache = ArtifactCache()
-        cold = analyze_bytecode(
+        cold = api.analyze(
             victim_contract.runtime, AnalysisConfig(engine="datalog"), cache=cache
         )
-        warm = analyze_bytecode(
+        warm = api.analyze(
             victim_contract.runtime, AnalysisConfig(engine="datalog"), cache=cache
         )
         assert warm.cache_hits == len(STAGE_NAMES)

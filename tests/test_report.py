@@ -4,14 +4,14 @@ import json
 
 import pytest
 
-from repro.core import analyze_bytecode
+from repro import api
 from repro.core.report import ContractReport, SweepReport
 from repro.core.vulnerabilities import VULNERABILITY_KINDS
 
 
 class TestContractReport:
     def test_from_result_fields(self, victim_contract):
-        result = analyze_bytecode(victim_contract.runtime)
+        result = api.analyze(victim_contract.runtime)
         report = ContractReport.from_result(
             result, name="Victim", bytecode_size=len(victim_contract.runtime)
         )
@@ -21,7 +21,7 @@ class TestContractReport:
         assert len(report.warnings) == len(result.warnings)
 
     def test_json_roundtrip(self, victim_contract):
-        result = analyze_bytecode(victim_contract.runtime)
+        result = api.analyze(victim_contract.runtime)
         report = ContractReport.from_result(result, name="Victim")
         data = json.loads(report.to_json())
         assert data["name"] == "Victim"
@@ -31,7 +31,7 @@ class TestContractReport:
     def test_error_report(self):
         from repro.core import AnalysisConfig
 
-        result = analyze_bytecode(b"\x60\x01" * 3, AnalysisConfig(max_lift_states=0))
+        result = api.analyze(b"\x60\x01" * 3, AnalysisConfig(max_lift_states=0))
         report = ContractReport.from_result(result)
         assert report.error is not None
 
@@ -40,7 +40,7 @@ class TestSweepReport:
     def _reports(self, contracts):
         sweep = SweepReport()
         for contract in contracts:
-            result = analyze_bytecode(contract.runtime)
+            result = api.analyze(contract.runtime)
             sweep.add(ContractReport.from_result(result, name=contract.name))
         return sweep
 
@@ -103,7 +103,7 @@ class TestSweepReport:
         assert sweep.deadline_exceeded == 1
 
     def test_stage_seconds_aggregated(self, victim_contract):
-        result = analyze_bytecode(victim_contract.runtime)
+        result = api.analyze(victim_contract.runtime)
         sweep = SweepReport()
         sweep.add(ContractReport.from_result(result))
         sweep.add(ContractReport.from_result(result))
@@ -124,7 +124,7 @@ class TestSweepReport:
 
 class TestSchemaV2:
     def test_contract_report_carries_schema_version(self, victim_contract):
-        result = analyze_bytecode(victim_contract.runtime)
+        result = api.analyze(victim_contract.runtime)
         report = ContractReport.from_result(result, name="Victim")
         payload = json.loads(report.to_json())
         assert payload["schema_version"] == 2
@@ -134,7 +134,7 @@ class TestSchemaV2:
     def test_sweep_report_carries_schema_version(self, victim_contract):
         sweep = SweepReport()
         sweep.add(
-            ContractReport.from_result(analyze_bytecode(victim_contract.runtime))
+            ContractReport.from_result(api.analyze(victim_contract.runtime))
         )
         payload = json.loads(sweep.to_json())
         assert payload["schema_version"] == 2
@@ -142,7 +142,7 @@ class TestSchemaV2:
         assert "orchestrator" in payload
 
     def test_contract_report_from_json_roundtrip(self, victim_contract):
-        result = analyze_bytecode(victim_contract.runtime)
+        result = api.analyze(victim_contract.runtime)
         report = ContractReport.from_result(result, name="Victim", bytecode_size=7)
         text = report.to_json()
         assert ContractReport.from_json(text).to_json() == text
@@ -152,7 +152,7 @@ class TestSchemaV2:
         for contract in (victim_contract, safe_contract):
             sweep.add(
                 ContractReport.from_result(
-                    analyze_bytecode(contract.runtime), name=contract.name
+                    api.analyze(contract.runtime), name=contract.name
                 )
             )
         sweep.orchestrator = {"mode": "serial", "crashes": 0}
@@ -173,7 +173,7 @@ class TestSchemaV2:
     def test_from_entry_matches_from_result(self, victim_contract):
         from repro.core.batch import _entry_from_result
 
-        result = analyze_bytecode(victim_contract.runtime)
+        result = api.analyze(victim_contract.runtime)
         from_result = ContractReport.from_result(
             result, name="Victim", bytecode_size=9
         )

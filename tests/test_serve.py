@@ -483,6 +483,33 @@ class TestPersistentPool:
         assert healthy[0].error is None
         assert pool.stats.crashes == 1
 
+    def test_spawn_failure_after_submission_degrades_to_inline(self, bytecodes):
+        class RefusingContext:
+            def Pipe(self, *args, **kwargs):
+                raise OSError("spawn refused")
+
+        events = []
+        options = OrchestratorOptions(
+            mp_context="fork",
+            fault_plan=FaultPlan(crash_indices=(0,)),
+            on_event=events.append,
+        )
+        with PersistentPool(jobs=1, options=options) as pool:
+            deadline = time.monotonic() + 30
+            while pool.stats.workers < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            # The first worker is up; the replacement for the one request 0
+            # crashes cannot be spawned.
+            pool._supervisor.context = RefusingContext()
+            futures = [pool.submit(runtime) for runtime in bytecodes[:3]]
+            rows = [future.result(timeout=120) for future in futures]
+        assert pool.stats.mode == "inline"
+        degraded = [event for event in events if event["event"] == "degraded"]
+        assert [event["reason"] for event in degraded] == ["OSError: spawn refused"]
+        assert rows[0][0].error_kind == "worker_crashed"
+        assert [row[0].error for row in rows[1:]] == [None, None]
+        assert pool.outstanding == 0
+
     def test_closed_pool_rejects_submissions(self, bytecodes):
         pool = PersistentPool(jobs=0)
         pool.close()

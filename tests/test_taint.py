@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.analysis import AnalysisConfig, analyze_bytecode
+from repro import api
+from repro.core.analysis import AnalysisConfig
 from repro.core.facts import extract_facts
 from repro.core.guards import build_guard_model
 from repro.core.storage_model import build_storage_model
@@ -199,42 +200,42 @@ contract C {
 """
 
     def test_no_guard_model_flags_safe_contract(self, safe_contract):
-        result = analyze_bytecode(
+        result = api.analyze(
             safe_contract.runtime, AnalysisConfig(model_guards=False)
         )
         assert result.has("accessible-selfdestruct")
 
     def test_no_storage_model_loses_composite(self, victim_contract):
-        result = analyze_bytecode(
+        result = api.analyze(
             victim_contract.runtime, AnalysisConfig(model_storage_taint=False)
         )
         assert not result.warnings
 
     def test_no_storage_keeps_direct_taint(self):
         source = "contract C { function f(address to) public { selfdestruct(to); } }"
-        result = analyze_bytecode(
+        result = api.analyze(
             compile_source(source).runtime, AnalysisConfig(model_storage_taint=False)
         )
         kinds = {w.kind for w in result.warnings}
         assert "tainted-selfdestruct" in kinds
 
     def test_conservative_storage_smears(self, token_contract):
-        result = analyze_bytecode(
+        result = api.analyze(
             token_contract.runtime, AnalysisConfig(conservative_storage=True)
         )
         assert result.has("tainted-owner-variable")
 
     def test_default_is_precise_on_token(self, token_contract):
-        result = analyze_bytecode(token_contract.runtime)
+        result = api.analyze(token_contract.runtime)
         assert not result.warnings
 
     def test_ablations_are_monotone_on_flag_count(self, victim_contract):
         """No-guard modeling can only add warnings; no-storage only remove."""
-        default = analyze_bytecode(victim_contract.runtime)
-        no_guards = analyze_bytecode(
+        default = api.analyze(victim_contract.runtime)
+        no_guards = api.analyze(
             victim_contract.runtime, AnalysisConfig(model_guards=False)
         )
-        no_storage = analyze_bytecode(
+        no_storage = api.analyze(
             victim_contract.runtime, AnalysisConfig(model_storage_taint=False)
         )
         assert len(no_guards.warnings) >= len(default.warnings)
@@ -330,10 +331,8 @@ class TestFuzzRobustness:
     def test_random_bytecode_never_crashes_analysis(self):
         import random as _random
 
-        from repro.core import analyze_bytecode
-
         rng = _random.Random(0xF022)
         for _ in range(40):
             blob = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 400)))
-            result = analyze_bytecode(blob)
+            result = api.analyze(blob)
             assert result.error is None or result.error.startswith("lift-error")

@@ -3,7 +3,8 @@ end-to-end precision effect on computed storage indices."""
 
 import pytest
 
-from repro.core import AnalysisConfig, analyze_bytecode
+from repro import api
+from repro.core import AnalysisConfig
 from repro.ir.tac import TACBlock, TACProgram, TACStatement
 from repro.ir.value_analysis import BOOL_SET, analyze_values
 from repro.minisol import compile_source
@@ -250,28 +251,28 @@ def probe_runtime():
 
 class TestEndToEnd:
     def test_flag_off_smears(self, probe_runtime):
-        result = analyze_bytecode(probe_runtime)
+        result = api.analyze(probe_runtime)
         kinds = {w.kind for w in result.warnings}
         assert "tainted-owner-variable" in kinds
 
     def test_flag_on_resolves_computed_index(self, probe_runtime):
-        result = analyze_bytecode(
+        result = api.analyze(
             probe_runtime, AnalysisConfig(value_analysis=True)
         )
         assert result.warnings == []
 
     def test_warnings_shrink_only(self, probe_runtime):
-        off = analyze_bytecode(probe_runtime)
-        on = analyze_bytecode(probe_runtime, AnalysisConfig(value_analysis=True))
+        off = api.analyze(probe_runtime)
+        on = api.analyze(probe_runtime, AnalysisConfig(value_analysis=True))
         off_kinds = {(w.kind, w.slot) for w in off.warnings}
         on_kinds = {(w.kind, w.slot) for w in on.warnings}
         assert on_kinds <= off_kinds
 
     def test_datalog_engine_agrees_with_flag_on(self, probe_runtime):
-        python = analyze_bytecode(
+        python = api.analyze(
             probe_runtime, AnalysisConfig(value_analysis=True)
         )
-        datalog = analyze_bytecode(
+        datalog = api.analyze(
             probe_runtime, AnalysisConfig(value_analysis=True, engine="datalog")
         )
         assert {(w.kind, w.slot) for w in python.warnings} == {
@@ -279,21 +280,21 @@ class TestEndToEnd:
         }
 
     def test_datalog_engine_agrees_with_flag_off(self, probe_runtime):
-        python = analyze_bytecode(probe_runtime)
-        datalog = analyze_bytecode(probe_runtime, AnalysisConfig(engine="datalog"))
+        python = api.analyze(probe_runtime)
+        datalog = api.analyze(probe_runtime, AnalysisConfig(engine="datalog"))
         assert {(w.kind, w.slot) for w in python.warnings} == {
             (w.kind, w.slot) for w in datalog.warnings
         }
 
     def test_precision_counters_populated(self, probe_runtime):
-        off = analyze_bytecode(probe_runtime)
-        on = analyze_bytecode(probe_runtime, AnalysisConfig(value_analysis=True))
+        off = api.analyze(probe_runtime)
+        on = api.analyze(probe_runtime, AnalysisConfig(value_analysis=True))
         assert off.precision.value_tracked_vars == 0
         assert on.precision.value_tracked_vars > 0
         assert on.precision.resolved_store_indices > off.precision.resolved_store_indices
 
     def test_storage_model_records_resolved_slots(self, probe_runtime):
-        result = analyze_bytecode(
+        result = api.analyze(
             probe_runtime, AnalysisConfig(value_analysis=True)
         )
         resolved = result.storage.resolved_store_slots

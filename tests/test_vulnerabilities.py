@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import AnalysisConfig, analyze_bytecode
+from repro import api
+from repro.core import AnalysisConfig
 from repro.core.vulnerabilities import (
     ACCESSIBLE_SELFDESTRUCT,
     TAINTED_DELEGATECALL,
@@ -16,22 +17,22 @@ from repro.minisol import compile_source
 
 
 def kinds_of(source, name=None, config=None):
-    result = analyze_bytecode(compile_source(source, name).runtime, config)
+    result = api.analyze(compile_source(source, name).runtime, config)
     assert result.error is None
     return {w.kind for w in result.warnings}
 
 
 class TestAccessibleSelfdestruct:
     def test_unguarded_flagged(self, open_kill_contract):
-        result = analyze_bytecode(open_kill_contract.runtime)
+        result = api.analyze(open_kill_contract.runtime)
         assert result.has(ACCESSIBLE_SELFDESTRUCT)
 
     def test_owner_guarded_clean(self, safe_contract):
-        result = analyze_bytecode(safe_contract.runtime)
+        result = api.analyze(safe_contract.runtime)
         assert not result.warnings
 
     def test_composite_escalation_flagged(self, victim_contract):
-        result = analyze_bytecode(victim_contract.runtime)
+        result = api.analyze(victim_contract.runtime)
         assert result.has(ACCESSIBLE_SELFDESTRUCT)
 
     def test_flag_guard_does_not_protect(self):
@@ -48,7 +49,7 @@ contract C {
         assert ACCESSIBLE_SELFDESTRUCT in kinds
 
     def test_no_selfdestruct_no_flag(self, token_contract):
-        result = analyze_bytecode(token_contract.runtime)
+        result = api.analyze(token_contract.runtime)
         assert not result.has(ACCESSIBLE_SELFDESTRUCT)
 
 
@@ -60,25 +61,25 @@ class TestTaintedSelfdestruct:
         assert TAINTED_SELFDESTRUCT in kinds
 
     def test_storage_mediated_beneficiary(self, tainted_sd_storage_contract):
-        result = analyze_bytecode(tainted_sd_storage_contract.runtime)
+        result = api.analyze(tainted_sd_storage_contract.runtime)
         assert result.has(TAINTED_SELFDESTRUCT)
         # The instruction itself is properly guarded.
         assert not result.has(ACCESSIBLE_SELFDESTRUCT)
 
     def test_clean_beneficiary_not_tainted(self, open_kill_contract):
-        result = analyze_bytecode(open_kill_contract.runtime)
+        result = api.analyze(open_kill_contract.runtime)
         assert not result.has(TAINTED_SELFDESTRUCT)
 
 
 class TestTaintedOwner:
     def test_public_initializer(self, tainted_owner_contract):
-        result = analyze_bytecode(tainted_owner_contract.runtime)
+        result = api.analyze(tainted_owner_contract.runtime)
         assert result.has(TAINTED_OWNER)
         slots = {w.slot for w in result.warnings if w.kind == TAINTED_OWNER}
         assert slots == {0}
 
     def test_guarded_setter_clean(self, safe_contract):
-        result = analyze_bytecode(safe_contract.runtime)
+        result = api.analyze(safe_contract.runtime)
         assert not result.has(TAINTED_OWNER)
 
     def test_tainted_slot_without_guard_use_not_reported(self):
@@ -109,7 +110,7 @@ contract C {
 
 class TestTaintedDelegatecall:
     def test_parameter_target(self, delegate_contract):
-        result = analyze_bytecode(delegate_contract.runtime)
+        result = api.analyze(delegate_contract.runtime)
         assert result.has(TAINTED_DELEGATECALL)
 
     def test_storage_mediated_target(self):
@@ -193,7 +194,7 @@ contract C {
 
 class TestReporting:
     def test_findings_by_kind_groups(self, tainted_owner_contract):
-        result = analyze_bytecode(tainted_owner_contract.runtime)
+        result = api.analyze(tainted_owner_contract.runtime)
         grouped = findings_by_kind(
             [w for w in []]  # grouping works on Finding objects; use kinds()
         )
@@ -203,7 +204,7 @@ class TestReporting:
         assert counts[ACCESSIBLE_SELFDESTRUCT] == 1
 
     def test_warning_carries_pc(self, open_kill_contract):
-        result = analyze_bytecode(open_kill_contract.runtime)
+        result = api.analyze(open_kill_contract.runtime)
         warning = next(w for w in result.warnings if w.kind == ACCESSIBLE_SELFDESTRUCT)
         assert warning.pc >= 0
 
