@@ -305,6 +305,8 @@ def _load_merged(edbs, extra=None):
 
 
 def _taint_rules():
+    """The default bytecode taint ruleset, as the shared compiled program
+    every ``engine="datalog"`` analysis evaluates."""
     from repro.core.bytecode_datalog import _rules
     from repro.core.taint import TaintOptions
 

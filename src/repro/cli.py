@@ -33,7 +33,7 @@ from repro.core.vulnerabilities import (
 )
 from repro.evm.disassembler import format_disassembly
 from repro.kill import EthainterKill
-from repro.minisol import compile_source
+from repro.minisol import MiniSolError, compile_source
 
 
 def _parse_kinds(text: str):
@@ -894,7 +894,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MiniSolError as error:
+        # A source that does not compile is a usage error, not a crash.
+        print("compile error: %s" % error, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

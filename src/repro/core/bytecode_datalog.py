@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from functools import lru_cache
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.facts import ContractFacts, extract_facts
@@ -59,7 +60,7 @@ from repro.core.guards import DS_LOOKUP, EQ_SENDER, GuardModel, build_guard_mode
 from repro.core.ordering import CallOrderModel, build_call_order_model
 from repro.core.storage_model import StorageModel, build_storage_model, memory_var
 from repro.core.taint import TaintOptions, TaintResult
-from repro.datalog import Database, Engine, parse_program
+from repro.datalog import CompiledProgram, Database, Engine, parse_program
 from repro.decompiler import lift
 
 # --------------------------------------------------------------------- rules
@@ -304,15 +305,57 @@ def _load_edb(edb: Dict[str, Set[Tuple]]) -> Database:
     return database
 
 
-def _rules(options: TaintOptions, reentrancy: bool = False):
-    text = CORE_RULES
-    if options.model_storage_taint:
-        text += WRITE2_RULES
-        if options.conservative_storage:
-            text += CONSERVATIVE_RULES
+# A ruleset's flag key: (model_storage_taint, conservative_storage,
+# reentrancy), normalized so equal rulesets share one key.
+RulesetKey = Tuple[bool, bool, bool]
+
+# Every distinct key.  Conservative storage modeling only refines the
+# storage rules, so it has no key of its own without them.
+RULESET_KEYS: Tuple[RulesetKey, ...] = tuple(
+    (storage, conservative, reentrancy)
+    for storage, conservative in ((False, False), (True, False), (True, True))
+    for reentrancy in (False, True)
+)
+
+
+def ruleset_key(options, reentrancy: bool = False) -> RulesetKey:
+    """The flag key of the ruleset ``options`` (a :class:`TaintOptions` or
+    an :class:`~repro.core.analysis.AnalysisConfig`) selects."""
+    storage = bool(options.model_storage_taint)
+    conservative = storage and bool(options.conservative_storage)
+    return (storage, conservative, bool(reentrancy))
+
+
+def ruleset_fragments(key: RulesetKey) -> List[Tuple[str, str]]:
+    """``(name, text)`` of the rule texts making up the per-contract
+    ruleset for ``key``, in order — the one map from flags to rules that
+    the analysis, the cross-contract pass and the linter all read."""
+    storage, conservative, reentrancy = key
+    fragments = [("CORE_RULES", CORE_RULES)]
+    if storage:
+        fragments.append(("WRITE2_RULES", WRITE2_RULES))
+        if conservative:
+            fragments.append(("CONSERVATIVE_RULES", CONSERVATIVE_RULES))
     if reentrancy:
-        text += REENTRANCY_RULES
-    return parse_program(text).rules
+        fragments.append(("REENTRANCY_RULES", REENTRANCY_RULES))
+    return fragments
+
+
+def compile_fragments(fragments: List[Tuple[str, str]]) -> CompiledProgram:
+    """Parse and compile concatenated rule texts."""
+    text = "".join(text for _, text in fragments)
+    return CompiledProgram(parse_program(text).rules)
+
+
+@lru_cache(maxsize=None)
+def ruleset_program(key: RulesetKey) -> CompiledProgram:
+    """The per-contract ruleset for ``key``, built on first use and shared
+    by every later analysis under the same flags."""
+    return compile_fragments(ruleset_fragments(key))
+
+
+def _rules(options: TaintOptions, reentrancy: bool = False) -> CompiledProgram:
+    return ruleset_program(ruleset_key(options, reentrancy))
 
 
 def _contract_key(
@@ -369,7 +412,7 @@ class WarmEngineCache:
         contract_key: str,
         options: TaintOptions,
         edb: Dict[str, Set[Tuple]],
-        rules,
+        program: CompiledProgram,
         track_provenance: bool,
         use_plans: bool,
         columnar: Optional[bool],
@@ -410,7 +453,7 @@ class WarmEngineCache:
         self.misses += 1
         database = _load_edb(edb)
         engine = Engine(
-            rules,
+            program,
             track_provenance=track_provenance,
             use_plans=use_plans,
             columnar=columnar,
@@ -468,13 +511,13 @@ def analyze_with_datalog(
 
     edb = _facts_to_edb(facts, storage, guards, options, ordering=ordering)
     reentrancy = "ReentrancyCall" in edb
-    rules = _rules(options, reentrancy=reentrancy)
+    program = _rules(options, reentrancy=reentrancy)
     if warm is not None:
         engine, database = warm.fixpoint(
             _contract_key(runtime_bytecode, edb),
             options,
             edb,
-            rules,
+            program,
             track_provenance,
             use_plans,
             columnar,
@@ -483,7 +526,7 @@ def analyze_with_datalog(
     else:
         database = _load_edb(edb)
         engine = Engine(
-            rules,
+            program,
             track_provenance=track_provenance,
             use_plans=use_plans,
             columnar=columnar,

@@ -58,25 +58,27 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.analysis import AnalysisConfig, AnalysisResult, EthainterAnalysis
 from repro.core.bytecode_datalog import (
-    CONSERVATIVE_RULES,
-    CORE_RULES,
-    REENTRANCY_RULES,
-    WRITE2_RULES,
+    RulesetKey,
     _facts_to_edb,
     _load_edb,
+    compile_fragments,
+    ruleset_fragments,
+    ruleset_key,
 )
 from repro.core.facts import ContractFacts
 from repro.core.guards import EQ_SENDER
+from repro.core.pipeline import _DATALOG_MODES
 from repro.core.vulnerabilities import (
     CROSS_CONTRACT_ESCALATION,
     PROXY_UPGRADE_HIJACK,
 )
-from repro.datalog import Engine, parse_program
+from repro.datalog import CompiledProgram, Engine
 
 ADDRESS_MASK = (1 << 160) - 1
 
@@ -424,18 +426,6 @@ CrossContractEscalation(s) :- SStoreConst(s, v, x), StorageTaint(x),
                               StaticallyGuardedStatement(s, g), BypassedGuard(g).
 """
 
-# Engine name -> (use_plans, columnar) for the merged fixpoint.  The tuned
-# Python engine has no cross-contract counterpart, so "python" runs the
-# merged rules on the compiled-plan engine; the Datalog names map exactly
-# as repro.core.pipeline._DATALOG_MODES does.
-_MERGED_ENGINE_MODES = {
-    "python": (True, False),
-    "datalog": (True, False),
-    "datalog-columnar": (True, True),
-    "datalog-legacy": (False, False),
-}
-
-
 def _ns(prefix: str, term: object) -> str:
     """Namespace one EDB term into a contract's address space."""
     return "%s::%s" % (prefix, term)
@@ -529,17 +519,25 @@ def _linkage_relations(
     return {rel: rows for rel, rows in relations.items() if rows}
 
 
-def merged_rules(config: AnalysisConfig, reentrancy: bool = False):
-    """Per-contract rules plus the cross-contract strata, parsed."""
-    text = CORE_RULES
-    if config.model_storage_taint:
-        text += WRITE2_RULES
-        if config.conservative_storage:
-            text += CONSERVATIVE_RULES
-    if reentrancy:
-        text += REENTRANCY_RULES
-    text += CROSS_CONTRACT_RULES
-    return parse_program(text).rules
+def merged_fragments(key: RulesetKey) -> List[Tuple[str, str]]:
+    """The per-contract ruleset for ``key`` plus the cross-contract
+    strata, as ``(name, text)`` pieces."""
+    cross = ("CROSS_CONTRACT_RULES", CROSS_CONTRACT_RULES)
+    return ruleset_fragments(key) + [cross]
+
+
+@lru_cache(maxsize=None)
+def merged_program(key: RulesetKey) -> CompiledProgram:
+    """The merged multi-contract ruleset for ``key``, built on first use
+    and shared by every bundle (and thread) analyzed under those flags."""
+    return compile_fragments(merged_fragments(key))
+
+
+def merged_rules(
+    config: AnalysisConfig, reentrancy: bool = False
+) -> CompiledProgram:
+    """Per-contract rules plus the cross-contract strata, compiled."""
+    return merged_program(ruleset_key(config, reentrancy))
 
 
 # ------------------------------------------------------------------ results
@@ -726,7 +724,9 @@ def analyze_bundle(
     for relation, rows in _linkage_relations(bundle, results, edges).items():
         merged.setdefault(relation, set()).update(rows)
 
-    use_plans, columnar = _MERGED_ENGINE_MODES.get(config.engine, (True, False))
+    # The tuned Python engine has no cross-contract counterpart, so
+    # "python" runs the merged rules on the compiled-plan engine.
+    use_plans, columnar = _DATALOG_MODES.get(config.engine, (True, False))
     database = _load_edb(merged)
     engine = Engine(
         merged_rules(config, reentrancy=reentrancy),

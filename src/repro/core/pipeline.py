@@ -245,7 +245,7 @@ def _run_values(ctx: PipelineContext):
 
 
 def _run_storage(ctx: PipelineContext):
-    return build_storage_model(ctx.artifacts["values"])
+    return build_storage_model(ctx.artifacts["values"], deadline=ctx.deadline)
 
 
 def _run_guards(ctx: PipelineContext):

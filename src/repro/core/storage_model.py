@@ -24,7 +24,7 @@ the paper's "previous stratum" (Figure 2 caption).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.facts import ContractFacts
 
@@ -77,9 +77,29 @@ def memory_var(address: int) -> str:
     return "m0x%x" % address
 
 
-def build_storage_model(facts: ContractFacts) -> StorageModel:
+# Variables processed between deadline checks.  The copy closure and the
+# alias extensions grow with variables x copy sources, and a mutated
+# bytecode can lift to 10^5 variables, so a long run must stop at the
+# caller's budget; ordinary contracts fit in one slice and pay one check.
+_CHECK_EVERY = 256
+
+
+def _in_slices(items: List[str], deadline) -> Iterator[List[str]]:
+    """``items`` in order, in slices of ``_CHECK_EVERY``, checking the
+    cooperative ``deadline`` (if any) before each slice."""
+    for start in range(0, len(items), _CHECK_EVERY):
+        if deadline is not None:
+            deadline.check()
+        yield items[start : start + _CHECK_EVERY]
+
+
+def build_storage_model(facts: ContractFacts, deadline=None) -> StorageModel:
     """Compute the taint-independent static strata (copies, DS/DSA,
-    aliases, mapping roots) for one contract."""
+    aliases, mapping roots) for one contract.
+
+    ``deadline`` is an optional cooperative budget (duck-typed: ``check()``
+    raises when spent), consulted between slices of variables and once per
+    DS/DSA round."""
     model = StorageModel(facts=facts)
 
     # ------------------------------------------------------ copy closure
@@ -114,8 +134,10 @@ def build_storage_model(facts: ContractFacts) -> StorageModel:
     all_vars: Set[str] = set(direct)
     for sources in direct.values():
         all_vars.update(sources)
-    for variable in all_vars:
-        model.copy_sources[variable] = closure(variable)
+    variables = list(all_vars)
+    for chunk in _in_slices(variables, deadline):
+        for variable in chunk:
+            model.copy_sources[variable] = closure(variable)
 
     def sources_of(variable: str) -> Set[str]:
         return model.copy_sources.get(variable, {variable})
@@ -126,11 +148,12 @@ def build_storage_model(facts: ContractFacts) -> StorageModel:
             continue
         model.storage_alias.setdefault(load.def_var, set()).add(load.const_slot)
     # Extend through copies: any var copying a loaded var aliases its slot.
-    for variable in all_vars:
-        for source in sources_of(variable):
-            slots = model.storage_alias.get(source)
-            if slots:
-                model.storage_alias.setdefault(variable, set()).update(slots)
+    for chunk in _in_slices(variables, deadline):
+        for variable in chunk:
+            for source in sources_of(variable):
+                slots = model.storage_alias.get(source)
+                if slots:
+                    model.storage_alias.setdefault(variable, set()).update(slots)
 
     # ---------------------------------------------- value-set resolution
     # When the facts carry the VariableValues relation, bound the candidate
@@ -165,11 +188,13 @@ def build_storage_model(facts: ContractFacts) -> StorageModel:
                 )
         # Extend value aliases through copies, mirroring storage_alias.
         if model.value_alias:
-            for variable in all_vars:
-                for source in sources_of(variable):
-                    slots = model.value_alias.get(source)
-                    if slots:
-                        model.value_alias.setdefault(variable, set()).update(slots)
+            for chunk in _in_slices(variables, deadline):
+                for variable in chunk:
+                    for source in sources_of(variable):
+                        slots = model.value_alias.get(source)
+                        if slots:
+                            aliases = model.value_alias.setdefault(variable, set())
+                            aliases.update(slots)
 
     # ------------------------------------------------------ DS / DSA
     # Fixpoint over the Figure 4 rules plus copy propagation.
@@ -189,6 +214,8 @@ def build_storage_model(facts: ContractFacts) -> StorageModel:
 
     changed = True
     while changed:
+        if deadline is not None:
+            deadline.check()
         changed = False
         # DS-Lookup / DSA-Lookup: hashing DS or DSA data yields a DSA.
         for hash_fact in facts.hashes:

@@ -10,6 +10,9 @@ Ethainter rules in the paper.  Supports:
   by a sideways-information-passing heuristic, constants and facts
   interned to dense ints, indexes registered eagerly, per-rule
   :class:`~repro.datalog.planner.EngineStats` profiling,
+* compile-once programs (:class:`CompiledProgram`): a ruleset is
+  stratified and planned once, its plan templates cached by the ranks of
+  the relation sizes they depend on, and shared by every evaluation,
 * wildcard ``_`` arguments, constants, and Python filter predicates,
 * a textual parser for a Soufflé-like surface syntax (``:-``, ``!``, ``.``)
   with parse-time arity checking,
@@ -24,8 +27,9 @@ fixpoint code in the test suite.
 """
 
 from repro.datalog.terms import Atom, Literal, Rule, Variable, var
-from repro.datalog.engine import Database, Engine, StratificationError
+from repro.datalog.engine import Database, Engine
 from repro.datalog.planner import EngineStats, PlanningError
+from repro.datalog.program import CompiledProgram, StratificationError
 from repro.datalog.parser import (
     DatalogSyntaxError,
     parse_program,
@@ -39,6 +43,7 @@ __all__ = [
     "Atom",
     "Literal",
     "Rule",
+    "CompiledProgram",
     "Database",
     "Engine",
     "EngineStats",

@@ -2,18 +2,21 @@
 
 Evaluation pipeline:
 
-1. **Stratification** — relations are grouped into strongly connected
-   components of the rule dependency graph; a negative edge inside an SCC is
-   a :class:`StratificationError` (the program is not stratifiable).  SCCs
-   are evaluated in topological order, so a negated relation is always fully
-   computed before it is read.
-2. **Query planning** — each rule is compiled (see
-   :mod:`repro.datalog.planner`) into a static join plan: body literals
-   reordered by a sideways-information-passing heuristic, per-literal index
-   signatures precomputed, and one delta-specialized variant per recursive
-   body position.  Plans are bound to the database once per evaluation
-   (constants interned, indexes registered eagerly) and executed by a flat,
-   non-recursive interpreter.
+1. **Compilation, once per ruleset** — a
+   :class:`~repro.datalog.program.CompiledProgram` stratifies the rules
+   (negation through recursion is a
+   :class:`~repro.datalog.program.StratificationError`) and
+   caches join-plan templates (see :mod:`repro.datalog.planner`): body
+   literals reordered by a sideways-information-passing heuristic,
+   per-literal index signatures precomputed, and one delta-specialized
+   variant per recursive body position.  Templates are keyed by the ranks
+   of the relation sizes the heuristic compares, so every database whose
+   sizes rank alike shares one compiled plan.
+2. **Binding, once per evaluation** — each stratum's templates are copied
+   just before it runs; the copies get the database's interned constants
+   and eagerly registered indexes, and are executed by a flat,
+   non-recursive interpreter.  Templates are never mutated, so one
+   program serves any number of engines and threads.
 3. **Semi-naive iteration** — within a recursive SCC, each round runs the
    delta variants whose delta relation gained facts in the previous round,
    probing per-round delta indexes so both sides of a recursive join are
@@ -31,17 +34,28 @@ from __future__ import annotations
 import os
 from array import array
 from itertools import repeat
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.datalog.planner import (
     EngineStats,
-    FilterGuard,
     NegGuard,
     PlanningError,
     PlanVariant,
     RulePlan,
-    compile_strata,
+    Spec,
 )
+from repro.datalog.program import CompiledProgram
 from repro.datalog.terms import (
     Atom,
     Binding,
@@ -52,121 +66,6 @@ from repro.datalog.terms import (
     match,
     substitute,
 )
-
-
-class StratificationError(Exception):
-    """The program uses negation through recursion."""
-
-
-# ------------------------------------------------------------ SCC machinery
-#
-# Shared between the engine's stratifier and the program linter's
-# stratification preview (:mod:`repro.datalog.lint`).
-
-
-def rule_dependency_graph(
-    rules: Sequence[Rule],
-) -> Tuple[Set[str], List[Tuple[str, str, bool]]]:
-    """The relation dependency graph of ``rules``.
-
-    Returns ``(relations, edges)`` where each edge is
-    ``(body relation, head relation, negated)``.
-    """
-    relations: Set[str] = set()
-    edges: List[Tuple[str, str, bool]] = []
-    for rule in rules:
-        relations.add(rule.head.relation)
-        for item in rule.body:
-            if isinstance(item, Literal):
-                relations.add(item.atom.relation)
-                edges.append((item.atom.relation, rule.head.relation, item.negated))
-    return relations, edges
-
-
-def strongly_connected_components(
-    relations: Iterable[str], successors: Dict[str, Set[str]]
-) -> Tuple[List[List[str]], Dict[str, int]]:
-    """Tarjan SCC (iterative).  Returns ``(components, component_of)``;
-    components are emitted in reverse topological order."""
-    index_counter = [0]
-    stack: List[str] = []
-    lowlink: Dict[str, int] = {}
-    index: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    component_of: Dict[str, int] = {}
-    components: List[List[str]] = []
-
-    def strongconnect(node: str) -> None:
-        worklist = [(node, iter(successors.get(node, ())))]
-        index[node] = lowlink[node] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(node)
-        on_stack.add(node)
-        while worklist:
-            current, successor_iter = worklist[-1]
-            advanced = False
-            for successor in successor_iter:
-                if successor not in index:
-                    index[successor] = lowlink[successor] = index_counter[0]
-                    index_counter[0] += 1
-                    stack.append(successor)
-                    on_stack.add(successor)
-                    worklist.append((successor, iter(successors.get(successor, ()))))
-                    advanced = True
-                    break
-                if successor in on_stack:
-                    lowlink[current] = min(lowlink[current], index[successor])
-            if advanced:
-                continue
-            worklist.pop()
-            if worklist:
-                parent = worklist[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[current])
-            if lowlink[current] == index[current]:
-                component: List[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component_of[member] = len(components)
-                    component.append(member)
-                    if member == current:
-                        break
-                components.append(component)
-
-    for rel in relations:
-        if rel not in index:
-            strongconnect(rel)
-    return components, component_of
-
-
-def condensation_levels(
-    components: List[List[str]],
-    component_of: Dict[str, int],
-    edges: List[Tuple[str, str, bool]],
-) -> Dict[int, int]:
-    """Stratum level per component: Kahn-style longest path over the SCC
-    condensation of ``edges``."""
-    condensed: Dict[int, Set[int]] = {i: set() for i in range(len(components))}
-    for source, target, _ in edges:
-        s, t = component_of[source], component_of[target]
-        if s != t:
-            condensed[s].add(t)
-    indegree: Dict[int, int] = {i: 0 for i in range(len(components))}
-    for source_component, targets in condensed.items():
-        for target_component in targets:
-            indegree[target_component] += 1
-    queue = [c for c, d in indegree.items() if d == 0]
-    level: Dict[int, int] = {c: 0 for c in queue}
-    while queue:
-        current = queue.pop()
-        for target_component in condensed[current]:
-            level[target_component] = max(
-                level.get(target_component, 0), level[current] + 1
-            )
-            indegree[target_component] -= 1
-            if indegree[target_component] == 0:
-                queue.append(target_component)
-    return level
 
 
 # ------------------------------------------------------------ columnar store
@@ -522,15 +421,30 @@ class Database:
         return view
 
 
-class Engine:
-    """Evaluates a rule set over a database to fixpoint.
+def _intern_spec(spec: Spec, intern: Callable[[Any], int]) -> Spec:
+    """``spec`` with its constants interned (shared as-is when it has
+    none)."""
+    if all(from_slot for from_slot, _ in spec):
+        return spec
+    return tuple(
+        (True, value) if from_slot else (False, intern(value))
+        for from_slot, value in spec
+    )
 
-    Rules are compiled into join plans at construction and re-planned
-    against actual relation sizes at each :meth:`evaluate` (see
-    :mod:`repro.datalog.planner`); ``use_plans=False`` selects the legacy
-    closure-recursion interpreter, kept as the equivalence and benchmark
-    baseline.  ``stats`` accumulates :class:`EngineStats` counters across
-    evaluations on either path.
+
+class Engine:
+    """Evaluates a rule program over a database to fixpoint.
+
+    ``rules`` is a :class:`~repro.datalog.program.CompiledProgram` or a
+    plain rule sequence, for which the engine builds a private program.
+    Callers that evaluate one ruleset many times share one program, so
+    parsing, stratification and join planning happen once per ruleset
+    (and size-rank signature), not once per evaluation.  Each
+    :meth:`evaluate` binds fresh copies of the program's plan templates to
+    its database; ``use_plans=False`` selects the legacy closure-recursion
+    interpreter instead, kept as the equivalence and benchmark baseline.
+    ``stats`` accumulates :class:`EngineStats` counters across evaluations
+    on either path.
 
     With ``track_provenance=True`` the engine records, for each derived
     fact, the rule and body facts of its *first* derivation; ``explain``
@@ -554,12 +468,16 @@ class Engine:
 
     def __init__(
         self,
-        rules: Sequence[Rule],
+        rules: Union[CompiledProgram, Sequence[Rule]],
         track_provenance: bool = False,
         use_plans: bool = True,
         columnar: Optional[bool] = None,
     ):
-        self.rules = list(rules)
+        if not isinstance(rules, CompiledProgram):
+            rules = CompiledProgram(rules)
+        self.program = rules
+        self.rules = rules.rules
+        self.strata = rules.strata
         self.track_provenance = track_provenance
         self.use_plans = use_plans
         if columnar is None:
@@ -569,66 +487,13 @@ class Engine:
         self.stats = EngineStats()
         # (relation, fact) -> (rule, [(relation, fact), ...]) of 1st proof.
         self.provenance: Dict[Tuple[str, Tuple], Tuple[Rule, List[Tuple[str, Tuple]]]] = {}
-        self.strata = self._stratify()
-        # Per-stratum relation roles, used by incremental maintenance to
-        # route changes: head relations, positively read relations, and
-        # negated relations.
-        self._stratum_heads: List[Set[str]] = []
-        self._stratum_pos: List[Set[str]] = []
-        self._stratum_neg: List[Set[str]] = []
-        for stratum in self.strata:
-            heads: Set[str] = set()
-            reads_pos: Set[str] = set()
-            reads_neg: Set[str] = set()
-            for rule in stratum:
-                heads.add(rule.head.relation)
-                for item in rule.body:
-                    if isinstance(item, Literal):
-                        if item.negated:
-                            reads_neg.add(item.atom.relation)
-                        else:
-                            reads_pos.add(item.atom.relation)
-            self._stratum_heads.append(heads)
-            self._stratum_pos.append(reads_pos)
-            self._stratum_neg.append(reads_neg)
         # Incremental (DRed) state: the database of the last evaluate(),
-        # its EDB snapshot, and lazily compiled all-delta repair plans.
+        # its EDB snapshot, and lazily built all-delta repair plans (the
+        # templates, and their copies bound to that database).
         self._inc_db: Optional[Database] = None
         self._inc_edb: Optional[Dict[str, Set[Tuple[int, ...]]]] = None
+        self._inc_templates: Optional[List[List[RulePlan]]] = None
         self._inc_plans: Optional[List[List[RulePlan]]] = None
-        # Static compile (no size estimates) surfaces PlanningErrors —
-        # wildcards in negation, unbindable filter variables — at
-        # construction; evaluate() re-plans with live relation sizes.
-        self.plans: List[List[RulePlan]] = (
-            compile_strata(self.strata) if use_plans else []
-        )
-
-    # -------------------------------------------------------- stratification
-
-    def _stratify(self) -> List[List[Rule]]:
-        relations, edges = rule_dependency_graph(self.rules)
-        successors: Dict[str, Set[str]] = {rel: set() for rel in relations}
-        for source, target, _ in edges:
-            successors[source].add(target)
-
-        components, component_of = strongly_connected_components(
-            relations, successors
-        )
-
-        # Negative edge inside one SCC => not stratifiable.
-        for source, target, negated in edges:
-            if negated and component_of[source] == component_of[target]:
-                raise StratificationError(
-                    "negation of %r is recursive with %r" % (source, target)
-                )
-
-        level = condensation_levels(components, component_of, edges)
-        max_level = max(level.values(), default=0)
-        strata: List[List[Rule]] = [[] for _ in range(max_level + 1)]
-        for rule in self.rules:
-            component = component_of[rule.head.relation]
-            strata[level.get(component, 0)].append(rule)
-        return [stratum for stratum in strata if stratum]
 
     # ------------------------------------------------------------ evaluation
 
@@ -645,73 +510,67 @@ class Engine:
         iteration so runaway recursion respects the caller's cutoff.
         """
         self.stats.evaluations += 1
+        self._inc_templates = None
+        self._inc_plans = None
         if self.use_plans:
             # Snapshot the EDB (everything present before derivation) so
             # apply_changes() can later tell explicit facts from derived
-            # ones; re-plan with live relation sizes so the SIP heuristic
-            # orders joins by actual EDB cardinalities, then bind each
-            # stratum's plans (intern constants, register indexes) just
-            # before it runs so lower-stratum results inform upper-stratum
-            # plans.
+            # ones.  The program picks plan templates by the relation sizes
+            # read here, before the first stratum runs; each stratum then
+            # binds fresh copies (constants interned, indexes registered)
+            # just before it runs.
             self._inc_db = database
             self._inc_edb = {
                 relation: set(facts)
                 for relation, facts in database._relations.items()
                 if facts
             }
-            self._inc_plans = None
-            self.plans = compile_strata(self.strata, size_of=database.count)
-            for stratum_plans in self.plans:
-                self._bind_stratum(database, stratum_plans)
+            for templates in self.program.plans(database.count):
+                plans = [
+                    self._bind_plan(database, template, self.columnar)
+                    for template in templates
+                ]
                 self._evaluate_stratum_compiled(
-                    database, stratum_plans, max_iterations, deadline
+                    database, plans, max_iterations, deadline
                 )
         else:
             self._inc_db = None
             self._inc_edb = None
-            self._inc_plans = None
             for stratum in self.strata:
                 self._evaluate_stratum(database, stratum, max_iterations, deadline)
         return database
 
     # ----------------------------------------------------- compiled executor
 
-    def _bind_stratum(self, database: Database, plans: List[RulePlan]) -> None:
-        """Bind every variant of every plan to ``database``: intern plan
-        constants, capture live relation views, and eagerly register the
-        indexes the join steps declared."""
-        for plan in plans:
-            for variant in plan.variants():
-                self._bind_variant(database, variant)
+    def _bind_plan(
+        self, database: Database, template: RulePlan, columnar: bool
+    ) -> RulePlan:
+        """A copy of ``template`` bound to ``database``: constants interned,
+        live relation views captured, and the indexes its join steps
+        declared registered eagerly.  The template itself is untouched."""
+        seed = self._bind_variant(database, template.seed, columnar)
+        delta_variants = {
+            position: self._bind_variant(database, variant, columnar)
+            for position, variant in template.delta_variants.items()
+        }
+        return template.with_variants(seed, delta_variants)
 
     def _bind_variant(
-        self,
-        database: Database,
-        variant: PlanVariant,
-        columnar: Optional[bool] = None,
-    ) -> None:
-        # Constant interning is destructive (raw values become ids), so it
-        # runs exactly once per (variant, database); re-binds only refresh
-        # the live index / relation / column references.
-        intern_specs = variant.bound_db is not database
-        variant.bound_db = database
-        if columnar is None:
-            columnar = self.columnar
+        self, database: Database, template: PlanVariant, columnar: bool
+    ) -> PlanVariant:
         intern = database.intern_value
-        for guard in variant.prelude:
-            self._bind_guard(database, guard, intern_specs)
-        for step in variant.steps:
-            if intern_specs:
-                step.key_spec = tuple(
-                    (True, value) if from_slot else (False, intern(value))
-                    for from_slot, value in step.key_spec
-                )
-                if step.key_spec and all(
-                    not from_slot for from_slot, _ in step.key_spec
-                ):
-                    step.static_key = tuple(
-                        value for _, value in step.key_spec
-                    )
+        variant = template.copy()
+        variant.prelude = tuple(
+            self._bind_guard(database, guard) for guard in template.prelude
+        )
+        steps = []
+        for source in template.steps:
+            step = source.copy()
+            step.key_spec = _intern_spec(source.key_spec, intern)
+            if step.key_spec and all(
+                not from_slot for from_slot, _ in step.key_spec
+            ):
+                step.static_key = tuple(value for _, value in step.key_spec)
             if step.delta:
                 pass  # candidates come from the per-round delta sets
             elif columnar:
@@ -733,31 +592,28 @@ class Engine:
                     self.stats.index_builds += 1
             else:
                 step.rel_set = database.relation_view(step.relation)
-            for guard in step.guards:
-                self._bind_guard(database, guard, intern_specs)
-        if intern_specs:
-            variant.head_spec = tuple(
-                (True, value) if from_slot else (False, intern(value))
-                for from_slot, value in variant.head_spec
+            step.guards = tuple(
+                self._bind_guard(database, guard) for guard in source.guards
             )
-            if all(not from_slot for from_slot, _ in variant.head_spec):
-                variant.static_head = tuple(
-                    value for _, value in variant.head_spec
-                )
+            steps.append(step)
+        variant.steps = tuple(steps)
+        variant.head_spec = _intern_spec(template.head_spec, intern)
+        if all(not from_slot for from_slot, _ in variant.head_spec):
+            variant.static_head = tuple(value for _, value in variant.head_spec)
+        return variant
 
-    def _bind_guard(
-        self, database: Database, guard, intern_specs: bool = True
-    ) -> None:
-        if isinstance(guard, NegGuard):
-            if intern_specs:
-                guard.key_spec = tuple(
-                    (True, value)
-                    if from_slot
-                    else (False, database.intern_value(value))
-                    for from_slot, value in guard.key_spec
-                )
-            guard.rel_set = database.relation_view(guard.relation)
+    @staticmethod
+    def _bind_guard(database: Database, guard):
+        if guard.__class__ is NegGuard:
+            bound = NegGuard(
+                guard.relation,
+                _intern_spec(guard.key_spec, database.intern_value),
+                guard.orig_index,
+            )
+            bound.rel_set = database.relation_view(guard.relation)
+            return bound
         # FilterGuard constants stay raw: predicates see original values.
+        return guard
 
     def _evaluate_stratum_compiled(
         self,
@@ -1261,9 +1117,8 @@ class Engine:
         stats.incremental_applies += 1
         edb = self._inc_edb
         tracking = self.track_provenance
-        all_heads: Set[str] = set()
-        for heads in self._stratum_heads:
-            all_heads |= heads
+        program = self.program
+        all_heads: Set[str] = set().union(*program.stratum_heads)
 
         # ---- normalize the change set against the EDB bookkeeping
         retract: Dict[str, Set[Tuple[int, ...]]] = {}
@@ -1345,9 +1200,9 @@ class Engine:
 
         plans = self._incremental_plans(database)
         for level, stratum_plans in enumerate(plans):
-            heads = self._stratum_heads[level]
-            reads_pos = self._stratum_pos[level]
-            reads_neg = self._stratum_neg[level]
+            heads = program.stratum_heads[level]
+            reads_pos = program.stratum_pos[level]
+            reads_neg = program.stratum_neg[level]
             stratum_pending = {
                 relation: pending_retract.pop(relation)
                 for relation in list(pending_retract)
@@ -1358,8 +1213,8 @@ class Engine:
                 for relation in reads_neg
             ):
                 self._recompute_stratum(
-                    database, level, stratum_plans,
-                    changes_add, changes_rem, max_iterations, deadline,
+                    database, level, changes_add, changes_rem,
+                    max_iterations, deadline,
                 )
                 continue
             touched = stratum_pending or any(
@@ -1388,19 +1243,22 @@ class Engine:
 
     def _incremental_plans(self, database: Database) -> List[List[RulePlan]]:
         """Repair plans: delta variants for *every* positive body position
-        (changes arrive in any relation), bound once to the database with
-        hash indexes — repair always runs the tuple executor, because
-        removals invalidate columnar row ids mid-flight."""
+        (changes arrive in any relation), planned for the database's sizes
+        at the first repair and bound once to it with hash indexes — repair
+        always runs the tuple executor, because removals invalidate
+        columnar row ids mid-flight."""
         plans = self._inc_plans
         if plans is None:
-            plans = compile_strata(
-                self.strata, size_of=database.count, all_deltas=True
+            self._inc_templates = self.program.plans(
+                database.count, all_deltas=True
             )
-            for stratum_plans in plans:
-                for plan in stratum_plans:
-                    for variant in plan.variants():
-                        self._bind_variant(database, variant, columnar=False)
-            self._inc_plans = plans
+            plans = self._inc_plans = [
+                [
+                    self._bind_plan(database, template, columnar=False)
+                    for template in templates
+                ]
+                for templates in self._inc_templates
+            ]
         return plans
 
     def _dred_stratum(
@@ -1579,7 +1437,6 @@ class Engine:
         self,
         database: Database,
         level: int,
-        plans: List[RulePlan],
         changes_add: Dict[str, Set[Tuple[int, ...]]],
         changes_rem: Dict[str, Set[Tuple[int, ...]]],
         max_iterations: int,
@@ -1592,7 +1449,7 @@ class Engine:
         stats.strata_recomputed += 1
         tracking = self.track_provenance
         edb = self._inc_edb
-        heads = self._stratum_heads[level]
+        heads = self.program.stratum_heads[level]
         old: Dict[str, Set[Tuple[int, ...]]] = {}
         for relation in heads:
             current = database._relations.get(relation, set())
@@ -1605,16 +1462,18 @@ class Engine:
                         self.provenance.pop(
                             (relation, database.decode(fact)), None
                         )
+        plans = self._inc_plans[level]
         runner = self._run_variant
         if self.columnar:
-            # Removals dropped the affected columnar views; re-binding
-            # rebuilds them from the cleared store, so the recompute runs
-            # on the batch executor.  The hash indexes the tuple executor
-            # binds are maintained through removals, so the DRed passes
-            # can keep using these same variants afterwards.
-            for plan in plans:
-                for variant in plan.variants():
-                    self._bind_variant(database, variant, columnar=True)
+            # Removals dropped the affected columnar views; a columnar copy
+            # of the repair templates rebuilds them from the cleared store,
+            # so the recompute runs on the batch executor.  The hash
+            # indexes the tuple-bound repair plans use are maintained
+            # through removals, so later DRed passes keep using those.
+            plans = [
+                self._bind_plan(database, template, columnar=True)
+                for template in self._inc_templates[level]
+            ]
             runner = self._run_variant_columnar
         self._evaluate_stratum_compiled(
             database, plans, max_iterations, deadline, runner=runner

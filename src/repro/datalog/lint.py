@@ -16,7 +16,7 @@ it surfaces at evaluation time, after contracts have already been
 * **duplicate / unused relations** — re-declared relations, declared
   relations that appear in no rule, and literally duplicated rules,
 * **stratification preview** — the strata the engine would evaluate,
-  reusing the engine's SCC machinery; negation inside a recursive
+  reusing the stratifier's SCC machinery; negation inside a recursive
   component is reported per offending rule instead of one opaque
   exception,
 * **DRed compatibility** — negation on a relation in the same recursive
@@ -26,17 +26,19 @@ it surfaces at evaluation time, after contracts have already been
   the stratification error; negation on lower strata is DRed-safe.
 
 ``repro lint-rules`` runs this over the shipped rule programs
-(:mod:`repro.core.datalog_rules` and :mod:`repro.core.bytecode_datalog`)
-and over ``.dl`` files; CI runs the shipped check on every push.
+(:mod:`repro.core.datalog_rules`, and every per-contract and merged
+ruleset :mod:`repro.core.bytecode_datalog` and :mod:`repro.core.linkage`
+can build) and over ``.dl`` files; CI runs the shipped check on every
+push.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
-from repro.datalog.engine import (
+from repro.datalog.program import (
     condensation_levels,
     rule_dependency_graph,
     strongly_connected_components,
@@ -234,15 +236,21 @@ def lint_text(text: str, source: str = "<datalog>") -> List[LintFinding]:
     try:
         program = parse_program_lenient(text)
     except DatalogSyntaxError as error:
-        return [
-            LintFinding(
-                source=source,
-                line=getattr(error, "line", 0),
-                code="syntax-error",
-                severity=ERROR,
-                message=str(error),
-            )
-        ]
+        return [_syntax_finding(error, source)]
+    return _lint_program(program, source)
+
+
+def _syntax_finding(error: DatalogSyntaxError, source: str) -> LintFinding:
+    return LintFinding(
+        source=source,
+        line=getattr(error, "line", 0),
+        code="syntax-error",
+        severity=ERROR,
+        message=str(error),
+    )
+
+
+def _lint_program(program: ParsedProgram, source: str) -> List[LintFinding]:
     findings = []
     for issue in program.issues:
         code = issue.code
@@ -290,16 +298,29 @@ def lint_cross_program(
     Programs that fail to parse are skipped here — :func:`lint_text`
     already reports their syntax errors.
     """
+
+    def parsed() -> Iterator[Tuple[str, ParsedProgram]]:
+        for source, text in programs:
+            try:
+                yield source, parse_program_lenient(text)
+            except DatalogSyntaxError:
+                continue
+
+    return _cross_program_findings(parsed())
+
+
+def _cross_program_findings(
+    programs: Iterable[Tuple[str, ParsedProgram]],
+) -> List[LintFinding]:
+    """The cross-program checks over ``(source, parsed program)`` pairs,
+    read once and keeping only each program's declarations and relation
+    names."""
     findings: List[LintFinding] = []
     # relation -> list of (source, line, arity) declarations
     declarations: Dict[str, List[Tuple[str, int, int]]] = {}
     heads: Set[str] = set()
     reads: Set[str] = set()
-    for source, text in programs:
-        try:
-            program = parse_program_lenient(text)
-        except DatalogSyntaxError:
-            continue
+    for source, program in programs:
         for name, arity in program.declarations.items():
             declarations.setdefault(name, []).append(
                 (source, program.declaration_lines.get(name, 0), arity)
@@ -367,44 +388,51 @@ def unregister_program(name: str) -> None:
 
 
 def shipped_programs() -> List[Tuple[str, str]]:
-    """(name, text) of every rule program this build actually evaluates."""
-    from repro.core.bytecode_datalog import (
-        CONSERVATIVE_RULES,
-        CORE_RULES,
-        REENTRANCY_RULES,
-        WRITE2_RULES,
-    )
+    """(name, text) of every rule program this build actually evaluates:
+    the §4 model's rules, then every per-contract and every merged
+    bytecode ruleset the analysis flags can select, each named after the
+    rule texts it concatenates."""
+    from repro.core.bytecode_datalog import RULESET_KEYS, ruleset_fragments
     from repro.core.datalog_rules import ETHAINTER_RULES
-    from repro.core.linkage import CROSS_CONTRACT_RULES
+    from repro.core.linkage import merged_fragments
 
-    programs = [
-        ("core/datalog_rules.py:ETHAINTER_RULES", ETHAINTER_RULES),
-        ("core/bytecode_datalog.py:CORE_RULES", CORE_RULES + WRITE2_RULES),
-        (
-            "core/bytecode_datalog.py:CONSERVATIVE_RULES",
-            CORE_RULES + WRITE2_RULES + CONSERVATIVE_RULES,
-        ),
-        (
-            "core/bytecode_datalog.py:REENTRANCY_RULES",
-            CORE_RULES + WRITE2_RULES + REENTRANCY_RULES,
-        ),
-        (
-            "core/linkage.py:CROSS_CONTRACT_RULES",
-            CORE_RULES + WRITE2_RULES + CROSS_CONTRACT_RULES,
-        ),
-    ]
+    programs = [("core/datalog_rules.py:ETHAINTER_RULES", ETHAINTER_RULES)]
+    for module, fragments_of in (
+        ("core/bytecode_datalog.py", ruleset_fragments),
+        ("core/linkage.py", merged_fragments),
+    ):
+        for key in RULESET_KEYS:
+            fragments = fragments_of(key)
+            programs.append(
+                (
+                    "%s:%s" % (module, "+".join(name for name, _ in fragments)),
+                    "".join(text for _, text in fragments),
+                )
+            )
     programs.extend(_REGISTERED_PROGRAMS.items())
     return programs
 
 
 def lint_shipped() -> List[LintFinding]:
     """Lint every shipped rule program, plus the cross-program checks."""
-    programs = shipped_programs()
     findings: List[LintFinding] = []
-    for name, text in programs:
-        findings.extend(lint_text(text, source=name))
-    findings.extend(lint_cross_program(programs))
-    return findings
+
+    # One parse per program, shared by both passes and dropped as soon as
+    # both have read it: parsing is most of the cost, and every process
+    # pays it on its first analysis (the precision counters report
+    # shipped_finding_count()).
+    def parsed() -> Iterator[Tuple[str, ParsedProgram]]:
+        for name, text in shipped_programs():
+            try:
+                program = parse_program_lenient(text)
+            except DatalogSyntaxError as error:
+                findings.append(_syntax_finding(error, name))
+                continue
+            findings.extend(_lint_program(program, name))
+            yield name, program
+
+    cross = _cross_program_findings(parsed())
+    return findings + cross
 
 
 @lru_cache(maxsize=1)

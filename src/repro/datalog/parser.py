@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.datalog.terms import Atom, Literal, Rule, Variable
 
@@ -55,8 +55,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int  # 1-based
@@ -64,20 +63,26 @@ class Token:
 
 def _tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
+    append = tokens.append
+    match = _TOKEN_RE.match
     position = 0
     line = 1
-    while position < len(text):
-        matched = _TOKEN_RE.match(text, position)
+    end = len(text)
+    while position < end:
+        matched = match(text, position)
         if matched is None:
             raise DatalogSyntaxError(
                 "unexpected character %r" % text[position], line=line
             )
         kind = matched.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, matched.group(), line))
-        line += matched.group().count("\n")
+        value = matched.group()
+        if kind != "comment":
+            if kind != "ws":
+                append(Token(kind, value, line))
+            if kind == "ws" or kind == "string":  # the kinds that span lines
+                line += value.count("\n")
         position = matched.end()
-    tokens.append(Token("eof", "", line))
+    append(Token("eof", "", line))
     return tokens
 
 

@@ -22,17 +22,20 @@ module performs the equivalent ahead-of-time work for :class:`~repro.datalog.eng
   early in the join order (deltas are small), and when probed it uses a
   per-round delta index, so both sides of a recursive join are indexed.
 
-Plans are *compiled* once (static structure) and *bound* once per
-evaluation (constants interned against the database's symbol table, index
-and relation references captured); the engine then executes the bound plan
-with a flat, non-recursive interpreter.  :class:`EngineStats` is the
-observability record the engine fills while executing plans.
+Plans are *compiled* once per ruleset and size-rank signature (the
+templates :class:`~repro.datalog.program.CompiledProgram` caches) and
+*bound* per evaluation: the engine copies each template, interns the
+copy's constants against the database's symbol table and captures index
+and relation references on the copy, then executes it with a flat,
+non-recursive interpreter.  A template is never mutated.
+:class:`EngineStats` is the observability record the engine fills while
+executing plans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.datalog.terms import Filter, Literal, Rule, Variable
 
@@ -149,7 +152,7 @@ class EngineStats:
 #
 # A *spec* is a tuple of (from_slot, value) pairs: from_slot=True reads the
 # environment slot ``value``; from_slot=False is a constant (raw in the
-# compiled plan, interned once the plan is bound to a database).
+# template, interned in a copy bound to a database).
 
 Spec = Tuple[Tuple[bool, Any], ...]
 
@@ -210,11 +213,33 @@ class JoinStep:
         self.orig_index = orig_index
         self.arity = arity
         self.live_after: Tuple[int, ...] = ()
-        # Bound per evaluation: direct references into the database.
+        # Set on bound copies only: direct references into the database.
         self.rel_set: Optional[Set[Tuple]] = None
         self.index: Optional[Dict[Tuple, List[Tuple]]] = None
         self.columnar: Optional[Any] = None
         self.postings: Optional[Tuple[Dict[int, Any], ...]] = None
+
+    def copy(self) -> "JoinStep":
+        """A shallow copy, for binding (every field is immutable on a
+        template)."""
+        step = JoinStep.__new__(JoinStep)
+        step.relation = self.relation
+        step.delta = self.delta
+        step.positions = self.positions
+        step.key_spec = self.key_spec
+        step.static_key = self.static_key
+        step.outs = self.outs
+        step.checks = self.checks
+        step.check_pairs = self.check_pairs
+        step.guards = self.guards
+        step.orig_index = self.orig_index
+        step.arity = self.arity
+        step.live_after = self.live_after
+        step.rel_set = self.rel_set
+        step.index = self.index
+        step.columnar = self.columnar
+        step.postings = self.postings
+        return step
 
     def __repr__(self) -> str:
         source = "Δ" if self.delta else ""
@@ -271,7 +296,6 @@ class PlanVariant:
         "head_spec",
         "static_head",
         "n_slots",
-        "bound_db",
     )
 
     def __init__(
@@ -295,9 +319,21 @@ class PlanVariant:
         self.head_spec = head_spec
         self.static_head: Optional[Tuple] = None
         self.n_slots = n_slots
-        # Which database this variant's specs were interned against;
-        # binding is idempotent per database (see Engine._bind_variant).
-        self.bound_db: Optional[Any] = None
+
+    def copy(self) -> "PlanVariant":
+        """A shallow copy, for binding."""
+        variant = PlanVariant.__new__(PlanVariant)
+        variant.rule = self.rule
+        variant.key = self.key
+        variant.delta_position = self.delta_position
+        variant.delta_relation = self.delta_relation
+        variant.prelude = self.prelude
+        variant.steps = self.steps
+        variant.head_relation = self.head_relation
+        variant.head_spec = self.head_spec
+        variant.static_head = self.static_head
+        variant.n_slots = self.n_slots
+        return variant
 
     def order(self) -> List[str]:
         """Relation names in execution order (tests / debugging)."""
@@ -333,6 +369,17 @@ class RulePlan:
     def variants(self) -> List[PlanVariant]:
         """Every variant (seed first)."""
         return [self.seed] + list(self.delta_variants.values())
+
+    def with_variants(
+        self, seed: PlanVariant, delta_variants: Dict[int, PlanVariant]
+    ) -> "RulePlan":
+        """This plan over other (bound) copies of its variants."""
+        plan = RulePlan.__new__(RulePlan)
+        plan.rule = self.rule
+        plan.key = self.key
+        plan.seed = seed
+        plan.delta_variants = delta_variants
+        return plan
 
     def __repr__(self) -> str:
         return "<rule-plan %s (%d delta variant(s))>" % (
@@ -617,33 +664,3 @@ def compile_rule(
         ):
             delta_variants[position] = compile_variant(rule, position, size_of)
     return RulePlan(rule, seed, delta_variants)
-
-
-def compile_strata(
-    strata: Sequence[Sequence[Rule]],
-    size_of: Optional[Callable[[str], int]] = None,
-    all_deltas: bool = False,
-) -> List[List[RulePlan]]:
-    """Compile every rule of every stratum; delta variants are generated
-    for body literals recursive within their stratum.
-
-    With ``all_deltas=True`` every positive body literal gets a delta
-    variant, not just same-stratum recursive ones — the shape DRed
-    incremental maintenance needs, where changes can arrive in *any*
-    body relation (EDB or lower-stratum IDB)."""
-    plans: List[List[RulePlan]] = []
-    for stratum in strata:
-        heads = {rule.head.relation for rule in stratum}
-        stratum_plans: List[RulePlan] = []
-        for rule in stratum:
-            if all_deltas:
-                delta_relations = {
-                    item.atom.relation
-                    for item in rule.body
-                    if isinstance(item, Literal) and not item.negated
-                }
-            else:
-                delta_relations = heads
-            stratum_plans.append(compile_rule(rule, delta_relations, size_of))
-        plans.append(stratum_plans)
-    return plans

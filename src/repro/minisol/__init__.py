@@ -27,6 +27,7 @@ from repro.minisol.ast_nodes import (
     StateVarDef,
     Type,
 )
+from repro.minisol.errors import MiniSolError
 from repro.minisol.lexer import LexError, Token, tokenize
 from repro.minisol.parser import ParseError, parse
 from repro.minisol.checker import CheckError, check
@@ -41,6 +42,7 @@ __all__ = [
     "StateVarDef",
     "Type",
     "MappingType",
+    "MiniSolError",
     "Token",
     "tokenize",
     "LexError",

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.minisol import ast_nodes as ast
+from repro.minisol.errors import MiniSolError
 
 # Builtins and their argument counts (None = variadic, validated ad hoc).
 BUILTINS: Dict[str, Optional[int]] = {
@@ -32,7 +33,7 @@ BUILTINS: Dict[str, Optional[int]] = {
 }
 
 
-class CheckError(Exception):
+class CheckError(MiniSolError):
     """A semantic error in MiniSol source."""
 
     def __init__(self, message: str, line: int = 0):

@@ -38,6 +38,7 @@ from repro.evm.assembler import AsmItem, DataLabel, Label, LabelRef, Op, Push, R
 from repro.evm.hashing import function_selector, keccak_int
 from repro.minisol import ast_nodes as ast
 from repro.minisol.checker import BUILTINS, CheckError
+from repro.minisol.errors import MiniSolError
 
 # Memory map.
 HASH_SCRATCH = 0x00  # 0x00..0x3F: mapping-slot hashing
@@ -45,7 +46,7 @@ RETURN_SLOT = 0x40  # one word: internal-call return value
 LOCALS_BASE = 0x80  # locals/params, one word each, statically allocated
 
 
-class CodegenError(Exception):
+class CodegenError(MiniSolError):
     """Internal code-generation failure (checked AST expected)."""
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.minisol.errors import MiniSolError
+
 KEYWORDS = {
     "contract",
     "function",
@@ -69,7 +71,7 @@ SYMBOLS = [
 ]
 
 
-class LexError(Exception):
+class LexError(MiniSolError):
     """Raised on unrecognizable input."""
 
     def __init__(self, message: str, line: int):

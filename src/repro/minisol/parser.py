@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.minisol import ast_nodes as ast
+from repro.minisol.errors import MiniSolError
 from repro.minisol.lexer import Token, tokenize
 
 ELEMENTARY_TYPES = {"uint256": "uint256", "uint": "uint256", "address": "address", "bool": "bool"}
@@ -48,7 +49,7 @@ PRECEDENCE = {
 }
 
 
-class ParseError(Exception):
+class ParseError(MiniSolError):
     """A syntax error in MiniSol source."""
 
     def __init__(self, message: str, token: Token):

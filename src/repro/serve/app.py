@@ -382,6 +382,18 @@ class AnalysisServer:
         await writer.drain()
 
         async def _resolve(index: int, request: AnalyzeRequest) -> Dict:
+            # The headers are out: any failure must become this item's
+            # line, or it would corrupt the stream for every other item.
+            try:
+                return await _analyze(index, request)
+            except Exception as error:
+                return {
+                    "index": index,
+                    "error": "internal error: %s" % error,
+                    "status": 500,
+                }
+
+        async def _analyze(index: int, request: AnalyzeRequest) -> Dict:
             try:
                 runtime = request.runtime()
                 config = request.config()

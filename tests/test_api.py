@@ -1,11 +1,34 @@
 """The ``repro.api`` public surface: the one supported import point."""
 
+import time
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.corpus import generate_corpus
+
+# Untrusted bytecode: every input must end in a structured result within
+# the analysis deadline (plus slack for a loaded host), never a crash or
+# a hang.  Examples are derandomized so the suite's run time stays fixed:
+# an input that hits the deadline costs the whole deadline.
+UNTRUSTED_DEADLINE = 1.0
+_SEED_CODES = [contract.runtime for contract in generate_corpus(6, seed=13)]
+
+
+@st.composite
+def _untrusted_bytecode(draw):
+    kind = draw(st.sampled_from(["random", "truncated", "mutated"]))
+    if kind == "random":
+        return draw(st.binary(max_size=600))
+    code = draw(st.sampled_from(_SEED_CODES))
+    if kind == "truncated":
+        return code[: draw(st.integers(0, len(code)))]
+    mutated = bytearray(code)
+    for _ in range(draw(st.integers(1, 8))):
+        mutated[draw(st.integers(0, len(code) - 1))] = draw(st.integers(0, 255))
+    return bytes(mutated)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +91,22 @@ class TestAnalyze:
         api.analyze(bytecodes[0], cache=cache)
         again = api.analyze(bytecodes[0], cache=cache)
         assert again.cache_hits > 0
+
+
+class TestUntrustedBytecode:
+    @pytest.mark.parametrize("engine", ["python", "datalog"])
+    @given(code=_untrusted_bytecode())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_ends_in_a_structured_result_in_time(self, engine, code):
+        request = api.AnalyzeRequest(
+            bytecode=code, engine=engine, deadline=UNTRUSTED_DEADLINE
+        )
+        start = time.monotonic()
+        result = api.analyze(request)
+        elapsed = time.monotonic() - start
+        assert isinstance(result, api.AnalysisResult)
+        assert result.error is None or isinstance(result.error, str)
+        assert elapsed < UNTRUSTED_DEADLINE + 2.0
 
 
 class TestSweepAndBattery:

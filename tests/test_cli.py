@@ -48,6 +48,13 @@ class TestAnalyze:
         with pytest.raises(SystemExit):
             main(["analyze"])
 
+    def test_compile_error_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.msol"
+        bad.write_text("contract {")
+        assert main(["analyze", "--source", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "compile error" in err and "line 1" in err
+
     def test_profile_prints_stage_breakdown(self, victim_file, capsys):
         assert main(["analyze", "--source", victim_file, "--profile"]) == 1
         output = capsys.readouterr().out

@@ -1,12 +1,24 @@
 """Randomized equivalence: naive, semi-naive, compiled-plan, and columnar
 evaluation must produce identical fixpoints on generated stratified
-programs (and the same provenance coverage when tracking is on); DRed
-incremental repair after random EDB add/retract batches must match a
-from-scratch fixpoint over the mutated EDB."""
+programs (and the same provenance coverage when tracking is on); one
+compiled program evaluated over many databases must match a fresh engine
+per database; DRed incremental repair after random EDB add/retract
+batches must match a from-scratch fixpoint over the mutated EDB."""
+
+import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.datalog import Atom, Database, Engine, Literal, Rule, Variable
+from repro.datalog import (
+    Atom,
+    CompiledProgram,
+    Database,
+    Engine,
+    Literal,
+    Rule,
+    Variable,
+)
+from repro.datalog.planner import compile_rule
 from repro.datalog.terms import Filter
 
 # EDB relations are never rule heads and negation only targets them, so
@@ -156,6 +168,110 @@ class TestEngineEquivalence:
         )
         assert engine.stats.derived_facts == derived
         assert sum(engine.stats.rule_derivations.values()) == derived
+
+
+@st.composite
+def _program_with_databases(draw):
+    """A program plus 2-5 EDBs, each with a seed for its load order."""
+    rules, facts = draw(_program())
+    databases = [(facts, draw(st.integers(0, 2**16)))]
+    for _ in range(draw(st.integers(1, 4))):
+        _, more = draw(_program())
+        databases.append((more, draw(st.integers(0, 2**16))))
+    return rules, databases
+
+
+def _load_shuffled(facts, seed) -> Database:
+    """``facts`` loaded relation by relation and row by row in an order
+    drawn from ``seed``, so constants intern to different ids."""
+    shuffle = random.Random(seed).shuffle
+    relations = sorted(facts)
+    shuffle(relations)
+    database = Database()
+    for relation in relations:
+        rows = list(facts[relation])
+        shuffle(rows)
+        database.add_all(relation, rows)
+    return database
+
+
+class TestSharedProgram:
+    @given(_program_with_databases())
+    @settings(max_examples=60, deadline=None)
+    def test_one_program_many_databases_equals_fresh_engines(self, drawn):
+        """Plan templates are shared and keyed by size ranks: evaluating
+        one program over several databases (interning differently, on
+        alternating executors) must give each database exactly what a
+        fresh engine gives it — fixpoint, provenance and every counter.
+        A template that binding mutated would leak one database's ids or
+        index references into the next."""
+        rules, databases = drawn
+        program = CompiledProgram(rules)
+        for turn, (facts, seed) in enumerate(databases):
+            columnar = turn % 2 == 1
+            shared_db = _load_shuffled(facts, seed)
+            shared = Engine(program, track_provenance=True, columnar=columnar)
+            shared.evaluate(shared_db)
+            fresh_db = _load_shuffled(facts, seed)
+            fresh = Engine(rules, track_provenance=True, columnar=columnar)
+            fresh.evaluate(fresh_db)
+            assert _snapshot(shared_db) == _snapshot(fresh_db)
+            assert shared.provenance == fresh.provenance
+            assert shared.stats.as_dict() == fresh.stats.as_dict()
+
+    @given(_program_with_databases())
+    @settings(max_examples=60, deadline=None)
+    def test_cached_plans_equal_plans_for_actual_sizes(self, drawn):
+        """The cache key keeps only the ranks of relation sizes; the plan
+        it serves must be the one the planner builds from the sizes
+        themselves, for every database and both delta shapes."""
+        rules, databases = drawn
+        program = CompiledProgram(rules)
+        for facts, seed in databases:
+            database = _load_shuffled(facts, seed)
+            for all_deltas in (False, True):
+                cached = program.plans(database.count, all_deltas=all_deltas)
+                for level, stratum in enumerate(program.strata):
+                    heads = program.stratum_heads[level]
+                    for position, rule in enumerate(stratum):
+                        deltas = heads
+                        if all_deltas:
+                            deltas = {
+                                item.atom.relation
+                                for item in rule.body
+                                if isinstance(item, Literal) and not item.negated
+                            }
+                        direct = compile_rule(rule, deltas, database.count)
+                        assert _shape(cached[level][position]) == _shape(direct)
+
+
+def _shape(plan):
+    """Everything about a compiled plan that evaluation depends on."""
+
+    def guards(items):
+        return [(type(guard).__name__, guard.orig_index) for guard in items]
+
+    return [
+        (
+            variant.delta_position,
+            guards(variant.prelude),
+            [
+                (
+                    step.orig_index,
+                    step.delta,
+                    step.positions,
+                    step.key_spec,
+                    step.outs,
+                    step.checks,
+                    step.live_after,
+                    guards(step.guards),
+                )
+                for step in variant.steps
+            ],
+            variant.head_spec,
+        )
+        for variant in plan.variants()
+    ]
 
 
 @st.composite

@@ -72,6 +72,27 @@ class TestJoinOrdering:
         assert variant.steps[1].positions == (0,)
 
 
+class TestTemplateCopies:
+    def test_copies_carry_every_slot(self):
+        """Binding works on copies of cached templates: a slot the copy
+        dropped would leave bound plans half-built."""
+        plan = compile_rule(
+            parse_rule("P(x, z) :- P(x, y), E(y, z), !N(z)."),
+            recursive_relations={"P"},
+        )
+        for variant in plan.variants():
+            copy = variant.copy()
+            assert copy is not variant
+            for name in type(variant).__slots__:
+                assert getattr(copy, name) is getattr(variant, name), name
+            for step in variant.steps:
+                step_copy = step.copy()
+                for name in type(step).__slots__:
+                    assert getattr(step_copy, name) is getattr(step, name), name
+        rebuilt = plan.with_variants(plan.seed, plan.delta_variants)
+        assert (rebuilt.rule, rebuilt.key) == (plan.rule, plan.key)
+
+
 class TestPlanningErrors:
     def test_wildcard_in_negated_literal_rejected(self):
         x = Variable("x")

@@ -68,3 +68,27 @@ class TestErrors:
     def test_newline_in_string(self):
         with pytest.raises(LexError):
             tokenize('"a\nb"')
+
+
+class TestCompileErrorBase:
+    def test_every_compile_error_is_a_minisol_value_error(self):
+        from repro.minisol import CheckError, MiniSolError, ParseError
+        from repro.minisol.codegen import CodegenError
+
+        for error in (LexError, ParseError, CheckError, CodegenError):
+            assert issubclass(error, MiniSolError)
+        assert issubclass(MiniSolError, ValueError)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "contract A { uint256 x = $; }",  # lexical
+            "contract {",  # syntax
+            "contract A { function f() public { y = 1; } }",  # semantic
+        ],
+    )
+    def test_bad_sources_raise_minisol_errors(self, source):
+        from repro.minisol import MiniSolError, compile_source
+
+        with pytest.raises(MiniSolError):
+            compile_source(source)

@@ -162,6 +162,8 @@ class TestAnalyzeParity:
                 {"bytecode": bytecodes[0].hex(), "kinds": ["not-a-kind"]},
                 {"egnine": "python"},
                 {},
+                {"source": "contract {"},
+                {"bundle": [{"address": 1, "source": "contract {"}]},
             ):
                 status, body = request(port, "POST", "/analyze", payload)
                 assert status == 400, payload
@@ -232,6 +234,40 @@ class TestBatch:
         assert status == 200
         line = json.loads(body.splitlines()[0])
         assert line["report"]["datalog"] is not None
+
+    def test_bad_items_never_break_the_stream(self, bytecodes):
+        """A source that does not compile is that item's 400 and a source
+        of the wrong type that item's 500; every other item still gets its
+        report, after a single 200 status line."""
+        source = (
+            "contract Owned { address owner;"
+            " function set(address o) public { owner = o; } }"
+        )
+        with running_server() as (_server, port):
+            status, body = request(
+                port,
+                "POST",
+                "/batch",
+                {
+                    "contracts": [
+                        {"source": "contract {"},
+                        {"source": 42},
+                        {"source": source},
+                        {"bytecode": bytecodes[0].hex()},
+                    ]
+                },
+            )
+        assert status == 200
+        assert b"HTTP/1.1" not in body
+        lines = {
+            line["index"]: line
+            for line in (json.loads(text) for text in body.splitlines() if text)
+        }
+        assert sorted(lines) == [0, 1, 2, 3]
+        assert lines[0]["status"] == 400
+        assert lines[1]["status"] == 500
+        for index in (2, 3):
+            assert lines[index]["report"]["schema_version"] == 2
 
     def test_malformed_batch_is_400(self):
         with running_server() as (_server, port):

@@ -1,6 +1,9 @@
 """Storage/data-structure modeling: DS/DSA, aliases, mapping attribution."""
 
+import pytest
+
 from repro.core.facts import extract_facts
+from repro.core.pipeline import Deadline, DeadlineExceeded
 from repro.core.storage_model import build_storage_model, memory_var
 from repro.decompiler import lift
 from repro.minisol import compile_source
@@ -151,3 +154,34 @@ contract C {
         facts, model = model_for(SENDER_MAP_SOURCE)
         for variable, sources in model.copy_sources.items():
             assert variable in sources
+
+
+# A mutated corpus contract that lifts to ~200k TAC statements: its copy
+# closure kept the storage stage busy for ~8 s past a 2 s analysis
+# deadline.
+_WIDE_COPY_GRAPH = bytes.fromhex(
+    "60003560e01c80630685cb2814610049578063aae7857b146100595780638e97ede21461"
+    "000057806345f9447a14610073578063f35a1d441461008757806337151970146100a157"
+    "005ba104356080526100576100b5565b005b60043560a0526100676100d1565b005b6100"
+    "b56100ed565b00a861007b610107565b60405160005260206000f35b60043560c0526100"
+    "95610119565b60405160005260206000f35b6100a9610131565b604051603d5260206000"
+    "f35b60005433146100c45760006000fd5b6080516001556000604052565b600054331461"
+    "00e05760006000fd5b60a0516000556000604052565b60005433146100fc5760816000fd"
+    "5b600054ff6000604052565b65bbe8a415c4c9604052566000604052565b60c051600254"
+    "01600255600254604052566000604052565b610db160405256600060405256"
+)
+
+
+class TestDeadline:
+    def test_wide_copy_graph_stops_at_the_deadline(self):
+        facts = extract_facts(lift(_WIDE_COPY_GRAPH))
+        budget = Deadline(0.3)
+        with pytest.raises(DeadlineExceeded):
+            build_storage_model(facts, deadline=budget)
+        assert budget.elapsed() < 0.3 + 1.5
+
+    def test_no_deadline_is_unlimited(self):
+        facts, model = model_for(SENDER_MAP_SOURCE)
+        assert build_storage_model(facts, deadline=Deadline(None)).ds_vars == (
+            model.ds_vars
+        )
