@@ -26,6 +26,7 @@ Quickstart::
 from __future__ import annotations
 
 import dataclasses
+import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.analysis import (
@@ -70,6 +71,7 @@ __all__ = [
     "sweep",
     "battery",
     "AnalyzeRequest",
+    "RequestFieldError",
     "AnalysisConfig",
     "AnalysisResult",
     "ArtifactCache",
@@ -101,6 +103,19 @@ __all__ = [
 ]
 
 
+class RequestFieldError(ValueError):
+    """An :class:`AnalyzeRequest` field holds a value of the wrong type."""
+
+
+# The Figure 8 ablation switches plus value analysis: all plain booleans.
+_FLAG_FIELDS = (
+    "value_analysis",
+    "model_guards",
+    "model_storage_taint",
+    "conservative_storage",
+)
+
+
 @dataclasses.dataclass(frozen=True)
 class AnalyzeRequest:
     """One analysis request as a single frozen value: the contract input
@@ -120,9 +135,15 @@ class AnalyzeRequest:
     as a configuration carrier (e.g. a sweep applies one request's
     configuration to many bytecodes).
 
-    Construction never validates (the dataclass is a plain value and
-    stays cheap to build/compare/hash); validation happens when a
-    derived view is asked for:
+    Construction checks every field's *type* and raises
+    :class:`RequestFieldError` on a mismatch: the flags are ``bool``,
+    ``deadline`` is ``None`` or a positive finite number of seconds
+    (stored as a ``float``, so ``5`` and ``5.0`` are one identity),
+    ``bytecode`` is ``bytes``, ``source`` / ``contract`` are strings or
+    ``None``, ``name`` and ``engine`` are strings, and ``kinds`` is
+    ``None`` or a tuple of strings.  A truthy string such as ``"false"``
+    must not switch an analysis on.  Checks that need more than the field
+    itself happen when a derived view is asked for:
 
     * :meth:`config` — the effective :class:`AnalysisConfig`; raises
       :class:`~repro.core.pipeline.UnknownEngineError` /
@@ -158,6 +179,40 @@ class AnalyzeRequest:
     model_guards: bool = True
     model_storage_taint: bool = True
     conservative_storage: bool = False
+
+    def __post_init__(self) -> None:
+        def expect(name: str, ok: bool, what: str) -> None:
+            if not ok:
+                raise RequestFieldError(
+                    "%s must be %s, not %.40r" % (name, what, getattr(self, name))
+                )
+
+        def optional(value, kind) -> bool:
+            return value is None or isinstance(value, kind)
+
+        expect("bytecode", optional(self.bytecode, bytes), "bytes or None")
+        expect("source", optional(self.source, str), "a string or None")
+        expect("contract", optional(self.contract, str), "a string or None")
+        expect("bundle", optional(self.bundle, ContractBundle), "a ContractBundle or None")
+        expect("name", isinstance(self.name, str), "a string")
+        expect("engine", isinstance(self.engine, str), "a string")
+        expect(
+            "kinds",
+            optional(self.kinds, tuple)
+            and all(isinstance(kind, str) for kind in self.kinds or ()),
+            "a tuple of kind names or None",
+        )
+        for name in _FLAG_FIELDS:
+            expect(name, isinstance(getattr(self, name), bool), "a bool")
+        if self.deadline is not None:
+            expect(
+                "deadline",
+                isinstance(self.deadline, (int, float))
+                and not isinstance(self.deadline, bool)
+                and 0 < self.deadline <= sys.float_info.max,
+                "a positive number of seconds or None",
+            )
+            object.__setattr__(self, "deadline", float(self.deadline))
 
     def config(self) -> AnalysisConfig:
         """The effective :class:`AnalysisConfig`, engine/kinds validated."""

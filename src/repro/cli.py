@@ -900,6 +900,10 @@ def main(argv=None) -> int:
         # A source that does not compile is a usage error, not a crash.
         print("compile error: %s" % error, file=sys.stderr)
         return 2
+    except api.RequestFieldError as error:
+        # So is an option value the request rejects (``--deadline 0``).
+        print("error: %s" % error, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 The algorithm (in the style of Gigahorse/Vandal):
 
 1. Split bytecode into *static blocks* at ``JUMPDEST`` boundaries and after
-   control-transfer instructions.
+   control-transfer instructions, in one pass over the disassembly.
 2. Abstractly interpret the operand stack.  An abstract value is a TAC
    variable that may carry a known constant.  Each static block is *cloned
    per context*, where a context is the tuple of constants visible on the
@@ -22,13 +22,13 @@ instance; a global state cap aborts with :class:`LiftError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import count
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.evm.disassembler import Instruction, disassemble
 from repro.evm.hashing import UINT_MAX
+from repro.evm.opcodes import TABLE, Opcode
 from repro.ir.tac import TACBlock, TACProgram, TACStatement
-
-TERMINATORS = {"STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT"}
 
 # Opcodes we constant-fold during lifting (helps resolve computed jumps in
 # foreign bytecode; our own compiler pushes jump targets directly).
@@ -44,70 +44,92 @@ _FOLDABLE = {
     "EQ": lambda a, b: 1 if a == b else 0,
 }
 
+# What the interpreter does with each byte value, decided once here.
+_PUSH, _OP, _DUP, _SWAP, _POP, _JUMPDEST, _JUMP, _JUMPI, _HALT = range(9)
+_BY_NAME = {"POP": _POP, "JUMPDEST": _JUMPDEST, "JUMP": _JUMP, "JUMPI": _JUMPI}
+
+
+def _action(opcode: Opcode) -> int:
+    if opcode.is_push:
+        return _PUSH
+    if opcode.is_dup:
+        return _DUP
+    if opcode.is_swap:
+        return _SWAP
+    if opcode.halts:
+        return _HALT
+    return _BY_NAME.get(opcode.name, _OP)
+
+
+_ACTIONS: Tuple[int, ...] = tuple(_action(opcode) for opcode in TABLE)
+
+# Worklist instances finalized between deadline checks.
+_CHECK_EVERY = 256
+
+# A stack slot: a TAC variable name plus its constant value, if known.
+_Slot = Tuple[str, Optional[int]]
+
 
 class LiftError(Exception):
     """Decompilation failed (cap exceeded or irrecoverably malformed code)."""
 
 
-@dataclass
-class _AbstractValue:
-    """A stack slot: a TAC variable name plus an optional known constant."""
-
-    var: str
-    const: Optional[int] = None
-
-
-@dataclass
-class _StaticBlock:
+class _StaticBlock(NamedTuple):
     offset: int
     instructions: List[Instruction]
     fallthrough: Optional[int]  # next block offset if control falls through
 
 
-@dataclass
+@dataclass(slots=True)
 class _Instance:
     """One context-clone of a static block."""
 
     ident: str
     offset: int
-    entry_stack: List[_AbstractValue]
+    entry_stack: List[_Slot]
     # phi inputs per entry position (only for non-constant positions)
     phi_inputs: Dict[int, Set[str]] = field(default_factory=dict)
     statements: List[TACStatement] = field(default_factory=list)
     successors: List[str] = field(default_factory=list)
     taken_successor: Optional[str] = None
     fallthrough_successor: Optional[str] = None
-    processed: bool = False
 
 
 def _split_blocks(code: bytes) -> Dict[int, _StaticBlock]:
-    instructions = disassemble(code)
-    leaders: Set[int] = {0}
-    for index, ins in enumerate(instructions):
-        if ins.name == "JUMPDEST":
-            leaders.add(ins.offset)
-        if ins.opcode.alters_control_flow and index + 1 < len(instructions):
-            leaders.add(instructions[index + 1].offset)
-
+    """Cut the disassembly into static blocks in one pass: a block ends
+    before a ``JUMPDEST`` and after an instruction that alters control
+    flow, and falls through to the next one unless it ends in a
+    terminator."""
     blocks: Dict[int, _StaticBlock] = {}
-    ordered = sorted(leaders)
-    for position, start in enumerate(ordered):
-        end = ordered[position + 1] if position + 1 < len(ordered) else None
-        body = [
-            ins
-            for ins in instructions
-            if ins.offset >= start and (end is None or ins.offset < end)
-        ]
-        if not body:
-            continue
-        last = body[-1]
-        falls = not last.opcode.is_terminator
-        blocks[start] = _StaticBlock(
-            offset=start,
-            instructions=body,
-            fallthrough=end if (falls and end is not None) else None,
-        )
+    body: List[Instruction] = []
+    ended = False  # the last instruction of ``body`` ends its block
+    for ins in disassemble(code):
+        if body and (ended or ins.opcode.name == "JUMPDEST"):
+            start = body[0].offset
+            falls = not body[-1].opcode.is_terminator
+            blocks[start] = _StaticBlock(start, body, ins.offset if falls else None)
+            body = []
+        body.append(ins)
+        ended = ins.opcode.alters_control_flow
+    if body:
+        blocks[body[0].offset] = _StaticBlock(body[0].offset, body, None)
     return blocks
+
+
+def _pop_slots(stack: List[_Slot], n: int, numbers) -> List[_Slot]:
+    """Pop ``n`` slots, top first.  Slots below the entry stack (malformed
+    code or a collapsed context) become fresh ``u`` variables."""
+    if n <= len(stack):
+        if not n:
+            return []
+        taken = stack[-n:]
+        del stack[-n:]
+        taken.reverse()
+        return taken
+    taken = stack[::-1]
+    stack.clear()
+    taken += [(f"u{next(numbers)}", None) for _ in range(n - len(taken))]
+    return taken
 
 
 class _Lifter:
@@ -125,29 +147,22 @@ class _Lifter:
         self.max_clones = max_clones
         self.max_states = max_states
         # Duck-typed cooperative budget (``check()`` raises when spent) —
-        # see repro.core.pipeline.Deadline.  Checked per worklist item so a
+        # see repro.core.pipeline.Deadline.  Checked per worklist item and
+        # every _CHECK_EVERY instances while finalizing, so a
         # state-explosion-prone lift cannot blow through the budget.
         self.deadline = deadline
-        self.instances: Dict[Tuple[int, Optional[Tuple[Optional[int], ...]]], _Instance] = {}
+        self.instances: Dict[Tuple[int, Tuple[Optional[int], ...]], _Instance] = {}
         self.clone_count: Dict[int, int] = {}
         self.worklist: List[_Instance] = []
-        self.var_counter = 0
+        # One counter numbers both ``v<n>`` and underflow ``u<n>`` variables.
+        self.numbers = count(1)
         self.const_value: Dict[str, int] = {}
         self.unresolved: List[str] = []
 
     # ------------------------------------------------------------- helpers
 
-    def _fresh_var(self, hint: str = "v") -> str:
-        self.var_counter += 1
-        return "%s%d" % (hint, self.var_counter)
-
-    def _context_key(
-        self, offset: int, stack: Sequence[_AbstractValue]
-    ) -> Tuple[int, Optional[Tuple[Optional[int], ...]]]:
-        return offset, tuple(av.const for av in stack)
-
     def _get_instance(
-        self, offset: int, incoming: List[_AbstractValue]
+        self, offset: int, incoming: List[_Slot]
     ) -> Optional[_Instance]:
         """Find or create the instance of ``offset`` for the incoming stack."""
         if offset not in self.static_blocks:
@@ -155,12 +170,10 @@ class _Lifter:
         if len(incoming) > self.max_stack:
             incoming = incoming[-self.max_stack :]
 
-        key = self._context_key(offset, incoming)
-        collapsed = False
+        key = (offset, tuple([const for _, const in incoming]))
         if key not in self.instances and self.clone_count.get(offset, 0) >= self.max_clones:
             # Collapse: one all-unknown instance per (offset, depth).
             key = (offset, (None,) * len(incoming))
-            collapsed = True
 
         instance = self.instances.get(key)
         if instance is None:
@@ -168,15 +181,14 @@ class _Lifter:
                 raise LiftError(
                     "state explosion: more than %d block instances" % self.max_states
                 )
-            self.clone_count[offset] = self.clone_count.get(offset, 0) + 1
-            ident = "B%x_%d" % (offset, self.clone_count[offset])
-            entry_stack = []
-            for position, av in enumerate(incoming):
-                const = None if collapsed else av.const
-                entry_stack.append(
-                    _AbstractValue(var="%s_s%d" % (ident, position), const=const)
-                )
-            instance = _Instance(ident=ident, offset=offset, entry_stack=entry_stack)
+            clones = self.clone_count.get(offset, 0) + 1
+            self.clone_count[offset] = clones
+            ident = "B%x_%d" % (offset, clones)
+            entry_stack = [
+                ("%s_s%d" % (ident, position), const)
+                for position, const in enumerate(key[1])
+            ]
+            instance = _Instance(ident, offset, entry_stack)
             self.instances[key] = instance
             self.worklist.append(instance)
         return instance
@@ -184,7 +196,7 @@ class _Lifter:
     def _connect(
         self,
         source: _Instance,
-        out_stack: List[_AbstractValue],
+        out_stack: List[_Slot],
         target_offset: int,
         kind: str,
     ) -> None:
@@ -199,10 +211,14 @@ class _Lifter:
         elif kind == "fallthrough":
             source.fallthrough_successor = target.ident
         # Register phi inputs for non-constant entry positions.
-        for position, av in enumerate(out_stack[-len(target.entry_stack) :] if target.entry_stack else []):
-            entry = target.entry_stack[position]
-            if entry.const is None:
-                target.phi_inputs.setdefault(position, set()).add(av.var)
+        depth = len(target.entry_stack)
+        if depth:
+            phi_inputs = target.phi_inputs
+            for position, ((var, _), (_, const)) in enumerate(
+                zip(out_stack[-depth:], target.entry_stack)
+            ):
+                if const is None:
+                    phi_inputs.setdefault(position, set()).add(var)
 
     # ------------------------------------------------------------- driving
 
@@ -213,197 +229,138 @@ class _Lifter:
         while self.worklist:
             if self.deadline is not None:
                 self.deadline.check()
-            instance = self.worklist.pop()
-            if instance.processed:
-                continue
-            instance.processed = True
-            self._execute(instance)
+            self._execute(self.worklist.pop())
         return self._finalize(entry)
 
     def _execute(self, instance: _Instance) -> None:
         block = self.static_blocks[instance.offset]
-        stack: List[_AbstractValue] = list(instance.entry_stack)
+        ident = instance.ident
+        prefix = ident + "_"  # statement idents are <block>_<seq>
+        stack = list(instance.entry_stack)
         emit = instance.statements.append
+        const_value = self.const_value
+        numbers = self.numbers
         seq = 0
 
         # Materialize constants for constant entry positions.
-        for av in instance.entry_stack:
-            if av.const is not None:
-                self.const_value[av.var] = av.const
+        for var, const in instance.entry_stack:
+            if const is not None:
+                const_value[var] = const
                 emit(
                     TACStatement(
-                        ident="%s_entry%d" % (instance.ident, seq),
-                        opcode="CONST",
-                        defs=[av.var],
-                        uses=[],
-                        pc=instance.offset,
-                        block=instance.ident,
+                        f"{prefix}entry{seq}", "CONST", [var], [],
+                        instance.offset, ident,
                     )
                 )
                 seq += 1
 
-        def pop() -> _AbstractValue:
-            if stack:
-                return stack.pop()
-            # Stack underflow relative to the entry: synthesize an unknown
-            # (happens only for malformed code or collapsed contexts).
-            return _AbstractValue(var=self._fresh_var("u"))
-
-        def stmt_id() -> str:
-            nonlocal seq
-            seq += 1
-            return "%s_%d" % (instance.ident, seq)
-
-        for ins in block.instructions:
-            name = ins.name
-            if ins.opcode.is_push:
-                var = self._fresh_var()
-                value = ins.operand or 0
-                self.const_value[var] = value
-                emit(
-                    TACStatement(
-                        ident=stmt_id(),
-                        opcode="CONST",
-                        defs=[var],
-                        pc=ins.offset,
-                        block=instance.ident,
-                    )
-                )
-                stack.append(_AbstractValue(var=var, const=value))
-                continue
-            if ins.opcode.is_dup:
-                n = ins.opcode.value - 0x80 + 1
+        for offset, opcode, operand in block.instructions:
+            action = _ACTIONS[opcode.value]
+            if action == _PUSH:
+                var = f"v{next(numbers)}"
+                const_value[var] = operand
+                seq += 1
+                emit(TACStatement(f"{prefix}{seq}", "CONST", [var], [], offset, ident))
+                stack.append((var, operand))
+            elif action == _OP:
+                pops = opcode.pops
+                if pops == 2 and len(stack) >= 2:
+                    operands = [stack.pop(), stack.pop()]
+                elif pops == 1 and stack:
+                    operands = [stack.pop()]
+                else:
+                    operands = _pop_slots(stack, pops, numbers)
+                uses = [var for var, _ in operands]
+                seq += 1
+                if opcode.pushes:
+                    const = None
+                    if pops == 2:
+                        a, b = operands[0][1], operands[1][1]
+                        if a is not None and b is not None:
+                            fold = _FOLDABLE.get(opcode.name)
+                            if fold is not None:
+                                const = fold(a, b)
+                    var = f"v{next(numbers)}"
+                    if const is not None:
+                        const_value[var] = const
+                    emit(TACStatement(f"{prefix}{seq}", opcode.name, [var], uses, offset, ident))
+                    stack.append((var, const))
+                else:
+                    emit(TACStatement(f"{prefix}{seq}", opcode.name, [], uses, offset, ident))
+            elif action == _DUP:
+                n = opcode.value - 0x7F
                 while len(stack) < n:
-                    stack.insert(0, _AbstractValue(var=self._fresh_var("u")))
+                    stack.insert(0, (f"u{next(numbers)}", None))
                 stack.append(stack[-n])
-                continue
-            if ins.opcode.is_swap:
-                n = ins.opcode.value - 0x90 + 1
-                while len(stack) < n + 1:
-                    stack.insert(0, _AbstractValue(var=self._fresh_var("u")))
+            elif action == _SWAP:
+                n = opcode.value - 0x8F
+                while len(stack) <= n:
+                    stack.insert(0, (f"u{next(numbers)}", None))
                 stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
-                continue
-            if name == "POP":
-                pop()
-                continue
-            if name == "JUMPDEST":
-                continue
-            if name == "JUMP":
-                target = pop()
-                statement = TACStatement(
-                    ident=stmt_id(),
-                    opcode="JUMP",
-                    uses=[target.var],
-                    pc=ins.offset,
-                    block=instance.ident,
-                )
-                emit(statement)
-                if target.const is not None:
-                    self._connect(instance, list(stack), target.const, "taken")
+            elif action == _POP:
+                # A slot popped below the entry stack still takes a number.
+                _pop_slots(stack, 1, numbers)
+            elif action == _JUMPDEST:
+                pass
+            elif action == _HALT:
+                uses = [var for var, _ in _pop_slots(stack, opcode.pops, numbers)]
+                seq += 1
+                emit(TACStatement(f"{prefix}{seq}", opcode.name, [], uses, offset, ident))
+                return
+            else:  # JUMP or JUMPI, the block's last instruction
+                target, target_const = _pop_slots(stack, 1, numbers)[0]
+                uses = [target]
+                if action == _JUMPI:
+                    uses.append(_pop_slots(stack, 1, numbers)[0][0])
+                seq += 1
+                statement_id = f"{prefix}{seq}"
+                emit(TACStatement(statement_id, opcode.name, [], uses, offset, ident))
+                if target_const is not None:
+                    self._connect(instance, stack, target_const, "taken")
                 else:
-                    self.unresolved.append(statement.ident)
+                    self.unresolved.append(statement_id)
+                if action == _JUMPI and block.fallthrough is not None:
+                    self._connect(instance, stack, block.fallthrough, "fallthrough")
                 return
-            if name == "JUMPI":
-                target = pop()
-                condition = pop()
-                statement = TACStatement(
-                    ident=stmt_id(),
-                    opcode="JUMPI",
-                    uses=[target.var, condition.var],
-                    pc=ins.offset,
-                    block=instance.ident,
-                )
-                emit(statement)
-                out = list(stack)
-                if target.const is not None:
-                    self._connect(instance, out, target.const, "taken")
-                else:
-                    self.unresolved.append(statement.ident)
-                if block.fallthrough is not None:
-                    self._connect(instance, out, block.fallthrough, "fallthrough")
-                return
-            if name in TERMINATORS:
-                uses = [pop().var for _ in range(ins.opcode.pops)]
-                emit(
-                    TACStatement(
-                        ident=stmt_id(),
-                        opcode=name,
-                        uses=uses,
-                        pc=ins.offset,
-                        block=instance.ident,
-                    )
-                )
-                return
-
-            # Generic operation.
-            operands = [pop() for _ in range(ins.opcode.pops)]
-            defs: List[str] = []
-            result: Optional[_AbstractValue] = None
-            if ins.opcode.pushes:
-                const = None
-                fold = _FOLDABLE.get(name)
-                if fold is not None and all(op.const is not None for op in operands[:2]) and len(operands) == 2:
-                    const = fold(operands[0].const, operands[1].const)
-                var = self._fresh_var()
-                if const is not None:
-                    self.const_value[var] = const
-                result = _AbstractValue(var=var, const=const)
-                defs = [var]
-            emit(
-                TACStatement(
-                    ident=stmt_id(),
-                    opcode=name,
-                    defs=defs,
-                    uses=[op.var for op in operands],
-                    pc=ins.offset,
-                    block=instance.ident,
-                )
-            )
-            if result is not None:
-                stack.append(result)
 
         # Fell off the end of the block.
         if block.fallthrough is not None:
-            self._connect(instance, list(stack), block.fallthrough, "fallthrough")
+            self._connect(instance, stack, block.fallthrough, "fallthrough")
 
     # ----------------------------------------------------------- finishing
 
     def _finalize(self, entry: _Instance) -> TACProgram:
-        program = TACProgram(entry=entry.ident, const_value=dict(self.const_value))
-        program.unresolved_jumps = list(self.unresolved)
-        for instance in self.instances.values():
-            block = TACBlock(
-                ident=instance.ident,
+        program = TACProgram(entry=entry.ident, const_value=self.const_value)
+        program.unresolved_jumps = self.unresolved
+        blocks = program.blocks
+        deadline = self.deadline
+        for index, instance in enumerate(self.instances.values()):
+            if deadline is not None and not index % _CHECK_EVERY:
+                deadline.check()
+            ident = instance.ident
+            # PHI statements for joined entry positions.
+            phi_inputs = instance.phi_inputs
+            phis = [
+                TACStatement(
+                    "%s_phi%d" % (ident, position), "PHI", [var],
+                    sorted(phi_inputs[position]), instance.offset, ident,
+                )
+                for position, (var, const) in enumerate(instance.entry_stack)
+                if const is None and phi_inputs.get(position)
+            ]
+            blocks[ident] = TACBlock(
+                ident=ident,
                 offset=instance.offset,
-                successors=list(instance.successors),
+                statements=phis + instance.statements if phis else instance.statements,
+                successors=instance.successors,
                 taken_successor=instance.taken_successor,
                 fallthrough_successor=instance.fallthrough_successor,
             )
-            # PHI statements for joined entry positions.
-            phi_statements: List[TACStatement] = []
-            for position, av in enumerate(instance.entry_stack):
-                if av.const is not None:
-                    continue
-                inputs = instance.phi_inputs.get(position)
-                if not inputs:
-                    continue
-                phi_statements.append(
-                    TACStatement(
-                        ident="%s_phi%d" % (instance.ident, position),
-                        opcode="PHI",
-                        defs=[av.var],
-                        uses=sorted(inputs),
-                        pc=instance.offset,
-                        block=instance.ident,
-                    )
-                )
-            block.statements = phi_statements + instance.statements
-            program.blocks[block.ident] = block
         # Fill predecessor lists.
-        for block in program.blocks.values():
+        for block in blocks.values():
             for successor in block.successors:
-                if successor in program.blocks:
-                    program.blocks[successor].predecessors.append(block.ident)
+                if successor in blocks:
+                    blocks[successor].predecessors.append(block.ident)
         return program
 
 

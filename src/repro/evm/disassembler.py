@@ -9,15 +9,17 @@ decompiler simply never reaches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
-from repro.evm.opcodes import Opcode, opcode_by_value
+from repro.evm.opcodes import TABLE, Opcode
 
 
-@dataclass(frozen=True)
-class Instruction:
-    """One decoded instruction: its code offset, opcode, and push operand."""
+class Instruction(NamedTuple):
+    """One decoded instruction: its code offset, opcode, and push operand.
+
+    A named tuple: immutable, hashable, equal by value, and cheap to build
+    in the sweep.
+    """
 
     offset: int
     opcode: Opcode
@@ -44,20 +46,25 @@ class Instruction:
 def disassemble(code: bytes) -> List[Instruction]:
     """Disassemble ``code`` into instructions by linear sweep."""
     instructions: List[Instruction] = []
+    append = instructions.append
+    # Building through tuple.__new__ skips the named tuple's Python-level
+    # __new__, which would otherwise be about half the cost of a PUSH.
+    new = tuple.__new__
     offset = 0
     length = len(code)
     while offset < length:
-        opcode = opcode_by_value(code[offset])
-        operand: Optional[int] = None
-        if opcode.immediate_size:
-            raw = code[offset + 1 : offset + 1 + opcode.immediate_size]
+        opcode = TABLE[code[offset]]
+        size = opcode.immediate_size
+        if size:
+            end = offset + 1 + size
             # A PUSH whose immediate is truncated by end-of-code reads zeros,
             # matching EVM semantics.
-            operand = int.from_bytes(
-                raw.ljust(opcode.immediate_size, b"\x00"), "big"
-            )
-        instructions.append(Instruction(offset=offset, opcode=opcode, operand=operand))
-        offset += 1 + opcode.immediate_size
+            operand = int.from_bytes(code[offset + 1 : end].ljust(size, b"\x00"), "big")
+            append(new(Instruction, (offset, opcode, operand)))
+            offset = end
+        else:
+            append(new(Instruction, (offset, opcode, None)))
+            offset += 1
     return instructions
 
 
@@ -74,17 +81,3 @@ def jumpdest_offsets(code: bytes) -> List[int]:
 def format_disassembly(code: bytes) -> str:
     """Human-readable multi-line disassembly listing."""
     return "\n".join(str(ins) for ins in disassemble(code))
-
-
-def iter_code(code: bytes) -> Iterator[Instruction]:
-    """Iterate instructions lazily (same sweep as :func:`disassemble`)."""
-    offset = 0
-    length = len(code)
-    while offset < length:
-        opcode = opcode_by_value(code[offset])
-        operand: Optional[int] = None
-        if opcode.immediate_size:
-            raw = code[offset + 1 : offset + 1 + opcode.immediate_size]
-            operand = int.from_bytes(raw.ljust(opcode.immediate_size, b"\x00"), "big")
-        yield Instruction(offset=offset, opcode=opcode, operand=operand)
-        offset += 1 + opcode.immediate_size

@@ -5,17 +5,33 @@ mnemonic, stack arity (items popped and pushed), the number of immediate
 bytes following it in the code stream (nonzero only for ``PUSH1``..``PUSH32``),
 and a base gas cost.  Gas costs follow the Istanbul schedule closely enough
 for relative measurements; the simulator is not intended for consensus.
+
+The control-flow flags are plain fields, computed once per opcode when the
+table is built, so the per-instruction loops (disassembler, lifter,
+interpreter, teEther) read them without calling anything.  :data:`TABLE`
+holds all 256 byte values, unknown ones included, so decoding a byte is one
+index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
+
+# Instructions after which execution of the contract stops.
+HALTING = frozenset({"STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT"})
 
 
 @dataclass(frozen=True)
 class Opcode:
-    """Static description of one EVM opcode."""
+    """Static description of one EVM opcode.
+
+    The flags below are derived from ``value`` and ``name`` at
+    construction.  They nest: ``halts`` (control leaves the contract)
+    implies ``is_terminator`` (control never falls through: the halts plus
+    ``JUMP``), which implies ``alters_control_flow`` (the instruction ends
+    a basic block: the terminators plus ``JUMPI``).
+    """
 
     value: int
     name: str
@@ -23,34 +39,33 @@ class Opcode:
     pushes: int
     immediate_size: int = 0
     gas: int = 3
+    is_push: bool = field(init=False, compare=False, repr=False)
+    is_dup: bool = field(init=False, compare=False, repr=False)
+    is_swap: bool = field(init=False, compare=False, repr=False)
+    halts: bool = field(init=False, compare=False, repr=False)
+    is_terminator: bool = field(init=False, compare=False, repr=False)
+    alters_control_flow: bool = field(init=False, compare=False, repr=False)
 
-    @property
-    def is_push(self) -> bool:
-        return 0x60 <= self.value <= 0x7F
-
-    @property
-    def is_dup(self) -> bool:
-        return 0x80 <= self.value <= 0x8F
-
-    @property
-    def is_swap(self) -> bool:
-        return 0x90 <= self.value <= 0x9F
-
-    @property
-    def is_terminator(self) -> bool:
-        """True if control never falls through to the next instruction."""
-        return self.name in ("STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT", "JUMP")
-
-    @property
-    def alters_control_flow(self) -> bool:
-        return self.name in ("JUMP", "JUMPI") or self.is_terminator
+    def __post_init__(self) -> None:
+        halts = self.name in HALTING
+        terminator = halts or self.name == "JUMP"
+        flags = {
+            "is_push": 0x60 <= self.value <= 0x7F,
+            "is_dup": 0x80 <= self.value <= 0x8F,
+            "is_swap": 0x90 <= self.value <= 0x9F,
+            "halts": halts,
+            "is_terminator": terminator,
+            "alters_control_flow": terminator or self.name == "JUMPI",
+        }
+        for name, flag in flags.items():
+            object.__setattr__(self, name, flag)
 
 
 def _op(value: int, name: str, pops: int, pushes: int, gas: int = 3, imm: int = 0) -> Opcode:
     return Opcode(value=value, name=name, pops=pops, pushes=pushes, immediate_size=imm, gas=gas)
 
 
-_TABLE = [
+_KNOWN = [
     # 0x00s: stop & arithmetic
     _op(0x00, "STOP", 0, 0, gas=0),
     _op(0x01, "ADD", 2, 1),
@@ -141,16 +156,26 @@ _TABLE = [
 
 # PUSH1..PUSH32
 for _n in range(1, 33):
-    _TABLE.append(_op(0x60 + _n - 1, "PUSH%d" % _n, 0, 1, gas=3, imm=_n))
+    _KNOWN.append(_op(0x60 + _n - 1, "PUSH%d" % _n, 0, 1, gas=3, imm=_n))
 # DUP1..DUP16
 for _n in range(1, 17):
-    _TABLE.append(_op(0x80 + _n - 1, "DUP%d" % _n, _n, _n + 1, gas=3))
+    _KNOWN.append(_op(0x80 + _n - 1, "DUP%d" % _n, _n, _n + 1, gas=3))
 # SWAP1..SWAP16
 for _n in range(1, 17):
-    _TABLE.append(_op(0x90 + _n - 1, "SWAP%d" % _n, _n + 1, _n + 1, gas=3))
+    _KNOWN.append(_op(0x90 + _n - 1, "SWAP%d" % _n, _n + 1, _n + 1, gas=3))
 
-OPCODES: Dict[int, Opcode] = {op.value: op for op in _TABLE}
-_BY_NAME: Dict[str, Opcode] = {op.name: op for op in _TABLE}
+OPCODES: Dict[int, Opcode] = {op.value: op for op in _KNOWN}
+_BY_NAME: Dict[str, Opcode] = {op.name: op for op in _KNOWN}
+
+
+def _unknown(value: int) -> Opcode:
+    return Opcode(value=value, name="UNKNOWN_0x%02X" % value, pops=0, pushes=0, gas=0)
+
+
+# Every byte value's opcode, indexed by the byte.
+TABLE: Tuple[Opcode, ...] = tuple(
+    OPCODES.get(value) or _unknown(value) for value in range(256)
+)
 
 
 def opcode_by_value(value: int) -> Opcode:
@@ -160,10 +185,9 @@ def opcode_by_value(value: int) -> Opcode:
     disassembler never fails on arbitrary byte strings (real blockchain data
     contains plenty of non-code bytes).
     """
-    try:
-        return OPCODES[value]
-    except KeyError:
-        return Opcode(value=value, name="UNKNOWN_0x%02X" % value, pops=0, pushes=0, gas=0)
+    if 0 <= value < 256:
+        return TABLE[value]
+    return _unknown(value)
 
 
 def opcode_by_name(name: str) -> Opcode:

@@ -29,7 +29,7 @@ import dataclasses
 import json
 import signal
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro.api import AnalyzeRequest
 from repro.core.orchestrator import (
@@ -63,6 +63,9 @@ _STATUS_TEXT = {
 }
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024  # a whole-chain batch, not a bomb
+
+# One decoded /batch element: its request, or why it did not decode.
+_BatchItem = Union[AnalyzeRequest, BadRequest]
 
 
 @dataclasses.dataclass
@@ -381,7 +384,7 @@ class AnalysisServer:
         )
         await writer.drain()
 
-        async def _resolve(index: int, request: AnalyzeRequest) -> Dict:
+        async def _resolve(index: int, request: _BatchItem) -> Dict:
             # The headers are out: any failure must become this item's
             # line, or it would corrupt the stream for every other item.
             try:
@@ -393,7 +396,9 @@ class AnalysisServer:
                     "status": 500,
                 }
 
-        async def _analyze(index: int, request: AnalyzeRequest) -> Dict:
+        async def _analyze(index: int, request: _BatchItem) -> Dict:
+            if isinstance(request, BadRequest):
+                return {"index": index, "error": str(request), "status": 400}
             try:
                 runtime = request.runtime()
                 config = request.config()

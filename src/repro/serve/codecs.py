@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.api import AnalyzeRequest
 from repro.core.batch import BatchEntry
@@ -82,7 +82,9 @@ def decode_request(
         overrides["kinds"] = tuple(kinds)
     try:
         return dataclasses.replace(defaults, **overrides)
-    except TypeError as error:
+    except (TypeError, ValueError) as error:
+        # TypeError: a field name replace() does not take; ValueError:
+        # AnalyzeRequest's own field type checks (RequestFieldError).
         raise BadRequest(str(error)) from None
 
 
@@ -99,11 +101,14 @@ def parse_body(body: bytes) -> Dict:
 
 def batch_requests(
     payload: Dict, defaults: AnalyzeRequest
-) -> List[AnalyzeRequest]:
+) -> List[Union[AnalyzeRequest, BadRequest]]:
     """Decode a /batch body: ``{"contracts": [...], <shared overrides>}``.
 
     Top-level fields (minus ``contracts``) form the batch's shared
     defaults; each element of ``contracts`` overrides them per contract.
+    A bad body or bad shared fields raise :class:`BadRequest`; an element
+    that does not decode yields its :class:`BadRequest` in its place, so
+    one bad contract is that contract's 400 and not the whole batch's.
     """
     if "contracts" not in payload:
         raise BadRequest('batch body needs a "contracts" list')
@@ -112,7 +117,13 @@ def batch_requests(
         raise BadRequest('"contracts" must be a non-empty list')
     shared = {k: v for k, v in payload.items() if k != "contracts"}
     base = decode_request(shared, defaults) if shared else defaults
-    return [decode_request(entry, base) for entry in contracts]
+    requests: List[Union[AnalyzeRequest, BadRequest]] = []
+    for entry in contracts:
+        try:
+            requests.append(decode_request(entry, base))
+        except BadRequest as error:
+            requests.append(error)
+    return requests
 
 
 def report_text(

@@ -253,3 +253,27 @@ contract C {
     def test_junk_bytecode_does_not_crash(self):
         program = lift(bytes(range(256)))
         assert isinstance(program.blocks, dict)
+
+    def test_finalize_checks_the_deadline(self, victim_contract):
+        """The worklist checks the deadline once per block instance; the
+        pass that builds the program after it checks it too, so a lift
+        whose worklist just fit the budget cannot overrun it there."""
+
+        class Spent(Exception):
+            pass
+
+        class ChecksLeft:
+            def __init__(self, left):
+                self.left = left
+
+            def check(self):
+                if not self.left:
+                    raise Spent()
+                self.left -= 1
+
+        runtime = victim_contract.runtime
+        worklist_checks = len(lift(runtime).blocks)
+        with pytest.raises(Spent):
+            lift(runtime, deadline=ChecksLeft(worklist_checks))
+        program = lift(runtime, deadline=ChecksLeft(worklist_checks + 1))
+        assert len(program.blocks) == worklist_checks

@@ -1,13 +1,12 @@
 """Disassembler: linear sweep, push immediates, truncation."""
 
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.evm.assembler import Op, Push, assemble
 from repro.evm.disassembler import (
     disassemble,
     format_disassembly,
     instruction_map,
-    iter_code,
     jumpdest_offsets,
 )
 
@@ -42,6 +41,8 @@ class TestSweep:
         first = disassemble(code)[0]
         assert first.size == 2
         assert first.next_offset == 2
+        with pytest.raises(AttributeError):
+            first.offset = 5  # immutable
 
 
 class TestHelpers:
@@ -58,10 +59,6 @@ class TestHelpers:
         mapping = instruction_map(code)
         assert set(mapping) == {0, 2}
 
-    def test_iter_code_matches_disassemble(self):
-        code = assemble([Push(5), Push(7), Op("ADD"), Op("STOP")])
-        assert list(iter_code(code)) == disassemble(code)
-
     def test_format_contains_offsets_and_names(self):
         text = format_disassembly(bytes([0x60, 0xFF, 0x00]))
         assert "PUSH1 0xff" in text
@@ -75,3 +72,14 @@ class TestHelpers:
         assert covered >= len(code)
         offsets = [ins.offset for ins in instructions]
         assert offsets == sorted(set(offsets))
+        # Instructions are values: a second sweep equals the first, and
+        # they hash (distinct offsets make distinct instructions).
+        assert disassemble(code) == instructions
+        assert len(set(instructions)) == len(instructions)
+        for ins in instructions:
+            n = ins.opcode.immediate_size
+            if n:
+                raw = code[ins.offset + 1 : ins.offset + 1 + n]
+                assert ins.operand == int.from_bytes(raw.ljust(n, b"\0"), "big")
+            else:
+                assert ins.operand is None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.evm.opcodes import OPCODES, is_push_name, opcode_by_name, opcode_by_value
+from repro.evm.opcodes import OPCODES, TABLE, is_push_name, opcode_by_name, opcode_by_value
 
 
 class TestTableShape:
@@ -60,6 +60,23 @@ class TestTerminators:
     def test_jumpi_alters_control_flow(self):
         assert opcode_by_name("JUMPI").alters_control_flow
         assert not opcode_by_name("ADD").alters_control_flow
+
+    def test_jump_ends_a_block_without_halting(self):
+        jump = opcode_by_name("JUMP")
+        assert jump.is_terminator and not jump.halts
+        halting = {op.name for op in OPCODES.values() if op.halts}
+        assert halting == {"STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT"}
+
+    def test_flags_nest_for_every_byte(self):
+        assert len(TABLE) == 256
+        for value, op in enumerate(TABLE):
+            assert op.value == value
+            assert op.is_terminator or not op.halts
+            assert op.alters_control_flow or not op.is_terminator
+            if value not in OPCODES:
+                # An unknown byte is a plain statement inside its block.
+                assert op.name.startswith("UNKNOWN")
+                assert not op.alters_control_flow
 
 
 class TestLookup:

@@ -20,12 +20,16 @@ import sys
 import threading
 import time
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.core.orchestrator import FaultPlan, OrchestratorOptions, PersistentPool
 from repro.corpus import generate_corpus
 from repro.serve import AnalysisServer, ServeOptions
+from repro.serve.codecs import BadRequest, batch_requests, decode_request
 
 SRC_ROOT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
@@ -155,7 +159,7 @@ class TestAnalyzeParity:
         assert json.loads(body)["schema_version"] == 2
 
     def test_client_errors_are_400(self, bytecodes):
-        with running_server() as (_server, port):
+        with running_server() as (server, port):
             for payload in (
                 {"bytecode": "zz"},
                 {"bytecode": bytecodes[0].hex(), "engine": "nope"},
@@ -164,10 +168,18 @@ class TestAnalyzeParity:
                 {},
                 {"source": "contract {"},
                 {"bundle": [{"address": 1, "source": "contract {"}]},
+                # Mistyped fields: a truthy string must not switch value
+                # analysis on, nor a 0 switch guards off, and a bad
+                # deadline or source must not reach a worker.
+                {"bytecode": bytecodes[0].hex(), "value_analysis": "false"},
+                {"bytecode": bytecodes[0].hex(), "model_guards": 0},
+                {"bytecode": bytecodes[0].hex(), "deadline": "abc"},
+                {"source": 42},
             ):
                 status, body = request(port, "POST", "/analyze", payload)
                 assert status == 400, payload
                 assert "error" in json.loads(body)
+            assert server.backend.stats.analyzed == 0
             assert request(port, "GET", "/nowhere")[0] == 404
             assert request(port, "GET", "/analyze")[0] == 405
 
@@ -236,9 +248,9 @@ class TestBatch:
         assert line["report"]["datalog"] is not None
 
     def test_bad_items_never_break_the_stream(self, bytecodes):
-        """A source that does not compile is that item's 400 and a source
-        of the wrong type that item's 500; every other item still gets its
-        report, after a single 200 status line."""
+        """A source that does not compile is that item's 400, and so is a
+        source of the wrong type; every other item still gets its report,
+        after a single 200 status line."""
         source = (
             "contract Owned { address owner;"
             " function set(address o) public { owner = o; } }"
@@ -265,14 +277,85 @@ class TestBatch:
         }
         assert sorted(lines) == [0, 1, 2, 3]
         assert lines[0]["status"] == 400
-        assert lines[1]["status"] == 500
+        assert lines[1]["status"] == 400
         for index in (2, 3):
             assert lines[index]["report"]["schema_version"] == 2
+
+    def test_mistyped_item_is_that_items_400(self, bytecodes):
+        good = {"bytecode": bytecodes[0].hex()}
+        mistyped = [
+            dict(good, value_analysis="false"),
+            dict(good, model_guards=0),
+            dict(good, deadline="abc"),
+            {"source": 42},
+        ]
+        with running_server() as (server, port):
+            status, body = request(
+                port, "POST", "/batch", {"contracts": [good] + mistyped}
+            )
+            assert server.backend.stats.analyzed == 1
+        assert status == 200
+        lines = {
+            line["index"]: line
+            for line in (json.loads(text) for text in body.splitlines() if text)
+        }
+        assert lines[0]["report"]["schema_version"] == 2
+        for index, field in enumerate(
+            ("value_analysis", "model_guards", "deadline", "source"), start=1
+        ):
+            assert lines[index]["status"] == 400
+            assert lines[index]["error"].startswith(field)
 
     def test_malformed_batch_is_400(self):
         with running_server() as (_server, port):
             assert request(port, "POST", "/batch", {})[0] == 400
             assert request(port, "POST", "/batch", {"contracts": []})[0] == 400
+
+
+REQUEST_FIELDS = sorted(field.name for field in dataclasses.fields(api.AnalyzeRequest))
+
+# Any JSON value; object keys lean towards the names the request and its
+# bundle specs accept, so the property reaches past the unknown-field check.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["address", "name", "source", "bytecode", "storage"])
+        | st.text(max_size=6),
+        children,
+        max_size=3,
+    ),
+    max_leaves=10,
+)
+request_payloads = json_values | st.dictionaries(
+    st.sampled_from(REQUEST_FIELDS), json_values, max_size=4
+)
+
+
+class TestCodecs:
+    """Any JSON a client sends decodes to a request whose views raise
+    nothing but ValueError, or is itself a ValueError (a 400)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(request_payloads)
+    def test_any_json_decodes_or_is_a_value_error(self, payload):
+        try:
+            decoded = decode_request(payload, api.AnalyzeRequest())
+        except ValueError:
+            return
+        assert isinstance(decoded, api.AnalyzeRequest)
+        try:
+            decoded.fingerprint()
+        except ValueError:
+            pass
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(request_payloads, min_size=1, max_size=3))
+    def test_any_batch_item_decodes_or_is_its_own_error(self, items):
+        decoded = batch_requests({"contracts": items}, api.AnalyzeRequest())
+        assert len(decoded) == len(items)
+        for item in decoded:
+            assert isinstance(item, (api.AnalyzeRequest, BadRequest))
 
 
 class TestBackpressure:
