@@ -3,8 +3,10 @@
 The acceptance gate for the cross-contract pass, blocking in CI:
 
 * the vulnerable proxy/implementation pair is flagged
-  ``proxy-upgrade-hijack`` by BOTH the compiled-plan engine and the legacy
-  interpreter, while **neither contract is flagged when analyzed alone**
+  ``proxy-upgrade-hijack`` under BOTH engine values (``python`` analyzes
+  each member with the Python fixpoint, ``datalog`` with the Datalog
+  rules; both run the merged rules on the Datalog engine), while
+  **neither contract is flagged when analyzed alone**
   (the verdict is genuinely composite);
 * the benign owner-guarded pair stays clean — **zero false positives**;
 * the escalation pair behaves symmetrically (vulnerable flagged, benign
@@ -37,7 +39,7 @@ from repro.corpus.bundles import (
 )
 from repro.kill import BundleKill
 
-ENGINES = ("datalog", "datalog-legacy")
+ENGINES = ("python", "datalog")
 
 _RESULTS: dict = {}
 

@@ -1,18 +1,17 @@
-"""Engine performance: legacy interpreter vs compiled plans vs columnar.
+"""Engine performance: the compiled engine on the Fig. 3/4 rules and DRed
+repair on the bytecode taint stage.
 
-The paper's whole-chain run (§6.3) rests on Soufflé *compiling* the rules;
-this benchmark pins the equivalent claims for our engine tiers: on the
-Fig. 3/4 rule set the planned/interned evaluator must be at least 2x
-faster than the legacy closure-recursion interpreter, and on the bytecode
-taint stage (the whole-corpus merged database, where batch joins have
-enough rows to amortize) the columnar executor must be at least 1.5x
-faster than the compiled engine — all while producing byte-identical
-fixpoints, and on the bytecode corpus byte-identical warnings per
-contract.  An incremental scenario additionally measures DRed repair
-(append facts to an evaluated database) against a cold re-evaluation.
-Results are also written to ``BENCH_datalog.json`` (path overridable via
-the ``BENCH_DATALOG_JSON`` env var) so CI tracks the perf trajectory from
-artifact to artifact.
+The paper's whole-chain run (§6.3) rests on Soufflé *compiling* the rules.
+On the Fig. 3/4 rule set this benchmark times the compiled engine over a
+corpus of large abstract programs and checks every fixpoint against the
+naive reference evaluator (``tests/datalog_reference.py``).  On the
+bytecode taint stage (the whole-corpus merged database) it measures DRed
+repair (append facts to an evaluated database) against a cold
+re-evaluation, and pins warm repair at least ``MIN_REPAIR_SPEEDUP`` times
+faster.  Compiled-plan regressions in the per-contract taint stage are the
+e2ebench analyze-datalog workload's to catch.  Results are also written to
+``BENCH_datalog.json`` (path overridable via the ``BENCH_DATALOG_JSON``
+env var) so CI tracks the perf trajectory from artifact to artifact.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from typing import Dict, List
 import pytest
 
 from benchmarks.conftest import print_table
-from repro import api
-from repro.core.analysis import AnalysisConfig
 from repro.core.datalog_rules import ETHAINTER_RULES, facts_from_program
 from repro.core.lang import (
     AbstractProgram,
@@ -40,23 +37,16 @@ from repro.core.lang import (
     SStore,
     Sink,
 )
-from repro.core.pipeline import ArtifactCache
 from repro.corpus import generate_corpus
 from repro.datalog import Engine
 from repro.datalog.parser import parse_program
+from tests import datalog_reference
 
-MIN_SPEEDUP = 2.0
-# Columnar vs compiled on the merged bytecode taint database: batch joins
-# need enough rows per relation to amortize column materialization, which
-# the per-contract fixpoints (a few hundred EDB rows) do not provide —
-# the whole-corpus merged database (~30k rows) is the §6-scale shape.
-MIN_COLUMNAR_SPEEDUP = 1.5
 # Warm DRed repair of a small append vs re-evaluating the merged database
 # from scratch (measured ~250x; pinned far below to absorb CI noise).
 MIN_REPAIR_SPEEDUP = 5.0
-# Program sizes where join work dominates engine setup: below ~200
-# instructions per program the fixpoints are tiny and per-evaluation
-# planning overhead flattens the comparison to ~1x.
+# Program sizes where join work dominates engine setup (below ~200
+# instructions per program the fixpoints are tiny).
 ABSTRACT_PROGRAMS = 12
 ABSTRACT_SIZE = (300, 900)
 BYTECODE_CONTRACTS = 60
@@ -119,136 +109,49 @@ def _abstract_corpus() -> List[AbstractProgram]:
     ]
 
 
-def _run_abstract(programs, rules, use_plans, columnar=None):
-    """Evaluate the Fig. 3/4 rules over every program; returns (seconds,
-    per-program fixpoints, derived facts, iterations).  Timing covers
-    engine construction + evaluation (planning included), not EDB setup."""
-    elapsed = 0.0
-    fixpoints = []
-    derived = 0
-    iterations = 0
-    for program in programs:
-        database = facts_from_program(program)
-        start = time.perf_counter()
-        engine = Engine(rules, use_plans=use_plans, columnar=columnar)
-        engine.evaluate(database)
-        elapsed += time.perf_counter() - start
-        fixpoints.append(
-            {
-                relation: database.facts(relation)
-                for relation in sorted(database.relations())
-            }
-        )
-        derived += engine.stats.derived_facts
-        iterations += engine.stats.iterations
-    return elapsed, fixpoints, derived, iterations
+def _fixpoint(database) -> Dict[str, frozenset]:
+    return {
+        relation: database.facts(relation)
+        for relation in sorted(database.relations())
+    }
 
 
 class TestCompiledEnginePerf:
-    def test_fig34_rules_speedup_and_equivalence(self):
+    def test_fig34_rules_match_reference(self):
+        """The compiled engine over every abstract program: timed (engine
+        construction + evaluation, not EDB setup) and checked fixpoint for
+        fixpoint against the naive reference evaluator."""
         programs = _abstract_corpus()
         rules = parse_program(ETHAINTER_RULES).rules
-        legacy_s, legacy_fix, _, _ = _run_abstract(programs, rules, False)
-        compiled_s, compiled_fix, derived, iters = _run_abstract(
-            programs, rules, True
-        )
-        columnar_s, columnar_fix, _, _ = _run_abstract(
-            programs, rules, True, columnar=True
-        )
-        assert legacy_fix == compiled_fix  # exact fixpoint equivalence
-        assert columnar_fix == compiled_fix
-        speedup = legacy_s / compiled_s
+        elapsed = 0.0
+        derived = 0
+        iterations = 0
+        for program in programs:
+            database = facts_from_program(program)
+            start = time.perf_counter()
+            engine = Engine(rules)
+            engine.evaluate(database)
+            elapsed += time.perf_counter() - start
+            reference = datalog_reference.evaluate(
+                rules, facts_from_program(program)
+            )
+            assert _fixpoint(database) == _fixpoint(reference)
+            derived += engine.stats.derived_facts
+            iterations += engine.stats.iterations
         _RESULTS["abstract_corpus"] = {
             "programs": len(programs),
             "rule_set": "ETHAINTER_RULES (Fig. 3/4)",
-            "legacy_seconds": round(legacy_s, 4),
-            "compiled_seconds": round(compiled_s, 4),
-            "columnar_seconds": round(columnar_s, 4),
-            "speedup": round(speedup, 2),
-            "columnar_speedup": round(compiled_s / columnar_s, 2),
+            "compiled_seconds": round(elapsed, 4),
             "derived_facts": derived,
-            "derivations_per_sec": int(derived / compiled_s),
-            "iterations": iters,
+            "derivations_per_sec": int(derived / elapsed),
+            "iterations": iterations,
+            "fixpoints_match_reference": True,
         }
         print_table(
             "Datalog engine: Fig. 3/4 rules, %d abstract programs"
             % len(programs),
             ["engine", "seconds", "derivations/s"],
-            [
-                ["legacy", "%.3f" % legacy_s, int(derived / legacy_s)],
-                ["compiled", "%.3f" % compiled_s, int(derived / compiled_s)],
-                ["columnar", "%.3f" % columnar_s, int(derived / columnar_s)],
-                ["compiled speedup", "%.2fx" % speedup, ""],
-            ],
-        )
-        assert speedup >= MIN_SPEEDUP, (
-            "compiled plans only %.2fx faster than the legacy engine"
-            % speedup
-        )
-
-    def test_bytecode_corpus_identical_warnings(self):
-        contracts = generate_corpus(BYTECODE_CONTRACTS, seed=2020)
-        cache = ArtifactCache(max_entries=32 * BYTECODE_CONTRACTS)
-
-        def sweep(engine_name):
-            taint_seconds = 0.0
-            warning_blobs = []
-            derived = 0
-            iterations = 0
-            for contract in contracts:
-                result = api.analyze(
-                    contract.runtime,
-                    AnalysisConfig(engine=engine_name),
-                    cache=cache,
-                )
-                taint_seconds += result.stage_seconds().get("taint", 0.0)
-                warning_blobs.append(
-                    json.dumps(
-                        [
-                            {
-                                "kind": w.kind,
-                                "pc": w.pc,
-                                "statement": w.statement,
-                                "slot": w.slot,
-                                "detail": w.detail,
-                            }
-                            for w in result.warnings
-                        ],
-                        sort_keys=True,
-                    )
-                )
-                stats = result.datalog_stats or {}
-                derived += stats.get("derived_facts", 0)
-                iterations += stats.get("iterations", 0)
-            return taint_seconds, warning_blobs, derived, iterations
-
-        legacy_s, legacy_warnings, _, _ = sweep("datalog-legacy")
-        compiled_s, compiled_warnings, derived, iters = sweep("datalog")
-        columnar_s, columnar_warnings, _, _ = sweep("datalog-columnar")
-        assert compiled_warnings == legacy_warnings  # byte-identical
-        assert columnar_warnings == compiled_warnings
-        speedup = legacy_s / compiled_s if compiled_s else float("inf")
-        _RESULTS["bytecode_corpus"] = {
-            "contracts": len(contracts),
-            "rule_set": "CORE+WRITE2 (Fig. 5)",
-            "legacy_taint_seconds": round(legacy_s, 4),
-            "compiled_taint_seconds": round(compiled_s, 4),
-            "columnar_taint_seconds": round(columnar_s, 4),
-            "speedup": round(speedup, 2),
-            "derived_facts": derived,
-            "derivations_per_sec": int(derived / compiled_s) if compiled_s else 0,
-            "iterations": iters,
-            "warnings_identical": True,
-        }
-        print_table(
-            "Datalog engine: bytecode corpus, %d contracts" % len(contracts),
-            ["engine", "taint seconds"],
-            [
-                ["legacy", "%.3f" % legacy_s],
-                ["compiled", "%.3f" % compiled_s],
-                ["columnar", "%.3f" % columnar_s],
-                ["compiled speedup", "%.2fx" % speedup],
-            ],
+            [["compiled", "%.3f" % elapsed, int(derived / elapsed)]],
         )
 
 
@@ -313,60 +216,7 @@ def _taint_rules():
     return _rules(TaintOptions())
 
 
-class TestColumnarEnginePerf:
-    def test_merged_taint_stage_columnar_speedup(self):
-        """Columnar vs compiled on the whole-corpus taint database:
-        byte-identical fixpoints, >= MIN_COLUMNAR_SPEEDUP pinned."""
-        merged = _merged_corpus_edb()
-        rules = _taint_rules()
-
-        def run(columnar):
-            best = float("inf")
-            snapshot = None
-            derived = 0
-            for _ in range(3):
-                database = _load_merged(merged)
-                start = time.perf_counter()
-                engine = Engine(rules, columnar=columnar)
-                engine.evaluate(database)
-                best = min(best, time.perf_counter() - start)
-                snapshot = {
-                    relation: database.facts(relation)
-                    for relation in sorted(database.relations())
-                }
-                derived = engine.stats.derived_facts
-            return best, snapshot, derived
-
-        compiled_s, compiled_fix, derived = run(False)
-        columnar_s, columnar_fix, _ = run(True)
-        assert columnar_fix == compiled_fix  # byte-identical fixpoints
-        speedup = compiled_s / columnar_s
-        rows = sum(len(rows) for edb in merged for rows in edb.values())
-        _RESULTS["bytecode_taint_merged"] = {
-            "contracts": BYTECODE_CONTRACTS,
-            "edb_rows": rows,
-            "rule_set": "CORE+WRITE2 (Fig. 5)",
-            "compiled_seconds": round(compiled_s, 4),
-            "columnar_seconds": round(columnar_s, 4),
-            "columnar_speedup": round(speedup, 2),
-            "derived_facts": derived,
-            "fixpoints_identical": True,
-        }
-        print_table(
-            "Datalog engine: merged taint stage, %d contracts / %d EDB rows"
-            % (BYTECODE_CONTRACTS, rows),
-            ["engine", "seconds"],
-            [
-                ["compiled", "%.3f" % compiled_s],
-                ["columnar", "%.3f" % columnar_s],
-                ["speedup", "%.2fx" % speedup],
-            ],
-        )
-        assert speedup >= MIN_COLUMNAR_SPEEDUP, (
-            "columnar executor only %.2fx faster than compiled plans on "
-            "the merged taint stage" % speedup
-        )
-
+class TestIncrementalRepairPerf:
     def test_incremental_repair_vs_cold(self):
         """Append facts to an evaluated database: DRed repair must match
         the cold fixpoint and beat re-evaluation once plans are warm."""
@@ -383,7 +233,7 @@ class TestColumnarEnginePerf:
         }
 
         database = _load_merged(merged)
-        engine = Engine(rules, columnar=True)
+        engine = Engine(rules)
         engine.evaluate(database)
         start = time.perf_counter()
         engine.apply_changes(additions=additions)
@@ -400,7 +250,7 @@ class TestColumnarEnginePerf:
         cold_db = _load_merged(merged, extra=additions)
         for relation, rows in second.items():
             cold_db.add_all(relation, rows)
-        cold_engine = Engine(rules, columnar=True)
+        cold_engine = Engine(rules)
         start = time.perf_counter()
         cold_engine.evaluate(cold_db)
         cold_seconds = time.perf_counter() - start

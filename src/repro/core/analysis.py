@@ -55,14 +55,11 @@ class AnalysisConfig:
     timeout_seconds: float = 120.0
     max_lift_states: int = 20_000
     # Which fixpoint engine runs the taint rules: the tuned Python fixpoint
-    # (default), the declarative Datalog rules on compiled join plans
-    # ("datalog"; paper-faithful, cross-checked equal in the test suite),
-    # the same plans over columnar storage with batch joins
-    # ("datalog-columnar"; byte-identical fixpoints, faster on large EDBs),
-    # or the uncompiled Datalog interpreter ("datalog-legacy"; equivalence
-    # and benchmark baseline only).  The Datalog paths do not reconstruct
-    # per-variable witnesses, so warning detail text is terser.  The valid
-    # set lives in :data:`repro.core.pipeline.ENGINE_CHOICES`.
+    # (default) or the declarative Datalog rules on compiled join plans
+    # ("datalog"; paper-faithful, cross-checked equal in the test suite).
+    # The Datalog path does not reconstruct per-variable witnesses, so
+    # warning detail text is terser.  The valid set lives in
+    # :data:`repro.core.pipeline.ENGINE_CHOICES`.
     engine: str = "python"
     # Optional restriction of reported warnings to a subset of
     # :data:`repro.core.vulnerabilities.VULNERABILITY_KINDS` (the CLI
@@ -81,12 +78,7 @@ class AnalysisConfig:
 
 @dataclass
 class PrecisionCounters:
-    """Resolution statistics for one contract (``--profile`` / JSON report).
-
-    ``lint_findings`` counts the findings the Datalog linter reports over
-    the *shipped* rule programs this build analyzes with — a build-level
-    constant surfaced per result so downstream reports carry it.
-    """
+    """Resolution statistics for one contract (``--profile`` / JSON report)."""
 
     value_tracked_vars: int = 0  # vars with a bounded value set
     resolved_store_indices: int = 0  # constant or value-set bounded
@@ -95,7 +87,6 @@ class PrecisionCounters:
     unresolved_load_indices: int = 0
     mapping_accesses: int = 0
     value_resolved_mappings: int = 0  # recovered only via value analysis
-    lint_findings: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -106,7 +97,6 @@ class PrecisionCounters:
             "unresolved_load_indices": self.unresolved_load_indices,
             "mapping_accesses": self.mapping_accesses,
             "value_resolved_mappings": self.value_resolved_mappings,
-            "lint_findings": self.lint_findings,
         }
 
 
@@ -272,6 +262,3 @@ def _fill_precision(result: AnalysisResult) -> None:
                 counters.unresolved_load_indices += 1
         counters.mapping_accesses = len(storage.mapping_accesses)
         counters.value_resolved_mappings = storage.value_resolved_mappings
-    from repro.datalog.lint import shipped_finding_count
-
-    counters.lint_findings = shipped_finding_count()

@@ -381,12 +381,12 @@ def _contract_key(
 class WarmEngineCache:
     """LRU of live Datalog fixpoints repaired incrementally across calls.
 
-    Keyed by (contract identity, ruleset flags, engine mode).  A repeated
-    analysis of the same contract whose EDB differs — e.g. the Fig. 8
-    ablation battery flipping ``model_guards``, which changes the extracted
-    facts but not the ruleset — diffs the EDBs and hands the delta to
-    :meth:`Engine.apply_changes` (DRed) instead of re-running the fixpoint
-    from scratch.  Identical EDBs reuse the fixpoint outright.
+    Keyed by (contract identity, ruleset flags, provenance tracking).  A
+    repeated analysis of the same contract whose EDB differs — e.g. the
+    Fig. 8 ablation battery flipping ``model_guards``, which changes the
+    extracted facts but not the ruleset — diffs the EDBs and hands the
+    delta to :meth:`Engine.apply_changes` (DRed) instead of re-running the
+    fixpoint from scratch.  Identical EDBs reuse the fixpoint outright.
     """
 
     def __init__(self, maxsize: int = 8) -> None:
@@ -414,8 +414,6 @@ class WarmEngineCache:
         edb: Dict[str, Set[Tuple]],
         program: CompiledProgram,
         track_provenance: bool,
-        use_plans: bool,
-        columnar: Optional[bool],
         reentrancy: bool = False,
     ) -> Tuple[Engine, Database]:
         key = (
@@ -423,12 +421,10 @@ class WarmEngineCache:
             options.model_storage_taint,
             options.conservative_storage,
             track_provenance,
-            use_plans,
-            bool(columnar),
             reentrancy,  # the ruleset differs when the stratum is active
         )
         entry = self._entries.get(key)
-        if entry is not None and use_plans:
+        if entry is not None:
             self._entries.move_to_end(key)
             engine, database, cached_edb = entry
             additions = {
@@ -452,17 +448,11 @@ class WarmEngineCache:
             return engine, database
         self.misses += 1
         database = _load_edb(edb)
-        engine = Engine(
-            program,
-            track_provenance=track_provenance,
-            use_plans=use_plans,
-            columnar=columnar,
-        )
+        engine = Engine(program, track_provenance=track_provenance)
         engine.evaluate(database, deadline=options.deadline)
-        if use_plans:  # DRed repair needs the compiled plans
-            self._entries[key] = (engine, database, edb)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+        self._entries[key] = (engine, database, edb)
+        while len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
         return engine, database
 
 
@@ -488,14 +478,20 @@ def analyze_with_datalog(
     reporting path).  With ``track_provenance=True`` the evaluating
     :class:`~repro.datalog.Engine` is attached as ``result.engine`` so
     callers can render derivation trees for the findings.
-    ``use_plans=False`` selects the legacy interpreter (the
-    ``engine="datalog-legacy"`` config value — equivalence baseline only);
-    ``columnar=True`` the batch columnar executor (``datalog-columnar``).
+    ``use_plans`` and ``columnar`` remain only so existing callers keep
+    working: the engine has one executor, so they accept ``use_plans=True``
+    and ``columnar`` None or False, and raise :class:`ValueError` on
+    anything else.
     Passing a :class:`WarmEngineCache` as ``warm`` reuses a live fixpoint
     for repeat analyses of the same contract, repairing it via DRed when
     the extracted EDB changed (e.g. an ablation flag flip).
     The engine's profiling counters land in ``result.engine_stats``.
     """
+    if use_plans is not True or not (columnar is None or columnar is False):
+        raise ValueError(
+            "analyze_with_datalog runs compiled plans only: got "
+            "use_plans=%r, columnar=%r" % (use_plans, columnar)
+        )
     options = options or TaintOptions()
     if facts is None:
         if runtime_bytecode is None:
@@ -519,18 +515,11 @@ def analyze_with_datalog(
             edb,
             program,
             track_provenance,
-            use_plans,
-            columnar,
             reentrancy=reentrancy,
         )
     else:
         database = _load_edb(edb)
-        engine = Engine(
-            program,
-            track_provenance=track_provenance,
-            use_plans=use_plans,
-            columnar=columnar,
-        )
+        engine = Engine(program, track_provenance=track_provenance)
         engine.evaluate(database, deadline=options.deadline)
 
     result = TaintResult()

@@ -165,14 +165,11 @@ def _program() -> CompiledProgram:
     return CompiledProgram(parse_program(ETHAINTER_RULES).rules)
 
 
-def analyze_with_datalog(
-    program: AbstractProgram, use_plans: bool = True
-) -> AbstractResult:
+def analyze_with_datalog(program: AbstractProgram) -> AbstractResult:
     """Run the Figure 3/4 rules on the Datalog engine; package the result
-    in the same :class:`AbstractResult` shape as the direct fixpoint.
-    ``use_plans=False`` runs the legacy interpreter (benchmark baseline)."""
+    in the same :class:`AbstractResult` shape as the direct fixpoint."""
     database = facts_from_program(program)
-    engine = Engine(_program(), use_plans=use_plans)
+    engine = Engine(_program())
     engine.evaluate(database)
 
     result = AbstractResult()

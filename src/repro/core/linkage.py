@@ -73,7 +73,6 @@ from repro.core.bytecode_datalog import (
 )
 from repro.core.facts import ContractFacts
 from repro.core.guards import EQ_SENDER
-from repro.core.pipeline import _DATALOG_MODES
 from repro.core.vulnerabilities import (
     CROSS_CONTRACT_ESCALATION,
     PROXY_UPGRADE_HIJACK,
@@ -724,15 +723,10 @@ def analyze_bundle(
     for relation, rows in _linkage_relations(bundle, results, edges).items():
         merged.setdefault(relation, set()).update(rows)
 
-    # The tuned Python engine has no cross-contract counterpart, so
-    # "python" runs the merged rules on the compiled-plan engine.
-    use_plans, columnar = _DATALOG_MODES.get(config.engine, (True, False))
+    # The tuned Python engine has no cross-contract counterpart, so every
+    # engine value runs the merged rules on the Datalog engine.
     database = _load_edb(merged)
-    engine = Engine(
-        merged_rules(config, reentrancy=reentrancy),
-        use_plans=use_plans,
-        columnar=columnar,
-    )
+    engine = Engine(merged_rules(config, reentrancy=reentrancy))
     engine.evaluate(database, deadline=options.deadline)
 
     return BundleResult(

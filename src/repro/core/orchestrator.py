@@ -80,7 +80,7 @@ import time
 from concurrent.futures import Future
 from multiprocessing import connection as mp_connection
 from collections import deque
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.analysis import AnalysisConfig, EthainterAnalysis
@@ -88,7 +88,7 @@ from repro.core.batch import BatchEntry, BatchSummary, _entry_from_result
 from repro.core.bytecode_datalog import WarmEngineCache
 from repro.core.pipeline import ArtifactCache, analysis_fingerprint, bytecode_digest
 
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 # A task as workers and the in-process path receive it: runtime bytecode
 # and the configurations to analyze it under (a sweep's battery, or one
@@ -242,13 +242,80 @@ def _entry_to_dict(entry: BatchEntry) -> Dict:
     return asdict(entry)
 
 
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+# What each BatchEntry field's JSON form must be.  Journal and result-cache
+# files are untrusted input: an entry rebuilt around a wrong-typed field
+# would fail later, mid-report, where it should have read as a miss.
+_ENTRY_FIELD_CHECKS: Dict[str, Callable[[object], bool]] = {
+    "index": _is_int,
+    "kinds": lambda value: type(value) in (list, tuple)
+    and all(type(kind) is str for kind in value),
+    "error": lambda value: value is None or type(value) is str,
+    "elapsed_seconds": _is_number,
+    "statement_count": _is_int,
+    "deadline_exceeded": lambda value: type(value) is bool,
+    "stage_seconds": lambda value: type(value) is dict
+    and all(map(_is_number, value.values())),
+    "cache_hits": _is_int,
+    "cache_misses": _is_int,
+    "datalog": lambda value: type(value) is dict,
+    "block_count": _is_int,
+    "warnings": lambda value: type(value) is list
+    and all(type(warning) is dict for warning in value),
+    "precision": lambda value: type(value) is dict
+    and all(map(_is_int, value.values())),
+    "attempts": _is_int,
+}
+
+
 def _entry_from_dict(data: Dict, index: Optional[int] = None) -> BatchEntry:
-    known = {f.name for f in dataclass_fields(BatchEntry)}
-    payload = {name: value for name, value in data.items() if name in known}
+    """Rebuild a :class:`BatchEntry` from its JSON form (unknown keys are
+    ignored).  Raises :class:`ValueError` when ``data`` is not an object,
+    lacks a required field or has a field of the wrong type."""
+    if type(data) is not dict:
+        raise ValueError("batch entry is not an object")
+    payload = {}
+    for name, check in _ENTRY_FIELD_CHECKS.items():
+        if name in data:
+            if not check(data[name]):
+                raise ValueError("batch entry field %r has the wrong type" % name)
+            payload[name] = data[name]
     payload["kinds"] = tuple(payload.get("kinds") or ())
     if index is not None:
         payload["index"] = index
-    return BatchEntry(**payload)
+    try:
+        return BatchEntry(**payload)
+    except TypeError as error:  # a required field is missing
+        raise ValueError("incomplete batch entry: %s" % error) from None
+
+
+def _valid_entries(entries) -> bool:
+    """Whether ``entries`` is a non-empty list whose every item rebuilds a
+    :class:`BatchEntry`."""
+    if type(entries) is not list or not entries:
+        return False
+    try:
+        for entry in entries:
+            _entry_from_dict(entry)
+    except ValueError:
+        return False
+    return True
+
+
+def _json_object(data: bytes) -> Optional[Dict]:
+    """``data`` decoded as UTF-8 JSON, if that gives an object; else None."""
+    try:
+        record = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+        return None
+    return record if type(record) is dict else None
 
 
 class SweepJournal:
@@ -256,18 +323,25 @@ class SweepJournal:
 
     Line 1 is a header record carrying the sweep's configuration
     fingerprint; each subsequent line is ``{"key": ..., "index": ...,
-    "entries": [...]}``.  Loading tolerates a truncated final line (the
-    sweep was killed mid-write) by stopping at the first undecodable
-    record, and discards the whole journal when the header fingerprint
-    does not match the resuming sweep's configuration.
+    "entries": [...]}``.  Resuming keeps the journal's *valid prefix*: the
+    header and every complete line after it that decodes as UTF-8 JSON
+    into a record with a string ``key`` and ``entries`` that rebuild
+    :class:`BatchEntry` rows, up to the first line that does not (one
+    torn by a kill mid-write, or damaged).  The file is truncated to that
+    prefix before new rows are appended, so a later resume reads the rows
+    of every run.  A missing, damaged or mismatched header (another sweep
+    configuration) starts a fresh journal instead.
     """
 
     def __init__(self, path: str, fingerprint: str, resume: bool = False):
         self.path = path
         self.fingerprint = fingerprint
         self.completed: Dict[str, List[Dict]] = {}
+        valid_end: Optional[int] = None
         if resume and os.path.exists(path):
-            self.completed = self._load(path, fingerprint)
+            self.completed, valid_end = self._load(path, fingerprint)
+        if valid_end is not None:
+            os.truncate(path, valid_end)
             self._handle = open(path, "a")
         else:
             self._handle = open(path, "w")
@@ -280,26 +354,36 @@ class SweepJournal:
             )
 
     @staticmethod
-    def _load(path: str, fingerprint: str) -> Dict[str, List[Dict]]:
+    def _load(
+        path: str, fingerprint: str
+    ) -> Tuple[Dict[str, List[Dict]], Optional[int]]:
+        """The completed rows of the journal's valid prefix and the byte
+        offset where that prefix ends; ``({}, None)`` when the header is
+        missing, damaged or written under another configuration."""
         completed: Dict[str, List[Dict]] = {}
-        with open(path) as handle:
+        with open(path, "rb") as handle:
+            line = handle.readline()
+            header = _json_object(line) if line.endswith(b"\n") else None
+            if (
+                header is None
+                or header.get("journal") != "repro-sweep"
+                or header.get("version") != JOURNAL_VERSION
+                or header.get("fingerprint") != fingerprint
+            ):
+                return {}, None
+            end = len(line)
             for line in handle:
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # killed mid-write; everything before is valid
-                if "journal" in record:
-                    if (
-                        record.get("fingerprint") != fingerprint
-                        or record.get("version") != JOURNAL_VERSION
-                    ):
-                        return {}  # different sweep configuration: start over
-                    continue
+                record = _json_object(line) if line.endswith(b"\n") else None
+                if record is None:
+                    break
                 key = record.get("key")
                 entries = record.get("entries")
-                if key and entries and key.endswith(fingerprint):
+                if type(key) is not str or not _valid_entries(entries):
+                    break
+                if key.endswith(fingerprint):
                     completed[key] = entries
-        return completed
+                end += len(line)
+        return completed, end
 
     def _write(self, record: Dict) -> None:
         # No sort_keys: entry dict ordering (stage order, precision counter
@@ -346,13 +430,17 @@ class ResultCache:
     JSON file per identity (sharded by key-digest prefix), written
     atomically via a temp file + ``os.replace``.  Repeated sweeps and warm
     daemon-style workloads (most submissions duplicate bytecode) resolve
-    entire groups without any analysis.  Corrupt, torn, or mismatched
-    files read as misses; analysis errors (``timeout``, ``lift-error``)
-    are stored — the identity fingerprints the budget that produced them —
-    but harness faults never are.
+    entire groups without any analysis.  Each record carries a sha256 of
+    its entries' JSON, so a flipped digit cannot turn into a wrong cached
+    answer: a file that is torn, not UTF-8 JSON, another key's or
+    version's record, fails its digest, or holds entries that do not
+    rebuild :class:`BatchEntry` rows reads as a miss, and the next
+    :meth:`put` for its key replaces it.  Analysis errors (``timeout``,
+    ``lift-error``) are stored — the identity fingerprints the budget that
+    produced them — but harness faults never are.
     """
 
-    VERSION = 1
+    VERSION = 2
 
     def __init__(self, root: str):
         self.root = root
@@ -365,34 +453,49 @@ class ResultCache:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return os.path.join(self.root, digest[:2], digest + ".json")
 
-    def get(self, key: str) -> Optional[List[Dict]]:
-        """The cached entry dicts for ``key``, or None (counts hit/miss)."""
+    @staticmethod
+    def _digest(entries: List[Dict]) -> str:
+        return hashlib.sha256(json.dumps(entries).encode("utf-8")).hexdigest()
+
+    def _read(self, key: str) -> Optional[List[Dict]]:
+        """The entry dicts of ``key``'s file if it holds a valid record."""
         try:
-            with open(self._path(key)) as handle:
-                record = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            self.misses += 1
+            with open(self._path(key), "rb") as handle:
+                record = _json_object(handle.read())
+        except OSError:
             return None
         if (
-            not isinstance(record, dict)
+            record is None
+            or record.get("cache") != "repro-sweep-results"
             or record.get("version") != self.VERSION
             or record.get("key") != key
-            or not isinstance(record.get("entries"), list)
+            or not _valid_entries(record.get("entries"))
+            or record.get("digest") != self._digest(record["entries"])
         ):
-            self.misses += 1
             return None
-        self.hits += 1
         return record["entries"]
 
+    def get(self, key: str) -> Optional[List[Dict]]:
+        """The cached entry dicts for ``key``, or None (counts hit/miss)."""
+        entries = self._read(key)
+        if entries is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return entries
+
     def put(self, key: str, entries: List[Dict]) -> None:
-        path = self._path(key)
-        if os.path.exists(path):
+        """Store ``entries`` under ``key``, unless a valid record for it is
+        already there; a damaged file is replaced."""
+        if self._read(key) is not None:
             return
+        path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         payload = {
             "cache": "repro-sweep-results",
             "version": self.VERSION,
             "key": key,
+            "digest": self._digest(entries),
             "entries": entries,
         }
         # No sort_keys, same as the journal: entry dict ordering must
@@ -1390,8 +1493,8 @@ def run_sweep(
         if journal is not None:
             journal.close()
 
-    # Persist completed rows for future runs (put() skips existing keys;
-    # harness faults are never stored, so a later sweep retries them).
+    # Persist completed rows for future runs (put() skips keys whose valid
+    # record is already stored and replaces damaged ones; harness faults are never stored, so a later sweep retries them).
     if result_cache is not None:
         for index, row in rows.items():
             if not _is_harness_fault_row(row):

@@ -51,22 +51,10 @@ class DeadlineExceeded(Exception):
 
 # Taint-stage engine registry: config value -> one-line description (the
 # CLI renders these into ``--engine`` help; ``run_pipeline`` validates
-# against the key set).  The datalog tiers map onto
-# ``analyze_with_datalog(use_plans=..., columnar=...)``.
+# against the key set).
 ENGINE_CHOICES: Dict[str, str] = {
     "python": "tuned hand-written Python fixpoint (default, fastest)",
     "datalog": "declarative rules on compiled join plans (paper-faithful)",
-    "datalog-columnar": (
-        "compiled plans over columnar storage with batch joins"
-    ),
-    "datalog-legacy": "uncompiled Datalog interpreter (baseline only)",
-}
-
-# engine value -> (use_plans, columnar) for the datalog tiers.
-_DATALOG_MODES: Dict[str, Tuple[bool, bool]] = {
-    "datalog": (True, False),
-    "datalog-columnar": (True, True),
-    "datalog-legacy": (False, False),
 }
 
 
@@ -262,11 +250,9 @@ def _run_ordering(ctx: PipelineContext):
 def _run_taint(ctx: PipelineContext):
     options = ctx.config.taint_options()
     options.deadline = ctx.deadline
-    mode = _DATALOG_MODES.get(ctx.config.engine)
-    if mode is not None:
+    if ctx.config.engine == "datalog":
         from repro.core.bytecode_datalog import analyze_with_datalog
 
-        use_plans, columnar = mode
         return analyze_with_datalog(
             runtime_bytecode=ctx.bytecode,
             facts=ctx.artifacts["values"],
@@ -274,8 +260,6 @@ def _run_taint(ctx: PipelineContext):
             guards=ctx.artifacts["guards"],
             ordering=ctx.artifacts["ordering"],
             options=options,
-            use_plans=use_plans,
-            columnar=columnar,
             warm=ctx.warm,
         )
     from repro.core.taint import TaintAnalysis

@@ -117,18 +117,32 @@ def build_storage_model(facts: ContractFacts, deadline=None) -> StorageModel:
     for read in facts.memory_reads:
         add_copy(memory_var(read.address), read.var)
 
-    # Transitive closure per variable, memoized (graphs are small and the
-    # copy relation is acyclic except through PHIs; guard with a visited set).
+    # Transitive closure per variable, memoized, on an explicit stack: a
+    # chain of memory round trips can be thousands of copies long.  It
+    # replays a depth-first recursion's visit order exactly.  A variable's
+    # set is registered before its sources are visited, so a PHI cycle back
+    # to a variable still in progress copies that set as it stands then.
     closure_cache: Dict[str, Set[str]] = {}
 
     def closure(variable: str) -> Set[str]:
-        cached = closure_cache.get(variable)
-        if cached is not None:
-            return cached
-        result: Set[str] = {variable}
-        closure_cache[variable] = result  # break PHI cycles
-        for source in direct.get(variable, ()):
-            result.update(closure(source))
+        result = closure_cache.get(variable)
+        if result is not None:
+            return result
+        result = closure_cache[variable] = {variable}
+        stack = [(result, iter(direct.get(variable, ())))]
+        while stack:
+            current, sources = stack[-1]
+            for source in sources:
+                known = closure_cache.get(source)
+                if known is None:
+                    child = closure_cache[source] = {source}
+                    stack.append((child, iter(direct.get(source, ()))))
+                    break
+                current.update(known)
+            else:
+                stack.pop()
+                if stack:
+                    stack[-1][0].update(current)
         return result
 
     all_vars: Set[str] = set(direct)

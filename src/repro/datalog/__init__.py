@@ -13,6 +13,8 @@ Ethainter rules in the paper.  Supports:
 * compile-once programs (:class:`CompiledProgram`): a ruleset is
   stratified and planned once, its plan templates cached by the ranks of
   the relation sizes they depend on, and shared by every evaluation,
+* incremental DRed repair of an evaluated fixpoint
+  (:meth:`Engine.apply_changes`), run by the same executor as evaluation,
 * wildcard ``_`` arguments, constants, and Python filter predicates,
 * a textual parser for a Soufflé-like surface syntax (``:-``, ``!``, ``.``)
   with parse-time arity checking,
@@ -23,7 +25,7 @@ Ethainter rules in the paper.  Supports:
 The engine is deliberately generic: the Ethainter core rules
 (:mod:`repro.core.datalog_rules`) and the abstract-language formalism both
 run on it, and its fixpoints are cross-checked against hand-written
-fixpoint code in the test suite.
+fixpoint code and a naive reference evaluator in the test suite.
 """
 
 from repro.datalog.terms import Atom, Literal, Rule, Variable, var

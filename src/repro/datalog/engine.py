@@ -24,16 +24,13 @@ Evaluation pipeline:
 
 The database interns every constant into a dense symbol table, so stored
 tuples are int-only: hashing, equality, and index keys never touch the
-original (possibly string) values.  The legacy closure-recursion
-interpreter is kept behind ``Engine(use_plans=False)`` as the equivalence
-baseline; both paths produce byte-identical fixpoints and provenance.
+original (possibly string) values.  This one executor runs every
+evaluation and every DRed repair (:meth:`Engine.apply_changes`); the test
+suite checks its fixpoints against a naive reference evaluator.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
-from itertools import repeat
 from typing import (
     Any,
     Callable,
@@ -50,121 +47,12 @@ from typing import (
 from repro.datalog.planner import (
     EngineStats,
     NegGuard,
-    PlanningError,
     PlanVariant,
     RulePlan,
     Spec,
 )
 from repro.datalog.program import CompiledProgram
-from repro.datalog.terms import (
-    Atom,
-    Binding,
-    Filter,
-    Literal,
-    Rule,
-    Variable,
-    match,
-    substitute,
-)
-
-
-# ------------------------------------------------------------ columnar store
-
-
-def _intersect_runs(left: Sequence[int], right: Sequence[int]) -> List[int]:
-    """Intersection of two ascending row-id runs (merge walk)."""
-    out: List[int] = []
-    append = out.append
-    i = j = 0
-    len_left = len(left)
-    len_right = len(right)
-    while i < len_left and j < len_right:
-        x = left[i]
-        y = right[j]
-        if x == y:
-            append(x)
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
-def _probe_runs(
-    postings: Sequence[Dict[int, Sequence[int]]], key: Sequence[int]
-) -> Optional[Sequence[int]]:
-    """Row ids matching ``key`` across per-position postings: the first
-    position's run, narrowed by sorted-run intersection with each further
-    position's run.  Runs append in insertion order so they are ascending
-    by construction.  Returns None on a miss."""
-    run = postings[0].get(key[0])
-    if not run:
-        return None
-    for index in range(1, len(key)):
-        other = postings[index].get(key[index])
-        if not other:
-            return None
-        run = _intersect_runs(run, other)
-        if not run:
-            return None
-    return run
-
-
-class ColumnarRelation:
-    """Column-oriented storage for one relation: parallel ``array('q')``
-    columns of interned ids (one per argument position) plus per-position
-    postings mapping a key id to the ascending run of row ids carrying it.
-
-    Rows only append (the engine's fixpoint is monotone within an
-    evaluation); a removal invalidates row ids, so the database drops the
-    whole view and the next columnar bind rebuilds it."""
-
-    __slots__ = ("arity", "rows", "columns", "postings")
-
-    def __init__(self, arity: int):
-        self.arity = arity
-        self.rows = 0
-        self.columns: List[array] = [array("q") for _ in range(arity)]
-        self.postings: Dict[int, Dict[int, array]] = {}
-
-    def append(self, fact: Tuple[int, ...]) -> None:
-        row = self.rows
-        for column, value in zip(self.columns, fact):
-            column.append(value)
-        self.rows = row + 1
-        for position, posting in self.postings.items():
-            key = fact[position]
-            run = posting.get(key)
-            if run is None:
-                posting[key] = array("q", (row,))
-            else:
-                run.append(row)
-
-    def register_posting(self, position: int) -> Dict[int, array]:
-        """Ensure the posting index for ``position`` exists (built by one
-        scan of the column; appends keep it fresh)."""
-        posting = self.postings.get(position)
-        if posting is None:
-            posting = {}
-            for row, key in enumerate(self.columns[position]):
-                run = posting.get(key)
-                if run is None:
-                    posting[key] = array("q", (row,))
-                else:
-                    run.append(row)
-            self.postings[position] = posting
-        return posting
-
-    def row_ids(
-        self, positions: Tuple[int, ...], key: Tuple[int, ...]
-    ) -> Sequence[int]:
-        """Rows whose values at ``positions`` equal ``key`` (interned),
-        via sorted-run intersection of the per-position postings."""
-        postings = [self.register_posting(position) for position in positions]
-        run = _probe_runs(postings, key)
-        return run if run is not None else ()
+from repro.datalog.terms import Rule
 
 
 class Database:
@@ -173,7 +61,7 @@ class Database:
     Every constant is interned into a dense symbol table on first sight, so
     relations store tuples of small ints: hashing, equality, and index keys
     are int-only no matter how large the original values are.  The public
-    API (``add``/``facts``/``lookup``/``contains``) still speaks raw
+    API (``add``/``remove``/``facts``/``contains``) still speaks raw
     values — interning is invisible to callers.
 
     Indexes live per relation (``_indexes[relation][positions]``) so an
@@ -194,11 +82,6 @@ class Database:
         # relation -> cached frozenset of decoded facts (facts() result),
         # invalidated on insert.
         self._decoded: Dict[str, frozenset] = {}
-        # relation -> {interned fact: decoded fact} memo for lookup().
-        self._fact_memo: Dict[str, Dict[Tuple, Tuple]] = {}
-        # relation -> ColumnarRelation, registered by columnar plan binds
-        # and kept fresh by inserts; dropped wholesale on removal.
-        self._columnar: Dict[str, ColumnarRelation] = {}
 
     # ---------------------------------------------------------- interning
 
@@ -249,9 +132,6 @@ class Database:
                     index[key] = [fact]
                 else:
                     bucket.append(fact)
-        view = self._columnar.get(relation)
-        if view is not None:
-            view.append(fact)
         self._decoded.pop(relation, None)
         return True
 
@@ -272,10 +152,7 @@ class Database:
 
     def remove_interned(self, relation: str, fact: Tuple[int, ...]) -> bool:
         """Remove an already-interned fact, maintaining hash indexes and
-        invalidating caches; returns True if it was present.
-
-        Columnar views are append-only (row ids would dangle), so the
-        relation's view is dropped and rebuilt at the next columnar bind."""
+        invalidating caches; returns True if it was present."""
         rel = self._relations.get(relation)
         if rel is None or fact not in rel:
             return False
@@ -293,7 +170,6 @@ class Database:
                     if not bucket:
                         del index[key]
         self._decoded.pop(relation, None)
-        self._columnar.pop(relation, None)
         return True
 
     # -------------------------------------------------------------- reads
@@ -334,46 +210,6 @@ class Database:
         """Number of facts in ``relation``."""
         return len(self._relations.get(relation, ()))
 
-    def lookup(
-        self, relation: str, positions: Tuple[int, ...], key: Tuple
-    ) -> Iterable[Tuple]:
-        """Facts whose values at ``positions`` equal ``key``.
-
-        With bound positions this probes (building if needed) the matching
-        hash index and returns a list of decoded facts; with no positions
-        it returns the cached :meth:`facts` frozenset instead of copying
-        the whole relation.
-        """
-        if not positions:
-            return self.facts(relation)
-        relation_indexes = self._indexes.setdefault(relation, {})
-        index = relation_indexes.get(positions)
-        if index is None:
-            index = self._build_index(relation, positions)
-        intern = self._intern
-        interned_key: List[int] = []
-        for value in key:
-            ident = intern.get(value)
-            if ident is None:
-                return []
-            interned_key.append(ident)
-        bucket = index.get(tuple(interned_key))
-        if not bucket:
-            return []
-        memo = self._fact_memo.setdefault(relation, {})
-        symbols = self._symbols
-        out: List[Tuple] = []
-        for fact in bucket:
-            decoded = memo.get(fact)
-            if decoded is None:
-                decoded = memo[fact] = tuple(symbols[ident] for ident in fact)
-            out.append(decoded)
-        return out
-
-    def clone_relation(self, relation: str) -> Set[Tuple]:
-        """A mutable copy of one relation's decoded fact set."""
-        return set(self.facts(relation))
-
     # ----------------------------------------------------- engine plumbing
 
     def register_index(
@@ -409,17 +245,6 @@ class Database:
             rel = self._relations[relation] = set()
         return rel
 
-    def columnar_view(self, relation: str, arity: int) -> ColumnarRelation:
-        """The live columnar view of ``relation``, built from the current
-        fact set on first request and maintained by subsequent inserts."""
-        view = self._columnar.get(relation)
-        if view is None:
-            view = ColumnarRelation(arity)
-            for fact in self._relations.get(relation, ()):
-                view.append(fact)
-            self._columnar[relation] = view
-        return view
-
 
 def _intern_spec(spec: Spec, intern: Callable[[Any], int]) -> Spec:
     """``spec`` with its constants interned (shared as-is when it has
@@ -441,23 +266,13 @@ class Engine:
     parsing, stratification and join planning happen once per ruleset
     (and size-rank signature), not once per evaluation.  Each
     :meth:`evaluate` binds fresh copies of the program's plan templates to
-    its database; ``use_plans=False`` selects the legacy closure-recursion
-    interpreter instead, kept as the equivalence and benchmark baseline.
-    ``stats`` accumulates :class:`EngineStats` counters across evaluations
-    on either path.
+    its database.  ``stats`` accumulates :class:`EngineStats` counters
+    across evaluations and repairs.
 
     With ``track_provenance=True`` the engine records, for each derived
     fact, the rule and body facts of its *first* derivation; ``explain``
     then renders the derivation tree down to the EDB — the "why" behind an
     analysis warning.
-
-    ``columnar=True`` selects the block-wise columnar executor: relations
-    are additionally bound as parallel int columns with row-id postings,
-    and each join step extends a whole batch of environment rows at once
-    instead of backtracking one tuple at a time.  Fixpoints are
-    byte-identical across all executors.  ``columnar=None`` (the default)
-    consults the ``REPRO_DATALOG_COLUMNAR`` environment variable, so a CI
-    leg can swing every Engine in a test run onto the columnar path.
 
     After an ``evaluate()`` the engine remembers the database and its EDB
     (the facts present before derivation started); :meth:`apply_changes`
@@ -470,8 +285,6 @@ class Engine:
         self,
         rules: Union[CompiledProgram, Sequence[Rule]],
         track_provenance: bool = False,
-        use_plans: bool = True,
-        columnar: Optional[bool] = None,
     ):
         if not isinstance(rules, CompiledProgram):
             rules = CompiledProgram(rules)
@@ -479,20 +292,14 @@ class Engine:
         self.rules = rules.rules
         self.strata = rules.strata
         self.track_provenance = track_provenance
-        self.use_plans = use_plans
-        if columnar is None:
-            flag = os.environ.get("REPRO_DATALOG_COLUMNAR", "")
-            columnar = flag.lower() not in ("", "0", "false", "no")
-        self.columnar = bool(columnar) and use_plans
         self.stats = EngineStats()
         # (relation, fact) -> (rule, [(relation, fact), ...]) of 1st proof.
         self.provenance: Dict[Tuple[str, Tuple], Tuple[Rule, List[Tuple[str, Tuple]]]] = {}
         # Incremental (DRed) state: the database of the last evaluate(),
-        # its EDB snapshot, and lazily built all-delta repair plans (the
-        # templates, and their copies bound to that database).
+        # its EDB snapshot, and lazily built all-delta repair plans bound
+        # to that database.
         self._inc_db: Optional[Database] = None
         self._inc_edb: Optional[Dict[str, Set[Tuple[int, ...]]]] = None
-        self._inc_templates: Optional[List[List[RulePlan]]] = None
         self._inc_plans: Optional[List[List[RulePlan]]] = None
 
     # ------------------------------------------------------------ evaluation
@@ -510,53 +317,39 @@ class Engine:
         iteration so runaway recursion respects the caller's cutoff.
         """
         self.stats.evaluations += 1
-        self._inc_templates = None
         self._inc_plans = None
-        if self.use_plans:
-            # Snapshot the EDB (everything present before derivation) so
-            # apply_changes() can later tell explicit facts from derived
-            # ones.  The program picks plan templates by the relation sizes
-            # read here, before the first stratum runs; each stratum then
-            # binds fresh copies (constants interned, indexes registered)
-            # just before it runs.
-            self._inc_db = database
-            self._inc_edb = {
-                relation: set(facts)
-                for relation, facts in database._relations.items()
-                if facts
-            }
-            for templates in self.program.plans(database.count):
-                plans = [
-                    self._bind_plan(database, template, self.columnar)
-                    for template in templates
-                ]
-                self._evaluate_stratum_compiled(
-                    database, plans, max_iterations, deadline
-                )
-        else:
-            self._inc_db = None
-            self._inc_edb = None
-            for stratum in self.strata:
-                self._evaluate_stratum(database, stratum, max_iterations, deadline)
+        # Snapshot the EDB (everything present before derivation) so
+        # apply_changes() can later tell explicit facts from derived ones.
+        # The program picks plan templates by the relation sizes read here,
+        # before the first stratum runs; each stratum then binds fresh
+        # copies (constants interned, indexes registered) just before it
+        # runs.
+        self._inc_db = database
+        self._inc_edb = {
+            relation: set(facts)
+            for relation, facts in database._relations.items()
+            if facts
+        }
+        for templates in self.program.plans(database.count):
+            plans = [self._bind_plan(database, template) for template in templates]
+            self._evaluate_stratum(database, plans, max_iterations, deadline)
         return database
 
-    # ----------------------------------------------------- compiled executor
+    # ------------------------------------------------------------- executor
 
-    def _bind_plan(
-        self, database: Database, template: RulePlan, columnar: bool
-    ) -> RulePlan:
+    def _bind_plan(self, database: Database, template: RulePlan) -> RulePlan:
         """A copy of ``template`` bound to ``database``: constants interned,
         live relation views captured, and the indexes its join steps
         declared registered eagerly.  The template itself is untouched."""
-        seed = self._bind_variant(database, template.seed, columnar)
+        seed = self._bind_variant(database, template.seed)
         delta_variants = {
-            position: self._bind_variant(database, variant, columnar)
+            position: self._bind_variant(database, variant)
             for position, variant in template.delta_variants.items()
         }
         return template.with_variants(seed, delta_variants)
 
     def _bind_variant(
-        self, database: Database, template: PlanVariant, columnar: bool
+        self, database: Database, template: PlanVariant
     ) -> PlanVariant:
         intern = database.intern_value
         variant = template.copy()
@@ -573,16 +366,6 @@ class Engine:
                 step.static_key = tuple(value for _, value in step.key_spec)
             if step.delta:
                 pass  # candidates come from the per-round delta sets
-            elif columnar:
-                view = database.columnar_view(step.relation, step.arity)
-                step.columnar = view
-                if step.positions:
-                    postings = []
-                    for position in step.positions:
-                        if position not in view.postings:
-                            self.stats.index_builds += 1
-                        postings.append(view.register_posting(position))
-                    step.postings = tuple(postings)
             elif step.positions:
                 index, built = database.register_index(
                     step.relation, step.positions
@@ -615,19 +398,13 @@ class Engine:
         # FilterGuard constants stay raw: predicates see original values.
         return guard
 
-    def _evaluate_stratum_compiled(
+    def _evaluate_stratum(
         self,
         database: Database,
         plans: List[RulePlan],
         max_iterations: int,
         deadline=None,
-        runner=None,
     ) -> None:
-        if runner is None:
-            runner = (
-                self._run_variant_columnar if self.columnar
-                else self._run_variant
-            )
         stats = self.stats
         tracking = self.track_provenance
         heads = {plan.rule.head.relation for plan in plans}
@@ -648,7 +425,7 @@ class Engine:
         # Naive first round to seed deltas, then semi-naive iteration.
         delta: Dict[str, Set[Tuple]] = {rel: set() for rel in heads}
         for plan in plans:
-            flush(plan, runner(database, plan.seed, None, None), delta)
+            flush(plan, self._run_variant(database, plan.seed, None, None), delta)
 
         iterations = 0
         while any(delta.values()):
@@ -666,7 +443,9 @@ class Engine:
                         continue
                     flush(
                         plan,
-                        runner(database, variant, delta, delta_index_cache),
+                        self._run_variant(
+                            database, variant, delta, delta_index_cache
+                        ),
                         new_delta,
                     )
             delta = new_delta
@@ -736,286 +515,6 @@ class Engine:
             if not descended:
                 level -= 1
         return results
-
-    # ----------------------------------------------------- columnar executor
-
-    def _run_variant_columnar(
-        self,
-        database: Database,
-        variant: PlanVariant,
-        delta: Optional[Dict[str, Set[Tuple]]],
-        delta_index_cache: Optional[Dict],
-    ) -> List[Tuple[Tuple, list]]:
-        """Execute one bound plan variant block-wise.
-
-        The environment is a *batch*: parallel slot columns (plain int
-        lists) plus a row count.  Each join step extends the whole batch
-        at once — posting probes per distinct environment row, column
-        slicing to materialize the surviving rows — and intermediate
-        batches are deduplicated on their live slots, so redundant
-        derivation paths collapse early instead of multiplying.  Returns
-        the same ``(head fact, support)`` pairs as :meth:`_run_variant`;
-        fixpoints are byte-identical.
-        """
-        stats = self.stats
-        for guard in variant.prelude:
-            if not self._eval_guard(database, guard, ()):
-                return []
-        steps = variant.steps
-        if not steps:
-            return [(variant.static_head, [])]
-        tracking = self.track_provenance
-        stats.rule_batches[variant.key] = (
-            stats.rule_batches.get(variant.key, 0) + 1
-        )
-        n_slots = variant.n_slots
-        cols: List[Optional[list]] = [None] * n_slots
-        count = 1
-        # Provenance trails ride along as extra row-id columns, one per
-        # completed step, decoded against that step's source columns.
-        trail_cols: List[list] = []
-        trail_sources: List[Tuple[int, str, Sequence]] = []
-        last_step = steps[-1]
-        for step in steps:
-            stats.batches += 1
-            # A batch step issues one candidate fetch per environment row
-            # when keyed (count), one scan otherwise.
-            stats.join_probes += count if step.positions else 1
-            if step.delta:
-                src_cols, src_rows, src_postings = self._delta_columns(
-                    step, delta, delta_index_cache
-                )
-            else:
-                view = step.columnar
-                src_cols = view.columns
-                src_rows = view.rows
-                src_postings = step.postings
-            # ---- select (environment row, source row) pairs
-            positions = step.positions
-            sel_env: Optional[list]
-            if not positions:
-                if count == 1:
-                    sel_env = None
-                    sel_rid: Sequence[int] = range(src_rows)
-                else:
-                    sel_env = [
-                        i for i in range(count) for _ in range(src_rows)
-                    ]
-                    sel_rid = list(range(src_rows)) * count
-            elif step.static_key is not None:
-                stats.index_probes += 1
-                run = _probe_runs(src_postings, step.static_key)
-                if run is None:
-                    return []
-                stats.index_hits += 1
-                if count == 1:
-                    sel_env = None
-                    sel_rid = run
-                else:
-                    sel_env = [i for i in range(count) for _ in run]
-                    sel_rid = list(run) * count
-            elif len(positions) == 1:
-                posting_get = src_postings[0].get
-                keys = cols[step.key_spec[0][1]]
-                stats.index_probes += count
-                sel_env = []
-                sel_rid = []
-                extend_env = sel_env.extend
-                extend_rid = sel_rid.extend
-                hits = 0
-                for i, key in enumerate(keys):
-                    run = posting_get(key)
-                    if run:
-                        hits += 1
-                        extend_env(repeat(i, len(run)))
-                        extend_rid(run)
-                stats.index_hits += hits
-            else:
-                parts = [
-                    cols[value] if from_slot else repeat(value, count)
-                    for from_slot, value in step.key_spec
-                ]
-                stats.index_probes += count
-                sel_env = []
-                sel_rid = []
-                extend_env = sel_env.extend
-                extend_rid = sel_rid.extend
-                hits = 0
-                for i, key in enumerate(zip(*parts)):
-                    run = _probe_runs(src_postings, key)
-                    if run:
-                        hits += 1
-                        extend_env(repeat(i, len(run)))
-                        extend_rid(run)
-                stats.index_hits += hits
-            matched = len(sel_rid)
-            # ---- same-literal repeated-variable checks (column pairs)
-            if matched:
-                for position, out_position in step.check_pairs:
-                    left = src_cols[position]
-                    right = src_cols[out_position]
-                    keep = [
-                        j for j, r in enumerate(sel_rid) if left[r] == right[r]
-                    ]
-                    if len(keep) != matched:
-                        sel_rid = [sel_rid[j] for j in keep]
-                        if sel_env is not None:
-                            sel_env = [sel_env[j] for j in keep]
-                        matched = len(keep)
-                        if not matched:
-                            break
-            if not matched:
-                return []
-            stats.batch_rows += matched
-            # ---- materialize the surviving rows: carried live slots
-            #      (column slices) plus this step's new bindings
-            new_cols: List[Optional[list]] = [None] * n_slots
-            if sel_env is None:
-                for slot in step.live_after:
-                    col = cols[slot]
-                    if col is not None:
-                        new_cols[slot] = [col[0]] * matched
-                if tracking and trail_cols:
-                    trail_cols = [[tc[0]] * matched for tc in trail_cols]
-            else:
-                for slot in step.live_after:
-                    col = cols[slot]
-                    if col is not None:
-                        new_cols[slot] = [col[i] for i in sel_env]
-                if tracking and trail_cols:
-                    trail_cols = [
-                        [tc[i] for i in sel_env] for tc in trail_cols
-                    ]
-            live_set = set(step.live_after)
-            for position, slot in step.outs:
-                if slot in live_set:
-                    src = src_cols[position]
-                    new_cols[slot] = [src[r] for r in sel_rid]
-            if tracking:
-                trail_cols.append(list(sel_rid))
-                trail_sources.append((step.orig_index, step.relation, src_cols))
-            cols = new_cols
-            count = matched
-            # ---- guards prune whole batch rows
-            for guard in step.guards:
-                if guard.__class__ is NegGuard:
-                    rel_set = guard.rel_set
-                    parts = [
-                        cols[value] if from_slot else repeat(value, count)
-                        for from_slot, value in guard.key_spec
-                    ]
-                    keep = [
-                        j for j, probe in enumerate(zip(*parts))
-                        if probe not in rel_set
-                    ]
-                else:
-                    symbols = database._symbols
-                    predicate = guard.predicate
-                    arg_spec = guard.arg_spec
-                    keep = [
-                        j for j in range(count)
-                        if predicate(*[
-                            symbols[cols[value][j]] if from_slot else value
-                            for from_slot, value in arg_spec
-                        ])
-                    ]
-                if len(keep) != count:
-                    cols = [
-                        [col[j] for j in keep] if col is not None else None
-                        for col in cols
-                    ]
-                    if tracking:
-                        trail_cols = [
-                            [tc[j] for j in keep] for tc in trail_cols
-                        ]
-                    count = len(keep)
-                    if not count:
-                        return []
-            # ---- collapse duplicate rows on the live slots: redundant
-            #      derivation paths are indistinguishable downstream
-            #      (skipped when tracking, where trails differ per path)
-            if not tracking and count > 1 and step is not last_step:
-                live_cols = [col for col in cols if col is not None]
-                if not live_cols:
-                    count = 1
-                else:
-                    seen: Set = set()
-                    add = seen.add
-                    if len(live_cols) == 1:
-                        only = live_cols[0]
-                        keep = [
-                            j for j, value in enumerate(only)
-                            if value not in seen and not add(value)
-                        ]
-                    else:
-                        keep = [
-                            j for j, row in enumerate(zip(*live_cols))
-                            if row not in seen and not add(row)
-                        ]
-                    if len(keep) != count:
-                        cols = [
-                            [col[j] for j in keep] if col is not None else None
-                            for col in cols
-                        ]
-                        count = len(keep)
-        # ---- emit head facts (and per-row supports when tracking)
-        static_head = variant.static_head
-        if static_head is not None:
-            heads: Iterable[Tuple] = repeat(static_head, 1 if not tracking else count)
-        else:
-            parts = [
-                cols[value] if from_slot else repeat(value, count)
-                for from_slot, value in variant.head_spec
-            ]
-            heads = zip(*parts)
-        if not tracking:
-            return [(head, []) for head in heads]
-        results: List[Tuple[Tuple, list]] = []
-        for j, head in enumerate(heads):
-            support = [
-                (orig_index, relation, tuple(col[tc[j]] for col in src))
-                for (orig_index, relation, src), tc in zip(
-                    trail_sources, trail_cols
-                )
-            ]
-            results.append((head, support))
-        return results
-
-    def _delta_columns(
-        self, step, delta: Dict[str, Set[Tuple]], cache: Dict
-    ) -> Tuple[Sequence, int, Optional[List[Dict[int, list]]]]:
-        """Columnar view of a per-round delta set, cached per round: the
-        delta's facts as parallel columns plus per-position postings for
-        the positions this step probes."""
-        relation = step.relation
-        entry = cache.get(relation)
-        if entry is None:
-            facts = delta.get(relation, ())
-            if facts:
-                columns: Sequence = list(zip(*facts))
-                rows = len(facts)
-            else:
-                columns = [() for _ in range(step.arity)]
-                rows = 0
-            entry = cache[relation] = (columns, rows, {})
-        columns, rows, postings_by_position = entry
-        if not step.positions:
-            return columns, rows, None
-        postings = []
-        for position in step.positions:
-            posting = postings_by_position.get(position)
-            if posting is None:
-                posting = {}
-                for row, key in enumerate(columns[position]):
-                    run = posting.get(key)
-                    if run is None:
-                        posting[key] = [row]
-                    else:
-                        run.append(row)
-                postings_by_position[position] = posting
-                self.stats.delta_index_builds += 1
-            postings.append(posting)
-        return columns, rows, postings
 
     def _candidates(
         self,
@@ -1109,10 +608,7 @@ class Engine:
         """
         database = self._inc_db
         if database is None:
-            raise RuntimeError(
-                "apply_changes() needs a prior evaluate() on a compiled "
-                "engine (use_plans=True)"
-            )
+            raise RuntimeError("apply_changes() needs a prior evaluate()")
         stats = self.stats
         stats.incremental_applies += 1
         edb = self._inc_edb
@@ -1244,20 +740,15 @@ class Engine:
     def _incremental_plans(self, database: Database) -> List[List[RulePlan]]:
         """Repair plans: delta variants for *every* positive body position
         (changes arrive in any relation), planned for the database's sizes
-        at the first repair and bound once to it with hash indexes — repair
-        always runs the tuple executor, because removals invalidate
-        columnar row ids mid-flight."""
+        at the first repair and bound once to it; the hash indexes they
+        probe are maintained through insertions and removals alike."""
         plans = self._inc_plans
         if plans is None:
-            self._inc_templates = self.program.plans(
-                database.count, all_deltas=True
-            )
             plans = self._inc_plans = [
-                [
-                    self._bind_plan(database, template, columnar=False)
-                    for template in templates
-                ]
-                for templates in self._inc_templates
+                [self._bind_plan(database, template) for template in templates]
+                for templates in self.program.plans(
+                    database.count, all_deltas=True
+                )
             ]
         return plans
 
@@ -1462,21 +953,8 @@ class Engine:
                         self.provenance.pop(
                             (relation, database.decode(fact)), None
                         )
-        plans = self._inc_plans[level]
-        runner = self._run_variant
-        if self.columnar:
-            # Removals dropped the affected columnar views; a columnar copy
-            # of the repair templates rebuilds them from the cleared store,
-            # so the recompute runs on the batch executor.  The hash
-            # indexes the tuple-bound repair plans use are maintained
-            # through removals, so later DRed passes keep using those.
-            plans = [
-                self._bind_plan(database, template, columnar=True)
-                for template in self._inc_templates[level]
-            ]
-            runner = self._run_variant_columnar
-        self._evaluate_stratum_compiled(
-            database, plans, max_iterations, deadline, runner=runner
+        self._evaluate_stratum(
+            database, self._inc_plans[level], max_iterations, deadline
         )
         for relation in heads:
             new = database._relations.get(relation, set())
@@ -1489,163 +967,13 @@ class Engine:
                 changes_rem.setdefault(relation, set()).update(net_removed)
                 stats.retracted_facts += len(net_removed)
 
-    # ------------------------------------------------------- legacy executor
-
-    def _evaluate_stratum(
-        self,
-        database: Database,
-        rules: List[Rule],
-        max_iterations: int,
-        deadline=None,
-    ) -> None:
-        stats = self.stats
-        heads = {rule.head.relation for rule in rules}
-
-        # Naive first round to seed deltas, then semi-naive iteration.
-        delta: Dict[str, Set[Tuple]] = {rel: set() for rel in heads}
-        for rule in rules:
-            results = self._derive(database, rule, None, {})
-            derived = 0
-            for fact, support in results:
-                if database.add(rule.head.relation, fact):
-                    delta[rule.head.relation].add(fact)
-                    derived += 1
-                    self._record(rule, fact, support)
-            stats.count_rule(repr(rule), len(results), derived)
-
-        iterations = 0
-        while any(delta.values()):
-            iterations += 1
-            if iterations > max_iterations:
-                raise RuntimeError("datalog evaluation did not converge")
-            if deadline is not None:
-                deadline.check()
-            stats.iterations += 1
-            new_delta: Dict[str, Set[Tuple]] = {rel: set() for rel in heads}
-            for rule in rules:
-                rule_key = None
-                recursive_positions = [
-                    position
-                    for position, item in enumerate(rule.body)
-                    if isinstance(item, Literal)
-                    and not item.negated
-                    and item.atom.relation in heads
-                    and delta.get(item.atom.relation)
-                ]
-                for delta_position in recursive_positions:
-                    results = self._derive(database, rule, delta_position, delta)
-                    derived = 0
-                    for fact, support in results:
-                        if database.add(rule.head.relation, fact):
-                            new_delta[rule.head.relation].add(fact)
-                            derived += 1
-                            self._record(rule, fact, support)
-                    if results:
-                        if rule_key is None:
-                            rule_key = repr(rule)
-                        stats.count_rule(rule_key, len(results), derived)
-            delta = new_delta
-        stats.stratum_iterations.append(iterations)
-
-    def _derive(
-        self,
-        database: Database,
-        rule: Rule,
-        delta_position: Optional[int],
-        delta: Dict[str, Set[Tuple]],
-    ):
-        """Yield (head fact, supporting body facts) pairs from ``rule``.
-
-        When ``delta_position`` is given, that body literal iterates only the
-        delta facts (semi-naive restriction).  Support lists are collected
-        only when provenance tracking is on (empty otherwise).
-        """
-        results: List[Tuple[Tuple, List[Tuple[str, Tuple]]]] = []
-        tracking = self.track_provenance
-
-        def join(
-            position: int, binding: Binding, support: List[Tuple[str, Tuple]]
-        ) -> None:
-            if position == len(rule.body):
-                results.append((substitute(rule.head, binding), support))
-                return
-            item = rule.body[position]
-            if isinstance(item, Filter):
-                values = [
-                    binding[arg] if isinstance(arg, Variable) else arg
-                    for arg in item.args
-                ]
-                if item.predicate(*values):
-                    join(position + 1, binding, support)
-                return
-            atom, negated = item.atom, item.negated
-            if negated:
-                probe = []
-                for arg in atom.args:
-                    if isinstance(arg, Variable):
-                        if arg.is_wildcard or arg not in binding:
-                            raise PlanningError(
-                                "unbound or wildcard variable %r in negated "
-                                "literal %r of rule %r" % (arg, item, rule)
-                            )
-                        probe.append(binding[arg])
-                    else:
-                        probe.append(arg)
-                if not database.contains(atom.relation, tuple(probe)):
-                    join(position + 1, binding, support)
-                return
-            if position == delta_position:
-                candidates: Iterable[Tuple] = delta.get(atom.relation, ())
-                for fact in candidates:
-                    extended = match(atom.args, fact, binding)
-                    if extended is not None:
-                        join(
-                            position + 1,
-                            extended,
-                            support + [(atom.relation, fact)] if tracking else support,
-                        )
-                return
-            # Indexed lookup on bound positions.
-            bound_positions: List[int] = []
-            key_values: List[Any] = []
-            for argument_position, arg in enumerate(atom.args):
-                if isinstance(arg, Variable):
-                    if not arg.is_wildcard and arg in binding:
-                        bound_positions.append(argument_position)
-                        key_values.append(binding[arg])
-                else:
-                    bound_positions.append(argument_position)
-                    key_values.append(arg)
-            for fact in database.lookup(
-                atom.relation, tuple(bound_positions), tuple(key_values)
-            ):
-                extended = match(atom.args, fact, binding)
-                if extended is not None:
-                    join(
-                        position + 1,
-                        extended,
-                        support + [(atom.relation, fact)] if tracking else support,
-                    )
-
-        join(0, {}, [])
-        return results
-
     # ----------------------------------------------------------- provenance
-
-    def _record(
-        self, rule: Rule, fact: Tuple, support: List[Tuple[str, Tuple]]
-    ) -> None:
-        if not self.track_provenance:
-            return
-        key = (rule.head.relation, fact)
-        if key not in self.provenance:
-            self.provenance[key] = (rule, support)
 
     def _record_interned(
         self, database: Database, rule: Rule, fact: Tuple, support: list
     ) -> None:
-        """Record a compiled-path derivation: decode the head and supports
-        and restore original body order (supports sort by body index)."""
+        """Record a derivation: decode the head and supports and restore
+        original body order (supports sort by body index)."""
         key = (rule.head.relation, database.decode(fact))
         if key in self.provenance:
             return

@@ -35,7 +35,6 @@ push.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.datalog.program import (
@@ -375,16 +374,13 @@ _REGISTERED_PROGRAMS: Dict[str, str] = {}
 
 
 def register_program(name: str, text: str) -> None:
-    """Add a rule program to the shipped set (and invalidate the cached
-    finding count — a stale count would hide the new program's lint)."""
+    """Add a rule program to the shipped set."""
     _REGISTERED_PROGRAMS[name] = text
-    shipped_finding_count.cache_clear()
 
 
 def unregister_program(name: str) -> None:
     """Remove a registered rule program (no-op if absent)."""
-    if _REGISTERED_PROGRAMS.pop(name, None) is not None:
-        shipped_finding_count.cache_clear()
+    _REGISTERED_PROGRAMS.pop(name, None)
 
 
 def shipped_programs() -> List[Tuple[str, str]]:
@@ -418,9 +414,7 @@ def lint_shipped() -> List[LintFinding]:
     findings: List[LintFinding] = []
 
     # One parse per program, shared by both passes and dropped as soon as
-    # both have read it: parsing is most of the cost, and every process
-    # pays it on its first analysis (the precision counters report
-    # shipped_finding_count()).
+    # both have read it: parsing is most of the cost.
     def parsed() -> Iterator[Tuple[str, ParsedProgram]]:
         for name, text in shipped_programs():
             try:
@@ -433,12 +427,3 @@ def lint_shipped() -> List[LintFinding]:
 
     cross = _cross_program_findings(parsed())
     return findings + cross
-
-
-@lru_cache(maxsize=1)
-def shipped_finding_count() -> int:
-    """Cached count of shipped-rules findings (surfaced per analysis
-    result in the precision counters).  :func:`register_program` /
-    :func:`unregister_program` invalidate the cache, so the count always
-    reflects the current program set."""
-    return len(lint_shipped())

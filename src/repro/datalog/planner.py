@@ -55,18 +55,40 @@ class PlanningError(ValueError):
 class EngineStats:
     """Per-engine observability counters (the ``--profile`` payload).
 
-    ``rule_derivations`` counts *new* facts per rule (first derivations);
-    ``rule_matches`` counts every head tuple a rule produced, including
-    duplicates — the gap between the two is re-derivation overhead.
-    ``join_probes`` counts candidate-source fetches (index probes plus
-    relation/delta scans), ``index_hits`` the full-relation index probes
-    that returned at least one candidate.
+    Each counter has one meaning, summed over every evaluation and repair
+    the engine ran.  A *plan execution* runs one bound plan variant (a
+    rule's seed variant, or one of its delta variants) to completion; a
+    *step entry* starts one join step's candidate scan for the current
+    environment.
 
-    The columnar executor fills ``batches`` (join steps executed
-    block-wise), ``batch_rows`` (rows surviving each step), and
-    ``rule_batches`` (batch executions per rule).  Incremental repair
-    (:meth:`~repro.datalog.engine.Engine.apply_changes`) fills
-    ``incremental_applies``, ``overdeleted_facts``/``rederived_facts``
+    * ``evaluations`` — :meth:`~repro.datalog.engine.Engine.evaluate`
+      calls.
+    * ``iterations`` — semi-naive rounds after a stratum's seed round,
+      whenever a stratum runs from scratch (in ``evaluate``, or when a
+      repair recomputes it): one per round that starts with a non-empty
+      delta, so a stratum whose seed round derives anything counts at
+      least one, recursive or not.  ``stratum_iterations`` lists them per
+      stratum run, in run order.  DRed's overdeletion and insertion
+      rounds count in neither.
+    * ``derived_facts`` — facts a rule inserted that were not yet present
+      (first derivations); ``rule_derivations`` splits them per rule.
+    * ``matches`` — head tuples produced by plan executions, duplicates
+      and already-known facts included; ``rule_matches`` splits them per
+      rule.  ``matches - derived_facts`` is re-derivation overhead.
+      DRed's overdeletion pass counts neither.
+    * ``join_probes`` — step entries: every candidate fetch, whether an
+      index probe, a full-relation scan, a delta scan or a delta-index
+      probe.
+    * ``index_probes`` — step entries that probe a full relation's hash
+      index (a non-delta step with bound positions); ``index_hits`` —
+      those that found at least one candidate.
+    * ``index_builds`` — hash indexes built on the database while binding
+      plan copies (an index that already exists is reused, not counted).
+    * ``delta_index_builds`` — per-round indexes built over a delta
+      relation, one per (relation, bound positions) per round.
+
+    Incremental repair (:meth:`~repro.datalog.engine.Engine.apply_changes`)
+    fills ``incremental_applies``, ``overdeleted_facts``/``rederived_facts``
     (the DRed delete/restore pair), ``delta_derived_facts`` and
     ``rule_delta_derivations`` (facts added by delta propagation, per
     rule), ``retracted_facts`` (net facts leaving the database), and
@@ -84,8 +106,6 @@ class EngineStats:
     index_hits: int = 0
     index_builds: int = 0
     delta_index_builds: int = 0
-    batches: int = 0
-    batch_rows: int = 0
     incremental_applies: int = 0
     overdeleted_facts: int = 0
     rederived_facts: int = 0
@@ -94,7 +114,6 @@ class EngineStats:
     strata_recomputed: int = 0
     rule_derivations: Dict[str, int] = field(default_factory=dict)
     rule_matches: Dict[str, int] = field(default_factory=dict)
-    rule_batches: Dict[str, int] = field(default_factory=dict)
     rule_delta_derivations: Dict[str, int] = field(default_factory=dict)
 
     def count_rule(self, rule_key: str, matches: int, derived: int) -> None:
@@ -121,7 +140,6 @@ class EngineStats:
         payload["stratum_iterations"] = list(self.stratum_iterations)
         payload["rule_derivations"] = ranked(self.rule_derivations)
         payload["rule_matches"] = ranked(self.rule_matches)
-        payload["rule_batches"] = ranked(self.rule_batches)
         payload["rule_delta_derivations"] = ranked(self.rule_delta_derivations)
         return payload
 
@@ -137,8 +155,6 @@ class EngineStats:
             "index_hits": self.index_hits,
             "index_builds": self.index_builds,
             "delta_index_builds": self.delta_index_builds,
-            "batches": self.batches,
-            "batch_rows": self.batch_rows,
             "incremental_applies": self.incremental_applies,
             "overdeleted_facts": self.overdeleted_facts,
             "rederived_facts": self.rederived_facts,
@@ -161,14 +177,7 @@ class JoinStep:
     """One positive body literal, compiled: where its candidates come from
     (full relation or delta, scan or index probe) and how a candidate fact
     extends the environment (``outs``) or is checked against it
-    (``checks``).
-
-    The columnar executor additionally uses ``arity`` (to shape delta
-    columns), ``check_pairs`` (same-literal repeated-variable checks as
-    column-pair comparisons), ``live_after`` (the slots worth
-    materializing after this step — everything later steps, guards, or
-    the head still read), and the bound ``columnar``/``postings``
-    references into the database's column store."""
+    (``checks``)."""
 
     __slots__ = (
         "relation",
@@ -178,15 +187,10 @@ class JoinStep:
         "static_key",
         "outs",
         "checks",
-        "check_pairs",
         "guards",
         "orig_index",
-        "arity",
-        "live_after",
         "rel_set",
         "index",
-        "columnar",
-        "postings",
     )
 
     def __init__(
@@ -198,8 +202,6 @@ class JoinStep:
         outs: Tuple[Tuple[int, int], ...],
         checks: Tuple[Tuple[int, int], ...],
         orig_index: int,
-        arity: int = 0,
-        check_pairs: Tuple[Tuple[int, int], ...] = (),
     ):
         self.relation = relation
         self.delta = delta
@@ -208,16 +210,11 @@ class JoinStep:
         self.static_key: Optional[Tuple] = None
         self.outs = outs
         self.checks = checks
-        self.check_pairs = check_pairs
         self.guards: Tuple[Any, ...] = ()
         self.orig_index = orig_index
-        self.arity = arity
-        self.live_after: Tuple[int, ...] = ()
         # Set on bound copies only: direct references into the database.
         self.rel_set: Optional[Set[Tuple]] = None
         self.index: Optional[Dict[Tuple, List[Tuple]]] = None
-        self.columnar: Optional[Any] = None
-        self.postings: Optional[Tuple[Dict[int, Any], ...]] = None
 
     def copy(self) -> "JoinStep":
         """A shallow copy, for binding (every field is immutable on a
@@ -230,15 +227,10 @@ class JoinStep:
         step.static_key = self.static_key
         step.outs = self.outs
         step.checks = self.checks
-        step.check_pairs = self.check_pairs
         step.guards = self.guards
         step.orig_index = self.orig_index
-        step.arity = self.arity
-        step.live_after = self.live_after
         step.rel_set = self.rel_set
         step.index = self.index
-        step.columnar = self.columnar
-        step.postings = self.postings
         return step
 
     def __repr__(self) -> str:
@@ -544,9 +536,7 @@ def compile_variant(
         key_spec: List[Tuple[bool, Any]] = []
         outs: List[Tuple[int, int]] = []
         checks: List[Tuple[int, int]] = []
-        check_pairs: List[Tuple[int, int]] = []
         new_here: Set[Variable] = set()
-        out_position_of: Dict[int, int] = {}
         for position, arg in enumerate(literal.atom.args):
             if isinstance(arg, Variable):
                 if arg.is_wildcard:
@@ -556,14 +546,10 @@ def compile_variant(
                     slot = slot_of[arg] = len(slot_of)
                     new_here.add(arg)
                     outs.append((position, slot))
-                    out_position_of[slot] = position
                 elif arg in new_here:
                     # Repeated occurrence bound earlier in this same
-                    # literal: compare, don't probe.  ``check_pairs``
-                    # records the same comparison as a column pair for
-                    # the batch executor.
+                    # literal: compare, don't probe.
                     checks.append((position, slot))
-                    check_pairs.append((position, out_position_of[slot]))
                 else:
                     positions.append(position)
                     key_spec.append((True, slot))
@@ -578,8 +564,6 @@ def compile_variant(
             outs=tuple(outs),
             checks=tuple(checks),
             orig_index=orig_index,
-            arity=literal.atom.arity,
-            check_pairs=tuple(check_pairs),
         )
         step.guards = tuple(
             _compile_guard(item, guard_index, slot_of)
@@ -606,7 +590,6 @@ def compile_variant(
         else:
             head_spec.append((False, arg))
 
-    _assign_live_slots(steps, tuple(head_spec))
     return PlanVariant(
         rule=rule,
         delta_position=delta_position,
@@ -615,34 +598,6 @@ def compile_variant(
         head_spec=tuple(head_spec),
         n_slots=len(slot_of),
     )
-
-
-def _guard_slots(guard: Any) -> Set[int]:
-    """Environment slots a compiled guard reads."""
-    spec = guard.key_spec if isinstance(guard, NegGuard) else guard.arg_spec
-    return {value for from_slot, value in spec if from_slot}
-
-
-def _assign_live_slots(steps: List[JoinStep], head_spec: Spec) -> None:
-    """Backward liveness pass for the batch executor: ``live_after`` of a
-    step is every slot that a later step's key/guards or the head still
-    reads, restricted to slots actually bound by then — the batch
-    materializes exactly these columns and drops the rest."""
-    needed: Set[int] = {value for from_slot, value in head_spec if from_slot}
-    live: List[Set[int]] = [set()] * len(steps)
-    for index in range(len(steps) - 1, -1, -1):
-        step = steps[index]
-        wanted = set(needed)
-        for guard in step.guards:
-            wanted |= _guard_slots(guard)
-        live[index] = wanted
-        out_slots = {slot for _, slot in step.outs}
-        key_slots = {value for from_slot, value in step.key_spec if from_slot}
-        needed = (wanted - out_slots) | key_slots
-    bound: Set[int] = set()
-    for index, step in enumerate(steps):
-        bound |= {slot for _, slot in step.outs}
-        step.live_after = tuple(sorted(live[index] & bound))
 
 
 def compile_rule(

@@ -20,7 +20,7 @@ from repro.core.report import BundleReport, ContractReport
 from repro.corpus import generate_corpus
 
 CONTRACTS = generate_corpus(8, seed=11)
-ENGINES = ["datalog", "datalog-legacy"]
+ENGINES = ["python", "datalog"]
 
 
 def _canonical(text: str) -> dict:

@@ -93,6 +93,21 @@ class TestDatalogEntryPoints:
         with pytest.raises(ValueError):
             analyze_with_datalog()
 
+    def test_executor_parameters_accept_only_the_compiled_executor(
+        self, victim_contract
+    ):
+        runtime = victim_contract.runtime
+        baseline = analyze_with_datalog(runtime)
+        for columnar in (None, False):
+            result = analyze_with_datalog(
+                runtime, use_plans=True, columnar=columnar
+            )
+            assert result.tainted_slots == baseline.tainted_slots
+            assert result.engine_stats == baseline.engine_stats
+        for bad in ({"use_plans": False}, {"columnar": True}):
+            with pytest.raises(ValueError, match="compiled plans only"):
+                analyze_with_datalog(runtime, **bad)
+
     def test_composite_reaches_fixpoint_in_datalog(self, victim_contract):
         """The escalation requires genuinely recursive evaluation: guards
         compromised by taint unlock reachability which creates taint."""

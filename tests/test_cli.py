@@ -140,15 +140,16 @@ class TestEngineFlag:
         assert "accessible-selfdestruct" in capsys.readouterr().out
 
     def test_columnar_engine_flag(self, victim_file, capsys):
+        """The deleted executors' engine names are unknown engines now."""
+        import pytest
+
         from repro.cli import main
 
-        assert (
-            main(
-                ["analyze", "--source", victim_file, "--engine", "datalog-columnar"]
-            )
-            == 1
-        )
-        assert "accessible-selfdestruct" in capsys.readouterr().out
+        for name in ("datalog-columnar", "datalog-legacy"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["analyze", "--source", victim_file, "--engine", name])
+            assert excinfo.value.code == 2
+            assert "invalid choice: %r" % name in capsys.readouterr().err
 
     def test_help_enumerates_engine_choices(self, capsys):
         import pytest
@@ -176,8 +177,7 @@ class TestEngineFlag:
         assert excinfo.value.code == 2
         errors = capsys.readouterr().err
         assert "invalid choice: 'sqlite'" in errors
-        for name in ("python", "datalog", "datalog-columnar", "datalog-legacy"):
-            assert name in errors
+        assert "choose from 'datalog', 'python'" in errors
 
     def test_unknown_engine_config_raises_clear_error(self):
         import pytest
@@ -185,8 +185,10 @@ class TestEngineFlag:
         from repro import api
         from repro.core.pipeline import UnknownEngineError
 
-        with pytest.raises(UnknownEngineError, match="datalog-columnar"):
+        with pytest.raises(UnknownEngineError, match="datalog, python$"):
             api.analyze(b"\x00", api.AnalysisConfig(engine="sqlite"))
+        with pytest.raises(UnknownEngineError, match="'datalog-legacy'"):
+            api.analyze(b"\x00", api.AnalysisConfig(engine="datalog-legacy"))
 
 
 class TestLintRules:

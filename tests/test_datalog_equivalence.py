@@ -1,9 +1,11 @@
-"""Randomized equivalence: naive, semi-naive, compiled-plan, and columnar
-evaluation must produce identical fixpoints on generated stratified
-programs (and the same provenance coverage when tracking is on); one
-compiled program evaluated over many databases must match a fresh engine
-per database; DRed incremental repair after random EDB add/retract
-batches must match a from-scratch fixpoint over the mutated EDB."""
+"""Randomized equivalence: the engine's semi-naive evaluation over
+compiled plans must reach the fixpoint of the naive reference evaluator
+(``tests/datalog_reference.py``) on generated stratified programs, with
+and without provenance tracking, and record a first derivation for
+exactly the derived facts; one compiled program evaluated over many
+databases must match a fresh engine per database; DRed incremental repair
+after random EDB add/retract batches must match a from-scratch fixpoint
+over the mutated EDB."""
 
 import random
 
@@ -20,6 +22,7 @@ from repro.datalog import (
 )
 from repro.datalog.planner import compile_rule
 from repro.datalog.terms import Filter
+from tests import datalog_reference
 
 # EDB relations are never rule heads and negation only targets them, so
 # every generated program is stratifiable by construction.
@@ -95,24 +98,12 @@ def _load(facts) -> Database:
 
 def _naive(rules, facts) -> Database:
     """Reference fixpoint: naive bottom-up iteration, no deltas."""
-    database = _load(facts)
-    engine = Engine(rules, use_plans=False)
-    for stratum in engine.strata:
-        changed = True
-        while changed:
-            changed = False
-            for rule in stratum:
-                for fact, _support in engine._derive(database, rule, None, {}):
-                    if database.add(rule.head.relation, fact):
-                        changed = True
-    return database
+    return datalog_reference.evaluate(rules, _load(facts))
 
 
-def _semi_naive(rules, facts, use_plans, track=False, columnar=None):
+def _semi_naive(rules, facts, track=False):
     database = _load(facts)
-    engine = Engine(
-        rules, track_provenance=track, use_plans=use_plans, columnar=columnar
-    )
+    engine = Engine(rules, track_provenance=track)
     engine.evaluate(database)
     return database, engine
 
@@ -127,42 +118,35 @@ def _snapshot(database: Database):
 class TestEngineEquivalence:
     @given(_program())
     @settings(max_examples=60, deadline=None)
-    def test_four_evaluation_modes_agree(self, program):
+    def test_engine_matches_naive_reference(self, program):
         rules, facts = program
         reference = _snapshot(_naive(rules, facts))
-        legacy_db, _ = _semi_naive(rules, facts, use_plans=False)
-        compiled_db, _ = _semi_naive(rules, facts, use_plans=True)
-        columnar_db, _ = _semi_naive(rules, facts, use_plans=True, columnar=True)
-        assert _snapshot(legacy_db) == reference
-        assert _snapshot(compiled_db) == reference
-        assert _snapshot(columnar_db) == reference
+        plain_db, _ = _semi_naive(rules, facts)
+        tracking_db, _ = _semi_naive(rules, facts, track=True)
+        assert _snapshot(plain_db) == reference
+        assert _snapshot(tracking_db) == reference
 
     @given(_program())
     @settings(max_examples=40, deadline=None)
     def test_provenance_coverage_matches(self, program):
-        """Every engine records a first derivation for exactly the derived
-        (IDB) facts; trees may differ, coverage may not."""
+        """The engine records a first derivation for exactly the derived
+        (IDB) facts of the reference fixpoint."""
         rules, facts = program
-        legacy_db, legacy = _semi_naive(rules, facts, use_plans=False, track=True)
-        compiled_db, compiled = _semi_naive(rules, facts, use_plans=True, track=True)
-        _, columnar = _semi_naive(
-            rules, facts, use_plans=True, track=True, columnar=True
-        )
-        assert set(legacy.provenance) == set(compiled.provenance)
-        assert set(columnar.provenance) == set(compiled.provenance)
+        _, engine = _semi_naive(rules, facts, track=True)
+        reference = _naive(rules, facts)
         derived = {
             (relation, fact)
             for relation in IDB_ARITY
-            for fact in compiled_db.facts(relation)
+            for fact in reference.facts(relation)
         }
-        assert set(compiled.provenance) == derived
+        assert set(engine.provenance) == derived
 
     @given(_program())
     @settings(max_examples=30, deadline=None)
     def test_compiled_stats_count_all_derivations(self, program):
         """Per-rule derivation counts sum to the number of IDB facts."""
         rules, facts = program
-        database, engine = _semi_naive(rules, facts, use_plans=True)
+        database, engine = _semi_naive(rules, facts)
         derived = sum(
             len(database.facts(relation)) for relation in IDB_ARITY
         )
@@ -200,20 +184,19 @@ class TestSharedProgram:
     @settings(max_examples=60, deadline=None)
     def test_one_program_many_databases_equals_fresh_engines(self, drawn):
         """Plan templates are shared and keyed by size ranks: evaluating
-        one program over several databases (interning differently, on
-        alternating executors) must give each database exactly what a
+        one program over several databases (interning differently) must
+        give each database exactly what a
         fresh engine gives it — fixpoint, provenance and every counter.
         A template that binding mutated would leak one database's ids or
         index references into the next."""
         rules, databases = drawn
         program = CompiledProgram(rules)
-        for turn, (facts, seed) in enumerate(databases):
-            columnar = turn % 2 == 1
+        for facts, seed in databases:
             shared_db = _load_shuffled(facts, seed)
-            shared = Engine(program, track_provenance=True, columnar=columnar)
+            shared = Engine(program, track_provenance=True)
             shared.evaluate(shared_db)
             fresh_db = _load_shuffled(facts, seed)
-            fresh = Engine(rules, track_provenance=True, columnar=columnar)
+            fresh = Engine(rules, track_provenance=True)
             fresh.evaluate(fresh_db)
             assert _snapshot(shared_db) == _snapshot(fresh_db)
             assert shared.provenance == fresh.provenance
@@ -263,7 +246,6 @@ def _shape(plan):
                     step.key_spec,
                     step.outs,
                     step.checks,
-                    step.live_after,
                     guards(step.guards),
                 )
                 for step in variant.steps
@@ -299,16 +281,14 @@ class TestIncrementalEquivalence:
     fixpoint over the mutated EDB — fact-for-fact, and (when tracking)
     provenance-coverage-for-coverage."""
 
-    def _run(self, program, columnar, track=False):
+    def _run(self, program, track=False):
         rules, facts, batches = program
         edb = {
             relation: set(rows)
             for relation, rows in facts.items()
         }
         database = _load(facts)
-        engine = Engine(
-            rules, track_provenance=track, use_plans=True, columnar=columnar
-        )
+        engine = Engine(rules, track_provenance=track)
         engine.evaluate(database)
         for additions, picks in batches:
             pool = sorted(
@@ -338,7 +318,6 @@ class TestIncrementalEquivalence:
         cold_db, cold = _semi_naive(
             rules,
             {relation: sorted(rows, key=repr) for relation, rows in edb.items()},
-            use_plans=True,
             track=track,
         )
         return database, engine, cold_db, cold
@@ -346,13 +325,7 @@ class TestIncrementalEquivalence:
     @given(_program_with_changes())
     @settings(max_examples=40, deadline=None)
     def test_compiled_repair_matches_cold_fixpoint(self, program):
-        database, _, cold_db, _ = self._run(program, columnar=False)
-        assert _snapshot(database) == _snapshot(cold_db)
-
-    @given(_program_with_changes())
-    @settings(max_examples=40, deadline=None)
-    def test_columnar_repair_matches_cold_fixpoint(self, program):
-        database, _, cold_db, _ = self._run(program, columnar=True)
+        database, _, cold_db, _ = self._run(program)
         assert _snapshot(database) == _snapshot(cold_db)
 
     @given(_program_with_changes())
@@ -360,9 +333,7 @@ class TestIncrementalEquivalence:
     def test_repair_preserves_provenance_coverage(self, program):
         """After repair the warm engine explains exactly the facts a cold
         tracking engine derives — nothing stale, nothing missing."""
-        database, engine, cold_db, cold = self._run(
-            program, columnar=False, track=True
-        )
+        database, engine, cold_db, cold = self._run(program, track=True)
         assert set(engine.provenance) == set(cold.provenance)
         derived = {
             (relation, fact)

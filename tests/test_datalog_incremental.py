@@ -7,14 +7,14 @@ import pytest
 from repro.datalog import Database, Engine, parse_program, parse_rule
 
 
-def _closure_engine(track=False, columnar=None):
+def _closure_engine(track=False):
     rules = [
         parse_rule("Path(x, y) :- Edge(x, y)."),
         parse_rule("Path(x, z) :- Path(x, y), Edge(y, z)."),
     ]
     db = Database()
     db.add_all("Edge", [("a", "b"), ("b", "c")])
-    engine = Engine(rules, track_provenance=track, columnar=columnar)
+    engine = Engine(rules, track_provenance=track)
     engine.evaluate(db)
     return engine, db
 
@@ -137,25 +137,6 @@ class TestGuardrails:
         with pytest.raises(RuntimeError, match="prior evaluate"):
             engine.apply_changes(additions={"E": [("a",)]})
 
-    def test_legacy_interpreter_cannot_apply_changes(self):
-        engine = Engine([parse_rule("P(x) :- E(x).")], use_plans=False)
-        db = Database()
-        db.add("E", ("a",))
-        engine.evaluate(db)
-        with pytest.raises(RuntimeError):
-            engine.apply_changes(additions={"E": [("b",)]})
-
-    def test_columnar_engine_repairs_too(self):
-        engine, db = _closure_engine(columnar=True)
-        engine.apply_changes(
-            additions={"Edge": [("c", "d")]},
-            retractions={"Edge": [("a", "b")]},
-        )
-        cold_db = Database()
-        cold_db.add_all("Edge", [("b", "c"), ("c", "d")])
-        Engine(engine.rules).evaluate(cold_db)
-        assert db.facts("Path") == cold_db.facts("Path")
-
 
 class TestWarmEngineCache:
     def _corpus(self):
@@ -209,7 +190,7 @@ class TestWarmEngineCache:
 
         contract = self._corpus()[0]
         warm = api.WarmEngineCache()
-        config = api.AnalysisConfig(engine="datalog-columnar")
+        config = api.AnalysisConfig(engine="datalog")
         first = api.analyze(contract.runtime, config, warm=warm)
         second = api.analyze(contract.runtime, config, warm=warm)
         assert warm.stats()["misses"] == 1

@@ -12,7 +12,6 @@ from repro.datalog.lint import (
     lint_shipped,
     lint_text,
     register_program,
-    shipped_finding_count,
     shipped_programs,
     stratification_preview,
     unregister_program,
@@ -249,22 +248,20 @@ class TestCrossProgramChecks:
 
 class TestFindingCountInvalidation:
     def test_register_program_invalidates_cached_count(self):
-        shipped_finding_count.cache_clear()
-        baseline = shipped_finding_count()
-        # A registered program with a lint finding must change the cached
-        # count immediately — the regression was a stale lru_cache serving
-        # the pre-registration value.
+        baseline = len(lint_shipped())
+        # A registered program with a lint finding must show up in the
+        # very next lint, and vanish once unregistered.
         register_program("test:stale", "Bad(x, q) :- Edge(x, y).")
         try:
-            assert shipped_finding_count() > baseline
+            assert len(lint_shipped()) > baseline
         finally:
             unregister_program("test:stale")
-        assert shipped_finding_count() == baseline
+        assert len(lint_shipped()) == baseline
 
     def test_unregister_missing_program_is_noop(self):
-        before = shipped_finding_count()
+        before = len(lint_shipped())
         unregister_program("test:never-registered")
-        assert shipped_finding_count() == before
+        assert len(lint_shipped()) == before
 
 
 class TestStratificationPreview:
@@ -288,3 +285,34 @@ class TestStratificationPreview:
         strata = stratification_preview(program.rules)
         together = [group for group in strata if "Odd" in group]
         assert together and "Even" in together[0]
+
+
+class TestAnalysisPath:
+    def test_analysis_never_loads_the_linter(self):
+        """Linting is a build check (``repro lint-rules``), not part of an
+        analysis: a fresh process analyzes on both engines without
+        importing the linter or linting the shipped programs."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "from repro import api\n"
+            "from repro.corpus import generate_corpus\n"
+            "code = generate_corpus(1, seed=7)[0].runtime\n"
+            "for engine in ('python', 'datalog'):\n"
+            "    result = api.analyze(code, api.AnalysisConfig(engine=engine))\n"
+            "    assert 'lint_findings' not in result.precision.as_dict()\n"
+            "print('repro.datalog.lint' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        output = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert output.strip() == "False"

@@ -90,14 +90,14 @@ class TestPlanCache:
 
     def test_repeat_contract_compiles_nothing(self, victim_contract):
         """Once a contract's rank signatures are cached, analyzing it again
-        (or on the other executor) only hits the cache."""
+        (with or without provenance tracking) only hits the cache."""
         options = TaintOptions()
         analyze_with_datalog(victim_contract.runtime, options=options)
         program = bytecode_datalog._rules(options)
         before = program.cache_info()
-        for columnar in (False, True):
+        for track in (False, True):
             analyze_with_datalog(
-                victim_contract.runtime, options=options, columnar=columnar
+                victim_contract.runtime, options=options, track_provenance=track
             )
         after = program.cache_info()
         assert after.misses == before.misses
@@ -134,7 +134,7 @@ class TestPlanCache:
                 while time.monotonic() < deadline:
                     index = turn % len(corpus_edbs)
                     database = _load_edb(corpus_edbs[index])
-                    Engine(program, columnar=turn % 3 == 0).evaluate(database)
+                    Engine(program).evaluate(database)
                     if _snapshot(database) != expected[index]:
                         failures.append(index)
                     turn += 1

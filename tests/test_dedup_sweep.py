@@ -20,10 +20,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import api
+from repro.core.batch import BatchEntry
 from repro.core.orchestrator import (
     FaultPlan,
     OrchestratorOptions,
     ResultCache,
+    _entry_to_dict,
     journal_key,
     run_sweep,
     sweep_fingerprint,
@@ -151,6 +153,65 @@ class TestGroupFaultPropagation:
         assert errored == [0]
 
 
+# Any JSON value, for damaged-file properties.
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _damage(draw):
+    """A function that damages a result-cache file's bytes: truncates them,
+    flips one bit, or replaces them with arbitrary JSON — alone, or as the
+    entries of a record that is otherwise well formed, digest included."""
+    kind = draw(st.sampled_from(("truncate", "flip", "json", "entries")))
+    fraction = draw(st.floats(0, 1, exclude_max=True))
+    bit = draw(st.integers(0, 7))
+    value = draw(_JSON)
+
+    def apply(data: bytes) -> bytes:
+        position = int(fraction * len(data))
+        if kind == "truncate":
+            return data[:position]
+        if kind == "flip":
+            flipped = bytearray(data)
+            flipped[position] ^= 1 << bit
+            return bytes(flipped)
+        if kind == "json":
+            return json.dumps(value).encode()
+        record = json.loads(data)
+        record["entries"] = value
+        record["digest"] = ResultCache._digest(value)
+        return json.dumps(record).encode()
+
+    return apply
+
+
+def _damage_files(root, damage):
+    for directory, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                data = handle.read()
+            with open(path, "wb") as handle:
+                handle.write(damage(data))
+
+
+def _entries(index=0, kinds=("x",)):
+    """One row's entry dicts, as the sweep stores them."""
+    entry = BatchEntry(
+        index=index, kinds=kinds, error=None, elapsed_seconds=0.0, statement_count=0
+    )
+    return [_entry_to_dict(entry)]
+
+
 class TestResultCache:
     def _key(self, bytecode, config=None):
         fingerprint = sweep_fingerprint((config or api.AnalysisConfig(),))
@@ -160,19 +221,19 @@ class TestResultCache:
         cache = ResultCache(str(tmp_path / "rc"))
         assert cache.get("k") is None
         assert cache.misses == 1
-        cache.put("k", [{"index": 0, "kinds": ["x"]}])
-        assert cache.get("k") == [{"index": 0, "kinds": ["x"]}]
+        cache.put("k", _entries())
+        assert cache.get("k") == json.loads(json.dumps(_entries()))
         assert cache.hits == 1
 
     def test_put_never_overwrites(self, tmp_path):
         cache = ResultCache(str(tmp_path / "rc"))
-        cache.put("k", [{"index": 0}])
-        cache.put("k", [{"index": 999}])
-        assert cache.get("k") == [{"index": 0}]
+        cache.put("k", _entries(index=0))
+        cache.put("k", _entries(index=999))
+        assert cache.get("k")[0]["index"] == 0
 
     def test_corrupt_and_mismatched_files_read_as_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path / "rc"))
-        cache.put("k", [{"index": 0}])
+        cache.put("k", _entries())
         path = cache._path("k")
         with open(path, "w") as handle:
             handle.write("{torn json")
@@ -180,6 +241,35 @@ class TestResultCache:
         with open(path, "w") as handle:
             json.dump({"version": ResultCache.VERSION, "key": "other", "entries": []}, handle)
         assert cache.get("k") is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(damage=_damage())
+    def test_damaged_files_read_as_misses(self, damage, tmp_path_factory):
+        """Truncated, bit-flipped and arbitrary-JSON files are misses, never
+        exceptions or wrong entries, and the next put replaces them."""
+        cache = ResultCache(str(tmp_path_factory.mktemp("rc")))
+        cache.put("k", _entries())
+        _damage_files(cache.root, damage)
+        assert cache.get("k") is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        cache.put("k", _entries())
+        assert cache.get("k") == json.loads(json.dumps(_entries()))
+
+    @settings(max_examples=4, deadline=None)
+    @given(damage=_damage())
+    def test_sweep_over_damaged_cache_matches_clean_run(
+        self, damage, duplicated, uniques, tmp_path_factory
+    ):
+        cache_dir = str(tmp_path_factory.mktemp("rc"))
+        clean = api.sweep(duplicated, result_cache=cache_dir)
+        _damage_files(cache_dir, damage)
+        damaged = api.sweep(duplicated, result_cache=cache_dir)
+        assert damaged.result_cache_hits == 0
+        assert _stable(damaged) == _stable(clean)
+        # The damaged sweep rewrote every file.
+        repaired = api.sweep(duplicated, result_cache=cache_dir)
+        assert repaired.result_cache_hits == len(uniques)
+        assert _stable(repaired) == _stable(clean)
 
     def test_warm_sweep_resolves_every_identity(self, duplicated, uniques, tmp_path):
         cache_dir = str(tmp_path / "rc")
@@ -289,11 +379,19 @@ class TestMainnetGenerator:
 
 class TestDedupEquivalenceProperty:
     @settings(max_examples=6, deadline=None)
-    @given(cut=st.integers(min_value=0, max_value=6), dup_seed=st.integers(0, 3))
-    def test_dedup_naive_and_resume_converge(self, cut, dup_seed, tmp_path_factory):
+    @given(
+        cut=st.integers(min_value=0, max_value=6),
+        tear=st.integers(min_value=0, max_value=10_000),
+        dup_seed=st.integers(0, 3),
+    )
+    def test_dedup_naive_and_resume_converge(
+        self, cut, tear, dup_seed, tmp_path_factory
+    ):
         """Property: over any duplicated corpus, the deduped sweep equals
         the naive sweep (stable fields), and resuming the deduped sweep
-        from any journal truncation point converges to the same report."""
+        from any journal truncation point — a torn last line included —
+        converges to the same report; resuming once more replays every
+        row."""
         net = generate_mainnet(14, unique=6, seed=11, duplication_seed=dup_seed)
         bytecodes = net.bytecodes()
         naive = run_sweep(
@@ -307,11 +405,13 @@ class TestDedupEquivalenceProperty:
         )[0]
         assert _stable(naive) == _stable(deduped)
 
-        lines = open(path).read().splitlines(True)
+        lines = open(path, "rb").read().splitlines(True)
         header, rows = lines[0], lines[1:]
         assert len(rows) == deduped.tasks_unique  # one journal row per identity
-        with open(path, "w") as handle:
-            handle.writelines([header] + rows[:cut])
+        # A kill mid-write leaves a strict prefix of the next row.
+        torn = rows[cut][: tear % len(rows[cut])] if cut < len(rows) else b""
+        with open(path, "wb") as handle:
+            handle.writelines([header] + rows[:cut] + [torn])
         resumed = run_sweep(
             bytecodes, (api.AnalysisConfig(),),
             options=OrchestratorOptions(journal_path=path, resume=True),
@@ -320,3 +420,10 @@ class TestDedupEquivalenceProperty:
         assert resumed.orchestrator["dispatched"] == deduped.tasks_unique - min(
             cut, deduped.tasks_unique
         )
+        again = run_sweep(
+            bytecodes, (api.AnalysisConfig(),),
+            options=OrchestratorOptions(journal_path=path, resume=True),
+        )[0]
+        assert _stable(again) == _stable(deduped)
+        assert again.orchestrator["resumed"] == len(bytecodes)
+        assert again.orchestrator["dispatched"] == 0

@@ -36,7 +36,7 @@ from repro.corpus.bundles import (
 )
 from repro.kill import BundleKill
 
-ENGINES = ["datalog", "datalog-legacy"]
+ENGINES = ["python", "datalog"]
 
 
 # ----------------------------------------------------------------- bundles
@@ -208,7 +208,7 @@ class TestEngineAgreement:
         for name, build in BUNDLE_TEMPLATES.items():
             out = build()
             verdicts = {}
-            for engine in ENGINES + ["datalog-columnar"]:
+            for engine in ENGINES:
                 result = analyze_bundle(
                     out.bundle, AnalysisConfig(engine=engine)
                 )
@@ -269,9 +269,7 @@ class TestApiDispatch:
     def test_bundle_identity_tracks_config(self):
         out = proxy_pair()
         a = api.AnalyzeRequest(bundle=out.bundle, engine="datalog").identity()
-        b = api.AnalyzeRequest(
-            bundle=out.bundle, engine="datalog-legacy"
-        ).identity()
+        b = api.AnalyzeRequest(bundle=out.bundle, engine="python").identity()
         assert a != b
 
     def test_bundle_plus_bytecode_rejected(self):

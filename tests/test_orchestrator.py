@@ -20,6 +20,7 @@ from repro.core.orchestrator import (
     FaultPlan,
     OrchestratorOptions,
     SweepJournal,
+    _entry_to_dict,
     journal_key,
     resolve_mp_context,
     run_sweep,
@@ -362,6 +363,25 @@ class TestJournalResume:
         )
         assert resumed.orchestrator["resumed"] == 0
 
+    def test_resume_under_new_config_starts_a_fresh_journal(
+        self, bytecodes, tmp_path
+    ):
+        """Resuming under another configuration rewrites the journal under
+        the new header, so the next resume under that configuration
+        replays every row."""
+        from repro.core.analysis import AnalysisConfig
+
+        path = str(tmp_path / "sweep.jsonl")
+        api.sweep(bytecodes, journal=path)
+        other = AnalysisConfig(model_guards=False)
+        first = api.sweep(bytecodes, other, journal=path, resume=True)
+        assert first.orchestrator["resumed"] == 0
+        again = api.sweep(bytecodes, other, journal=path, resume=True)
+        assert again.orchestrator["resumed"] == len(bytecodes)
+        assert [entry.kinds for entry in again.entries] == [
+            entry.kinds for entry in first.entries
+        ]
+
     def test_budget_change_invalidates_journal(self, bytecodes, tmp_path):
         from repro.core.analysis import AnalysisConfig
 
@@ -418,6 +438,53 @@ class TestJournalResume:
         reloaded = SweepJournal(path, fingerprint, resume=True)
         reloaded.close()
         assert "abc:fp" in reloaded.completed
+
+    def test_entry_checks_cover_every_batch_entry_field(self):
+        """A field without a check would be dropped on every journal
+        replay and result-cache hit."""
+        import dataclasses
+
+        from repro.core.batch import BatchEntry
+        from repro.core.orchestrator import _ENTRY_FIELD_CHECKS
+
+        assert set(_ENTRY_FIELD_CHECKS) == {
+            field.name for field in dataclasses.fields(BatchEntry)
+        }
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            b"[1]\n",
+            b"\xff\xfe not utf-8\n",
+            b'{"key": 5, "index": 1, "entries": []}\n',
+            b'{"key": "bad:fp", "index": 1, "entries": 5}\n',
+            b'{"key": "bad:fp", "index": 1, "entries": [1]}\n',
+            b'{"key": "bad:fp", "index": 1, "entries": [{"index": "0"}]}\n',
+        ],
+    )
+    def test_damaged_line_ends_the_valid_prefix(self, bad_line, tmp_path):
+        """A damaged line and everything after it are dropped on resume,
+        and the file is cut back to the valid prefix before new rows are
+        appended, so a second resume still reads every good row."""
+        from repro.core.batch import BatchEntry
+
+        path = str(tmp_path / "sweep.jsonl")
+        entry = BatchEntry(
+            index=0, kinds=(), error=None, elapsed_seconds=0.0, statement_count=0
+        )
+        journal = SweepJournal(path, "fp")
+        journal.record("a:fp", 0, (entry,))
+        journal.close()
+        after = {"key": "c:fp", "index": 2, "entries": [_entry_to_dict(entry)]}
+        with open(path, "ab") as handle:
+            handle.write(bad_line + json.dumps(after).encode() + b"\n")
+        resumed = SweepJournal(path, "fp", resume=True)
+        resumed.record("b:fp", 1, (entry,))
+        resumed.close()
+        assert set(resumed.completed) == {"a:fp", "b:fp"}
+        again = SweepJournal(path, "fp", resume=True)
+        again.close()
+        assert set(again.completed) == {"a:fp", "b:fp"}
 
 
 class TestResumeProperty:

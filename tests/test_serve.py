@@ -184,6 +184,24 @@ class TestAnalyzeParity:
             assert request(port, "GET", "/analyze")[0] == 405
 
 
+class TestRemovedEngines:
+    def test_deleted_executor_names_are_unknown_engines(self, bytecodes):
+        """``datalog-columnar`` and ``datalog-legacy`` named executors the
+        engine no longer has: like any unknown engine they are a 400,
+        before any analysis."""
+        with running_server() as (server, port):
+            for engine in ("datalog-legacy", "datalog-columnar"):
+                status, body = request(
+                    port,
+                    "POST",
+                    "/analyze",
+                    {"bytecode": bytecodes[0].hex(), "engine": engine},
+                )
+                assert status == 400, engine
+                assert "unknown engine %r" % engine in json.loads(body)["error"]
+            assert server.backend.stats.analyzed == 0
+
+
 class TestBatch:
     def test_streams_every_contract_with_indices(self, bytecodes):
         with running_server() as (_server, port):
@@ -491,6 +509,33 @@ class TestResultCacheSharing:
         assert body.decode() == report_text(
             sweep_entry, "", len(bytecodes[0])
         )
+
+    def test_damaged_cache_file_is_a_miss_for_the_daemon(
+        self, tmp_path, bytecodes
+    ):
+        """A cache record whose entries do not rebuild never reaches the
+        daemon's memory: the request is analyzed, a repeat is served from
+        memory, and the file is rewritten for later sweeps."""
+        cache_dir = str(tmp_path / "results")
+        api.sweep([bytecodes[0]], result_cache=cache_dir)
+        for directory, _, names in os.walk(cache_dir):
+            for name in names:
+                path = os.path.join(directory, name)
+                with open(path) as handle:
+                    record = json.load(handle)
+                record["entries"] = [1]
+                with open(path, "w") as handle:
+                    json.dump(record, handle)
+        with running_server(result_cache=cache_dir) as (server, port):
+            for _ in range(2):
+                status, _body = request(
+                    port, "POST", "/analyze", {"bytecode": bytecodes[0].hex()}
+                )
+                assert status == 200
+            assert server.backend.stats.result_cache_hits == 0
+            assert server.backend.stats.analyzed == 1
+        summary = api.sweep([bytecodes[0]], result_cache=cache_dir)
+        assert summary.orchestrator["result_cache_hits"] == 1
 
     def test_daemon_populates_the_cache_for_later_sweeps(
         self, tmp_path, bytecodes

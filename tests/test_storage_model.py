@@ -1,8 +1,13 @@
 """Storage/data-structure modeling: DS/DSA, aliases, mapping attribution."""
 
-import pytest
+import importlib.util
+from pathlib import Path
 
-from repro.core.facts import extract_facts
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import api
+from repro.core.facts import ContractFacts, extract_facts
 from repro.core.pipeline import Deadline, DeadlineExceeded
 from repro.core.storage_model import build_storage_model, memory_var
 from repro.decompiler import lift
@@ -154,6 +159,97 @@ contract C {
         facts, model = model_for(SENDER_MAP_SOURCE)
         for variable, sources in model.copy_sources.items():
             assert variable in sources
+
+    @pytest.mark.parametrize("engine", ["python", "datalog"])
+    def test_long_memory_chain_analyzes(self, engine):
+        """A copy chain 2400 variables long (it raised RecursionError out
+        of the recursive closure)."""
+        result = api.analyze(
+            _memory_chain(1200), api.AnalysisConfig(engine=engine)
+        )
+        assert result.error is None
+        assert "tainted-selfdestruct" in {w.kind for w in result.warnings}
+
+
+def _memory_chain(hops):
+    """CALLDATALOAD, then ``hops`` round trips through distinct memory
+    words (``PUSH2 a; MSTORE; PUSH2 a; MLOAD``), then SELFDESTRUCT: the
+    calldata word reaches the beneficiary through 2 * ``hops`` copies."""
+    code = bytearray(b"\x60\x00\x35")
+    for hop in range(hops):
+        address = (32 * hop).to_bytes(2, "big")
+        code += b"\x61" + address + b"\x52\x61" + address + b"\x51"
+    return bytes(code + b"\xff")
+
+
+def _recursive_copy_sources(facts):
+    """The copy closure as the memoized recursion computed it before it
+    moved onto an explicit stack: the oracle for the rewrite, down to how a
+    PHI cycle copies a set that is still being built."""
+    direct = {}
+
+    def add_copy(source, dest):
+        direct.setdefault(dest, set()).add(source)
+
+    for source, dest in facts.copy_edges:
+        add_copy(source, dest)
+    for write in facts.memory_writes:
+        add_copy(write.var, memory_var(write.address))
+    for read in facts.memory_reads:
+        add_copy(memory_var(read.address), read.var)
+    closure_cache = {}
+
+    def closure(variable):
+        cached = closure_cache.get(variable)
+        if cached is not None:
+            return cached
+        result = {variable}
+        closure_cache[variable] = result
+        for source in direct.get(variable, ()):
+            result.update(closure(source))
+        return result
+
+    all_vars = set(direct)
+    for sources in direct.values():
+        all_vars.update(sources)
+    return {variable: closure(variable) for variable in list(all_vars)}
+
+
+def _seed7_bytecodes():
+    """The e2ebench seed-7 input set (300 contracts, fixed template mix)."""
+    path = Path(__file__).resolve().parent.parent / "e2ebench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("e2ebench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [
+        bytes.fromhex(contract["bytecode"])
+        for contract in module.generate(7, 300)["contracts"]
+    ]
+
+
+_NODES = ["v%d" % index for index in range(8)]
+
+
+class TestCopyClosureOracle:
+    def test_seed7_set_matches_recursive_closure(self):
+        for bytecode in _seed7_bytecodes():
+            facts = extract_facts(lift(bytecode))
+            assert build_storage_model(facts).copy_sources == (
+                _recursive_copy_sources(facts)
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edges=st.lists(
+            st.tuples(st.sampled_from(_NODES), st.sampled_from(_NODES)),
+            max_size=24,
+        )
+    )
+    def test_cyclic_graphs_match_recursive_closure(self, edges):
+        facts = ContractFacts(program=None, copy_edges=edges)
+        assert build_storage_model(facts).copy_sources == (
+            _recursive_copy_sources(facts)
+        )
 
 
 # A mutated corpus contract that lifts to ~200k TAC statements: its copy
