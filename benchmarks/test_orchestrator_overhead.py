@@ -2,7 +2,7 @@
 
 The paper's whole-chain sweep (§6.1) ran 45 concurrent analyzer processes
 for days; the harness only works if supervision (watchdog polling, private
-result pipes, journal bookkeeping) costs roughly nothing when nothing goes
+result pipes, reuse bookkeeping) costs roughly nothing when nothing goes
 wrong.  This benchmark pins that claim: on a clean corpus the orchestrator
 must finish within ``MAX_OVERHEAD`` of a bare
 ``multiprocessing.Pool.imap_unordered`` reference while producing
@@ -67,7 +67,7 @@ def _pool_analyze(task):
 
 def _pool_sweep(bytecodes):
     """The reference: a bare ``Pool.imap_unordered`` over the corpus, with
-    no watchdog, retries, journal or dedup; entries in input order."""
+    no watchdog, retries, result cache or dedup; entries in input order."""
     tasks = list(enumerate(bytecodes))
     chunksize = max(1, len(tasks) // (JOBS * 4))
     with resolve_mp_context().Pool(

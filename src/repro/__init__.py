@@ -14,7 +14,7 @@ Quickstart::
     for warning in result.warnings:
         print(warning.kind, warning.detail)
 
-    summary = api.sweep(bytecodes, jobs=8, journal="sweep.jsonl")
+    summary = api.sweep(bytecodes, jobs=8, result_cache="results/")
 """
 
 from repro import api

@@ -4,8 +4,9 @@ Everything downstream tooling needs lives here.  Three call shapes:
 
 * :func:`analyze` — one contract, one configuration;
 * :func:`sweep` — a corpus under one configuration, optionally parallel on
-  the supervised orchestrator (watchdog, crash isolation, retries,
-  checkpoint journal — see :mod:`repro.core.orchestrator`);
+  the supervised orchestrator (watchdog, crash isolation, retries — see
+  :mod:`repro.core.orchestrator`), reusing finished work through
+  :mod:`repro.core.reuse`;
 * :func:`battery` — a corpus under several configurations at once (the
   Fig. 8 ablation shape), sharing per-worker artifact caches.
 
@@ -17,10 +18,9 @@ Quickstart::
     for warning in result.warnings:
         print(warning.kind, warning.detail)
 
-    summary = api.sweep(bytecodes, jobs=8, journal="sweep.jsonl")
-    # interrupted?  re-run with resume=True: completed contracts are
-    # skipped, the final report is identical.
-    summary = api.sweep(bytecodes, jobs=8, journal="sweep.jsonl", resume=True)
+    summary = api.sweep(bytecodes, jobs=8, result_cache="results/")
+    # interrupted?  re-run over the same result cache: contracts finished
+    # before the interruption are not analyzed again.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from repro.core.orchestrator import (
     FaultPlan,
     OrchestratorOptions,
     OrchestratorStats,
-    ResultCache,
     run_sweep,
 )
+from repro.core.reuse import ResultCache
 from repro.core.linkage import (
     BundleContract,
     BundleResult,
@@ -152,10 +152,10 @@ class AnalyzeRequest:
       demand; raises :class:`ValueError` when the input is missing,
       ambiguous, or doubled;
     * :meth:`fingerprint` — the configuration fingerprint (the config
-      half of every cache/journal identity);
+      half of every cache identity);
     * :meth:`identity` — ``sha256(bytecode) + fingerprint``, the exact
-      key the sweep journal, :class:`ResultCache`, and the serving
-      daemon's dedup use.
+      key the sweep, :class:`ResultCache` and the serving daemon reuse
+      finished work by.
 
     Being frozen, variants derive with :func:`dataclasses.replace`::
 
@@ -269,9 +269,10 @@ class AnalyzeRequest:
         return analysis_fingerprint(self.config())
 
     def identity(self) -> str:
-        """``sha256(bytecode) + config fingerprint`` — the journal /
-        result-cache / serving-dedup key for this exact request.  Bundle
-        requests key on the bundle digest instead of a single bytecode."""
+        """``sha256(bytecode) + config fingerprint`` — the key the sweep
+        and the daemon reuse finished work by, for this exact request.
+        Bundle requests key on the bundle digest instead of a single
+        bytecode."""
         if self.bundle is not None:
             if self.bytecode is not None or self.source is not None:
                 raise ValueError(
@@ -279,9 +280,9 @@ class AnalyzeRequest:
                     "not both"
                 )
             return "bundle:%s:%s" % (self.bundle.digest(), self.fingerprint())
-        from repro.core.orchestrator import journal_key
+        from repro.core.reuse import identity_key
 
-        return journal_key(self.runtime(), self.fingerprint())
+        return identity_key(self.runtime(), self.fingerprint())
 
 
 def _coerce_config(
@@ -370,8 +371,6 @@ def analyze_bundle(
 def _options(
     mp_context: Optional[str],
     max_retries: Optional[int],
-    journal: Optional[str],
-    resume: bool,
     dedup: Optional[bool],
     result_cache: Optional[str],
     on_event: Optional[Callable[[Dict], None]],
@@ -384,9 +383,6 @@ def _options(
         options.mp_context = mp_context
     if max_retries is not None:
         options.max_retries = max_retries
-    if journal is not None:
-        options.journal_path = journal
-    options.resume = resume or options.resume
     if dedup is not None:
         options.dedup = dedup
     if result_cache is not None:
@@ -404,8 +400,6 @@ def sweep(
     cache: Optional[ArtifactCache] = None,
     mp_context: Optional[str] = None,
     max_retries: Optional[int] = None,
-    journal: Optional[str] = None,
-    resume: bool = False,
     dedup: Optional[bool] = None,
     result_cache: Optional[str] = None,
     on_event: Optional[Callable[[Dict], None]] = None,
@@ -415,27 +409,25 @@ def sweep(
 
     ``jobs > 1`` fans out over the supervised orchestrator's worker
     processes; ``jobs=1`` (or a single submission) runs in process.
-    ``journal`` names a JSONL checkpoint file; with ``resume=True``
-    contracts already recorded there (same bytecode digest and config
-    fingerprint) are skipped and their journaled entries reused verbatim.
     Entries come back ordered by input index regardless of completion
     order; a shared ``cache`` is honored in-process, while workers build
     per-process caches (caches do not cross process boundaries).
 
     Duplicate submissions (same bytecode digest + config fingerprint) are
-    coalesced by default: one representative is analyzed per unique
-    identity and its entry fanned out to the duplicates (per-submission
-    ``index`` preserved; counters in ``summary.orchestrator`` under
-    ``tasks_total`` / ``tasks_unique`` / ``dedup_hits``).  ``dedup=False``
-    analyzes every submission naively.  ``result_cache`` names a directory
-    for a disk-backed cross-run :class:`ResultCache`: identities completed
-    by any earlier sweep are resolved without analysis
-    (``result_cache_hits``).
+    coalesced: one leader is analyzed per unique identity and its entry
+    fanned out to the duplicates (per-submission ``index`` preserved;
+    counters in ``summary.orchestrator`` under ``tasks_total`` /
+    ``tasks_unique`` / ``dedup_hits``).  ``dedup=False`` is the naive
+    reference that analyzes every submission.  ``result_cache`` names a
+    directory for a disk-backed cross-run :class:`ResultCache`: identities
+    finished by any earlier sweep (or daemon) are resolved without
+    analysis (``result_cache_hits``), and each entry is stored as it
+    resolves, so re-running an interrupted sweep over the same directory
+    analyzes only what is left.
     """
     config = _coerce_config(config) or AnalysisConfig()
     resolved = _options(
-        mp_context, max_retries, journal, resume, dedup, result_cache,
-        on_event, options,
+        mp_context, max_retries, dedup, result_cache, on_event, options,
     )
     return run_sweep(bytecodes, (config,), jobs=jobs, cache=cache, options=resolved)[0]
 
@@ -448,8 +440,6 @@ def battery(
     cache: Optional[ArtifactCache] = None,
     mp_context: Optional[str] = None,
     max_retries: Optional[int] = None,
-    journal: Optional[str] = None,
-    resume: bool = False,
     dedup: Optional[bool] = None,
     result_cache: Optional[str] = None,
     on_event: Optional[Callable[[Dict], None]] = None,
@@ -469,7 +459,6 @@ def battery(
         raise ValueError("battery needs at least one configuration")
     configs = [_coerce_config(config) for config in configs]
     resolved = _options(
-        mp_context, max_retries, journal, resume, dedup, result_cache,
-        on_event, options,
+        mp_context, max_retries, dedup, result_cache, on_event, options,
     )
     return run_sweep(bytecodes, configs, jobs=jobs, cache=cache, options=resolved)

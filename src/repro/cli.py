@@ -103,7 +103,7 @@ def _print_precision(precision: dict, stream=None) -> None:
 
 def _print_orchestrator(stats: dict, stream=None) -> None:
     """Sweep health counters (the ``--profile`` section for the
-    orchestrator: crashes, watchdog kills, retries, recycles, resumed)."""
+    orchestrator: crashes, watchdog kills, retries, recycles, dedup)."""
     stream = stream if stream is not None else sys.stdout
     print("orchestrator:", file=stream)
     for key, value in stats.items():
@@ -395,10 +395,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """``repro sweep``: corpus-wide statistics (and optional JSON).
 
     ``--jobs N`` fans the corpus out over the supervised orchestrator
-    (crash isolation, watchdog, retries); ``--resume JOURNAL`` checkpoints
-    completed contracts to a JSONL journal and, when the journal already
-    exists, skips them — an interrupted sweep restarted with the same
-    journal re-analyzes only the unfinished remainder.
+    (crash isolation, watchdog, retries); ``--result-cache DIR`` stores
+    each finished contract as it completes and resolves contracts an
+    earlier run finished, so an interrupted sweep re-run over the same
+    directory analyzes only the unfinished remainder.
     """
     from repro.core.report import ContractReport, SweepReport
 
@@ -422,9 +422,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         mp_context=args.mp_context,
         max_retries=args.max_retries,
-        journal=args.resume,
-        resume=bool(args.resume),
-        dedup=False if args.no_dedup else None,
         result_cache=args.result_cache,
     )
     sweep = SweepReport()
@@ -528,7 +525,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         jobs=args.jobs,
         max_queue=args.max_queue,
-        dedup=not args.no_dedup,
         result_cache=args.result_cache,
         defaults=_request_from_args(args),
         orchestrator=orchestrator,
@@ -740,12 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
         "1 analyzes in this process)",
     )
     sweep.add_argument(
-        "--resume",
-        metavar="JOURNAL",
-        help="JSONL checkpoint journal: completed contracts are recorded "
-        "there and skipped when the sweep is re-run after an interruption",
-    )
-    sweep.add_argument(
         "--max-retries",
         type=int,
         default=2,
@@ -757,17 +747,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="multiprocessing start method (default: fork where available)",
     )
     sweep.add_argument(
-        "--no-dedup",
-        action="store_true",
-        help="disable content-addressed coalescing of duplicate "
-        "submissions (escape hatch; every submission analyzed naively)",
-    )
-    sweep.add_argument(
         "--result-cache",
         metavar="DIR",
         help="disk-backed cross-run result cache directory: identities "
         "(bytecode digest + config fingerprint) completed by any earlier "
-        "sweep are resolved without analysis",
+        "sweep are resolved without analysis, and each contract is stored "
+        "as it finishes, so re-running an interrupted sweep over the same "
+        "directory analyzes only what is left",
     )
     sweep.add_argument(
         "--mainnet",
@@ -813,12 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="open-request admission bound; past it requests get HTTP 429",
-    )
-    serve.add_argument(
-        "--no-dedup",
-        action="store_true",
-        help="disable in-flight coalescing and completed-work reuse "
-        "(every request analyzed naively)",
     )
     serve.add_argument(
         "--result-cache",

@@ -3,7 +3,7 @@
 The paper analyzes the whole chain with "45 concurrent analysis processes"
 (§6).  The supervised driver for that workload lives in
 :mod:`repro.core.orchestrator` (watchdog, crash isolation, retries, worker
-recycling, checkpoint journal); this module keeps the wire/data model —
+recycling, result-cache reuse); this module keeps the wire/data model —
 :class:`BatchEntry` / :class:`BatchSummary` — that workers, the in-process
 path and every report builder share.
 
@@ -76,7 +76,7 @@ class BatchSummary:
     degraded: bool = False
     degraded_reason: str = ""
     # Orchestrator counters (crashes, watchdog_kills, retries, recycles,
-    # resumed, ...) for the sweep that produced this summary.  See
+    # dedup_hits, ...) for the sweep that produced this summary.  See
     # OrchestratorStats.as_dict().
     orchestrator: Dict[str, object] = field(default_factory=dict)
 

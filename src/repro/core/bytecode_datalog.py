@@ -175,9 +175,10 @@ def _facts_to_edb(
 
     Keeping the extraction separate from :class:`Database` loading lets the
     warm-engine path diff two EDBs and repair a live fixpoint incrementally
-    instead of re-evaluating from scratch.
+    instead of re-evaluating from scratch.  ``options.deadline`` is checked
+    every 256 rows.
     """
-    database = _EdbBuilder()
+    database = _EdbBuilder(options.deadline)
 
     for stmt in facts.program.statements():
         database.add("Stmt", (stmt.ident,))
@@ -255,11 +256,10 @@ def _facts_to_edb(
                     "SLoadUnknown",
                     (load.statement.ident, load.address_var, load.def_var),
                 )
-        for variable in storage.copy_sources:
-            if any(
-                source in storage.mapping_accesses
-                for source in storage.copy_sources[variable]
-            ):
+        for count, (variable, sources) in enumerate(storage.copy_sources.items()):
+            if count & 255 == 0:
+                database.check()
+            if any(source in storage.mapping_accesses for source in sources):
                 database.add("MappingConfined", (variable,))
         for variable in storage.mapping_accesses:
             database.add("MappingConfined", (variable,))
@@ -287,21 +287,33 @@ def _facts_to_edb(
 
 
 class _EdbBuilder:
-    """Minimal ``Database.add``-shaped collector used by ``_facts_to_edb``."""
+    """Minimal ``Database.add``-shaped collector used by ``_facts_to_edb``;
+    checks the deadline (if any) every 256 rows."""
 
-    __slots__ = ("relations",)
+    __slots__ = ("relations", "deadline", "rows")
 
-    def __init__(self) -> None:
+    def __init__(self, deadline=None) -> None:
         self.relations: Dict[str, Set[Tuple]] = {}
+        self.deadline = deadline
+        self.rows = 0
 
     def add(self, relation: str, fact: Tuple) -> None:
         self.relations.setdefault(relation, set()).add(fact)
+        self.rows += 1
+        if self.rows & 255 == 0:
+            self.check()
+
+    def check(self) -> None:
+        if self.deadline is not None:
+            self.deadline.check()
 
 
-def _load_edb(edb: Dict[str, Set[Tuple]]) -> Database:
+def _load_edb(edb: Dict[str, Set[Tuple]], deadline=None) -> Database:
     database = Database()
     for relation, rows in edb.items():
         database.add_all(relation, rows)
+        if deadline is not None:
+            deadline.check()
     return database
 
 
@@ -447,7 +459,7 @@ class WarmEngineCache:
             self._entries[key] = (engine, database, edb)
             return engine, database
         self.misses += 1
-        database = _load_edb(edb)
+        database = _load_edb(edb, options.deadline)
         engine = Engine(program, track_provenance=track_provenance)
         engine.evaluate(database, deadline=options.deadline)
         self._entries[key] = (engine, database, edb)
@@ -518,7 +530,7 @@ def analyze_with_datalog(
             reentrancy=reentrancy,
         )
     else:
-        database = _load_edb(edb)
+        database = _load_edb(edb, options.deadline)
         engine = Engine(program, track_provenance=track_provenance)
         engine.evaluate(database, deadline=options.deadline)
 

@@ -212,6 +212,14 @@ def _coerce_int(value: Union[int, str], what: str) -> int:
     raise ValueError("%s must be an integer or hex string, got %r" % (what, value))
 
 
+# The fields a bundle contract spec may carry, and those that must be
+# strings when present.
+_SPEC_FIELDS = frozenset(
+    {"address", "name", "source", "bytecode", "storage", "source_file", "hex_file"}
+)
+_SPEC_STRING_FIELDS = ("name", "source", "bytecode", "source_file", "hex_file")
+
+
 def bundle_from_specs(
     specs: Sequence[Dict],
     base_dir: Optional[Path] = None,
@@ -232,24 +240,23 @@ def bundle_from_specs(
     for position, spec in enumerate(specs):
         if not isinstance(spec, dict):
             raise ValueError("bundle entry %d must be an object" % position)
-        known = {
-            "address", "name", "source", "bytecode", "storage",
-            "source_file", "hex_file",
-        }
-        unknown = sorted(set(spec) - known)
+        unknown = sorted(set(spec) - _SPEC_FIELDS)
         if unknown:
             raise ValueError(
                 "unknown bundle contract field(s): %s" % ", ".join(unknown)
             )
         if "address" not in spec:
             raise ValueError("bundle entry %d is missing its address" % position)
+        for name in _SPEC_STRING_FIELDS:
+            if spec.get(name) is not None and not isinstance(spec[name], str):
+                raise ValueError("bundle %s must be a string" % name)
+        if spec.get("storage") is not None and not isinstance(spec["storage"], dict):
+            raise ValueError("bundle storage must be an object of slot: value")
         address = _coerce_int(spec["address"], "address")
         source = spec.get("source")
         bytecode = None
         if spec.get("bytecode") is not None:
             text = spec["bytecode"]
-            if not isinstance(text, str):
-                raise ValueError("bundle bytecode must be a hex string")
             if text.startswith("0x"):
                 text = text[2:]
             try:
@@ -294,7 +301,10 @@ def bundle_from_specs(
 def load_bundle_file(path: Path) -> ContractBundle:
     """Read a ``repro analyze --bundle`` JSON file:
     ``{"contracts": [<spec>, ...]}`` (file references allowed)."""
-    payload = json.loads(path.read_text())
+    try:
+        payload = json.loads(path.read_text())
+    except RecursionError:
+        raise ValueError("bundle file is nested too deeply") from None
     if not isinstance(payload, dict) or "contracts" not in payload:
         raise ValueError('bundle file needs a "contracts" list')
     return bundle_from_specs(

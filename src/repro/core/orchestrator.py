@@ -27,32 +27,29 @@ locks a dying worker could leave held) and adds, over a bare
   blockchain-scale corpora; the supervisor never dispatches past a
   worker's remaining budget, so no chunk is sent to a worker that will
   exit without reading it;
-* **checkpoint journal** — completed entries append to a JSONL journal
-  keyed by ``sha256(bytecode) + config fingerprint`` (the same identity as
-  :class:`~repro.core.pipeline.ArtifactCache`); ``repro sweep --resume
-  <journal>`` skips completed contracts after an interruption.  Harness
-  faults (crash/watchdog/task_failed entries) are deliberately *not*
-  journaled, so a resumed run retries them;
 * **content-addressed task coalescing** — the paper's headline scalability
   lever (§6.1: ~38M deployed contracts collapse to ~240K unique
-  bytecodes): pending tasks are grouped by the same ``sha256(bytecode) +
-  config fingerprint`` identity the journal uses, one *representative*
-  task runs per group, and its row is fanned out to every duplicate with
-  the per-submission index preserved.  Throughput scales with *unique*
-  code, not submissions; a representative's retry/crash outcome resolves
-  the whole group at once (one ``error_kind`` per group, not N).
-  ``OrchestratorOptions(dedup=False)`` (CLI ``--no-dedup``) restores the
-  naive one-task-per-submission path;
-* **cross-run result cache** — an optional supervisor-owned, disk-backed
-  :class:`ResultCache` keyed by the same identity; repeated sweeps and
-  warm daemon-style workloads resolve duplicate submissions without any
-  analysis (``result_cache_hits``).  Harness-fault rows are never stored;
+  bytecodes): :func:`run_sweep` claims every submission from the
+  :class:`~repro.core.reuse.ReuseFunnel` by its ``sha256(bytecode) +
+  config fingerprint`` identity, one *leader* task runs per identity, and
+  its row is fanned out to every duplicate with the per-submission index
+  preserved.  Throughput scales with *unique* code, not submissions; a
+  leader's retry/crash outcome resolves the whole group at once (one
+  ``error_kind`` per group, not N).  ``OrchestratorOptions(dedup=False)``
+  is the naive one-task-per-submission reference;
+* **cross-run result cache** — the funnel's optional disk
+  :class:`~repro.core.reuse.ResultCache`, keyed by the same identity:
+  repeated sweeps and the daemon resolve finished identities without any
+  analysis (``result_cache_hits``).  Each row is stored as it resolves,
+  so re-running an interrupted sweep over the same directory analyzes
+  only what is left.  Harness faults (crash/watchdog/task_failed rows)
+  are never stored, so a later run retries them;
 * **chunked IPC dispatch** — tasks travel to workers in batches of
   ``dispatch_chunk`` (auto-sized like ``Pool.map``'s ``chunksize``), so
   per-task pipe round-trips amortize in the small-task regime; replies
   stay per-task so crash isolation still costs one contract;
 * **progress events** — heartbeat / task_done / retry / worker_crashed /
-  watchdog_kill / recycle / resumed / dedup_hit / result_cache_hit events
+  watchdog_kill / recycle / dedup_hit / result_cache_hit events
   via ``on_event``, with the counters rolled into
   :class:`BatchSummary.orchestrator`, sweep JSON reports, and
   ``--profile`` output.
@@ -70,8 +67,6 @@ silent) — runs on the one in-process path, :class:`_InProcess`.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import multiprocessing
 import os
 import queue as queue_module
@@ -86,9 +81,14 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.analysis import AnalysisConfig, EthainterAnalysis
 from repro.core.batch import BatchEntry, BatchSummary, _entry_from_result
 from repro.core.bytecode_datalog import WarmEngineCache
-from repro.core.pipeline import ArtifactCache, analysis_fingerprint, bytecode_digest
-
-JOURNAL_VERSION = 2
+from repro.core.pipeline import ArtifactCache
+from repro.core.reuse import (
+    ReuseFunnel,
+    Row,
+    copy_row,
+    identity_key,
+    sweep_fingerprint,
+)
 
 # A task as workers and the in-process path receive it: runtime bytecode
 # and the configurations to analyze it under (a sweep's battery, or one
@@ -167,12 +167,10 @@ class OrchestratorOptions:
     recycle_after: Optional[int] = 64
     heartbeat_seconds: float = 5.0
     cache_entries: int = 256
-    journal_path: Optional[str] = None
-    resume: bool = False
     # Coalesce submissions sharing a sweep identity (sha256(bytecode) +
-    # config fingerprint): one representative analysis per unique identity,
-    # fanned out to every duplicate.  False restores one task per
-    # submission (the ``--no-dedup`` escape hatch).
+    # config fingerprint): one leader analysis per unique identity, fanned
+    # out to every duplicate.  False is the naive reference, one task per
+    # submission.
     dedup: bool = True
     # Directory for the cross-run ResultCache; None disables it.
     result_cache_path: Optional[str] = None
@@ -203,10 +201,9 @@ class OrchestratorStats:
     crashes: int = 0
     watchdog_kills: int = 0
     recycles: int = 0
-    resumed: int = 0  # tasks resolved from the checkpoint journal
     # Dedup accounting: submissions vs unique sweep identities, duplicates
-    # resolved by fanning out a representative's row, and representatives
-    # resolved from the cross-run result cache without any analysis.
+    # resolved by fanning out a leader's row, and leaders resolved from
+    # the cross-run result cache without any analysis.
     tasks_total: int = 0
     tasks_unique: int = 0
     dedup_hits: int = 0
@@ -219,292 +216,6 @@ class OrchestratorStats:
         payload = asdict(self)
         payload["elapsed_seconds"] = round(self.elapsed_seconds, 6)
         return payload
-
-
-# ------------------------------------------------------------------ journal
-
-
-def sweep_fingerprint(configs: Sequence[AnalysisConfig]) -> str:
-    """Identity of a sweep configuration: every config field, budgets
-    included (a journaled ``timeout`` entry is only valid under the same
-    budget), over every battery configuration in order."""
-    return "+".join(analysis_fingerprint(config) for config in configs)
-
-
-def journal_key(runtime_bytecode: bytes, fingerprint: str) -> str:
-    """Journal row identity: bytecode digest plus the sweep fingerprint
-    (journaled entries are only reusable under the exact configuration
-    that produced them)."""
-    return "%s:%s" % (bytecode_digest(runtime_bytecode), fingerprint)
-
-
-def _entry_to_dict(entry: BatchEntry) -> Dict:
-    return asdict(entry)
-
-
-def _is_int(value) -> bool:
-    return type(value) is int
-
-
-def _is_number(value) -> bool:
-    return type(value) in (int, float)
-
-
-# What each BatchEntry field's JSON form must be.  Journal and result-cache
-# files are untrusted input: an entry rebuilt around a wrong-typed field
-# would fail later, mid-report, where it should have read as a miss.
-_ENTRY_FIELD_CHECKS: Dict[str, Callable[[object], bool]] = {
-    "index": _is_int,
-    "kinds": lambda value: type(value) in (list, tuple)
-    and all(type(kind) is str for kind in value),
-    "error": lambda value: value is None or type(value) is str,
-    "elapsed_seconds": _is_number,
-    "statement_count": _is_int,
-    "deadline_exceeded": lambda value: type(value) is bool,
-    "stage_seconds": lambda value: type(value) is dict
-    and all(map(_is_number, value.values())),
-    "cache_hits": _is_int,
-    "cache_misses": _is_int,
-    "datalog": lambda value: type(value) is dict,
-    "block_count": _is_int,
-    "warnings": lambda value: type(value) is list
-    and all(type(warning) is dict for warning in value),
-    "precision": lambda value: type(value) is dict
-    and all(map(_is_int, value.values())),
-    "attempts": _is_int,
-}
-
-
-def _entry_from_dict(data: Dict, index: Optional[int] = None) -> BatchEntry:
-    """Rebuild a :class:`BatchEntry` from its JSON form (unknown keys are
-    ignored).  Raises :class:`ValueError` when ``data`` is not an object,
-    lacks a required field or has a field of the wrong type."""
-    if type(data) is not dict:
-        raise ValueError("batch entry is not an object")
-    payload = {}
-    for name, check in _ENTRY_FIELD_CHECKS.items():
-        if name in data:
-            if not check(data[name]):
-                raise ValueError("batch entry field %r has the wrong type" % name)
-            payload[name] = data[name]
-    payload["kinds"] = tuple(payload.get("kinds") or ())
-    if index is not None:
-        payload["index"] = index
-    try:
-        return BatchEntry(**payload)
-    except TypeError as error:  # a required field is missing
-        raise ValueError("incomplete batch entry: %s" % error) from None
-
-
-def _valid_entries(entries) -> bool:
-    """Whether ``entries`` is a non-empty list whose every item rebuilds a
-    :class:`BatchEntry`."""
-    if type(entries) is not list or not entries:
-        return False
-    try:
-        for entry in entries:
-            _entry_from_dict(entry)
-    except ValueError:
-        return False
-    return True
-
-
-def _json_object(data: bytes) -> Optional[Dict]:
-    """``data`` decoded as UTF-8 JSON, if that gives an object; else None."""
-    try:
-        record = json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
-        return None
-    return record if type(record) is dict else None
-
-
-class SweepJournal:
-    """Append-only JSONL checkpoint of completed sweep rows.
-
-    Line 1 is a header record carrying the sweep's configuration
-    fingerprint; each subsequent line is ``{"key": ..., "index": ...,
-    "entries": [...]}``.  Resuming keeps the journal's *valid prefix*: the
-    header and every complete line after it that decodes as UTF-8 JSON
-    into a record with a string ``key`` and ``entries`` that rebuild
-    :class:`BatchEntry` rows, up to the first line that does not (one
-    torn by a kill mid-write, or damaged).  The file is truncated to that
-    prefix before new rows are appended, so a later resume reads the rows
-    of every run.  A missing, damaged or mismatched header (another sweep
-    configuration) starts a fresh journal instead.
-    """
-
-    def __init__(self, path: str, fingerprint: str, resume: bool = False):
-        self.path = path
-        self.fingerprint = fingerprint
-        self.completed: Dict[str, List[Dict]] = {}
-        valid_end: Optional[int] = None
-        if resume and os.path.exists(path):
-            self.completed, valid_end = self._load(path, fingerprint)
-        if valid_end is not None:
-            os.truncate(path, valid_end)
-            self._handle = open(path, "a")
-        else:
-            self._handle = open(path, "w")
-            self._write(
-                {
-                    "journal": "repro-sweep",
-                    "version": JOURNAL_VERSION,
-                    "fingerprint": fingerprint,
-                }
-            )
-
-    @staticmethod
-    def _load(
-        path: str, fingerprint: str
-    ) -> Tuple[Dict[str, List[Dict]], Optional[int]]:
-        """The completed rows of the journal's valid prefix and the byte
-        offset where that prefix ends; ``({}, None)`` when the header is
-        missing, damaged or written under another configuration."""
-        completed: Dict[str, List[Dict]] = {}
-        with open(path, "rb") as handle:
-            line = handle.readline()
-            header = _json_object(line) if line.endswith(b"\n") else None
-            if (
-                header is None
-                or header.get("journal") != "repro-sweep"
-                or header.get("version") != JOURNAL_VERSION
-                or header.get("fingerprint") != fingerprint
-            ):
-                return {}, None
-            end = len(line)
-            for line in handle:
-                record = _json_object(line) if line.endswith(b"\n") else None
-                if record is None:
-                    break
-                key = record.get("key")
-                entries = record.get("entries")
-                if type(key) is not str or not _valid_entries(entries):
-                    break
-                if key.endswith(fingerprint):
-                    completed[key] = entries
-                end += len(line)
-        return completed, end
-
-    def _write(self, record: Dict) -> None:
-        # No sort_keys: entry dict ordering (stage order, precision counter
-        # order) must survive the round-trip so a resumed sweep's report is
-        # byte-identical to the uninterrupted one.
-        self._handle.write(json.dumps(record) + "\n")
-        self._handle.flush()
-
-    def lookup(self, key: str) -> Optional[List[Dict]]:
-        return self.completed.get(key)
-
-    def record(self, key: str, index: int, row: Sequence[BatchEntry]) -> None:
-        if key in self.completed:
-            return
-        entries = [_entry_to_dict(entry) for entry in row]
-        self.completed[key] = entries
-        self._write({"key": key, "index": index, "entries": entries})
-
-    def close(self) -> None:
-        self._handle.close()
-
-
-# -------------------------------------------------------------- result cache
-
-
-# Error taxonomy buckets that describe the *harness*, not the contract:
-# never fanned into the result cache, never journaled — a later run gets a
-# fresh attempt (the fault may have been environmental).
-HARNESS_FAULT_KINDS = frozenset(
-    {"worker_crashed", "watchdog_killed", "task_failed"}
-)
-
-
-def _is_harness_fault_row(row: Sequence[BatchEntry]) -> bool:
-    return any(entry.error_kind in HARNESS_FAULT_KINDS for entry in row)
-
-
-class ResultCache:
-    """Supervisor-owned, disk-backed cache of completed sweep rows.
-
-    Keyed by the same ``sha256(bytecode) + config fingerprint`` identity as
-    the checkpoint journal and :class:`~repro.core.pipeline.ArtifactCache`,
-    and storing the journal's :class:`BatchEntry` dict serialization — one
-    JSON file per identity (sharded by key-digest prefix), written
-    atomically via a temp file + ``os.replace``.  Repeated sweeps and warm
-    daemon-style workloads (most submissions duplicate bytecode) resolve
-    entire groups without any analysis.  Each record carries a sha256 of
-    its entries' JSON, so a flipped digit cannot turn into a wrong cached
-    answer: a file that is torn, not UTF-8 JSON, another key's or
-    version's record, fails its digest, or holds entries that do not
-    rebuild :class:`BatchEntry` rows reads as a miss, and the next
-    :meth:`put` for its key replaces it.  Analysis errors (``timeout``,
-    ``lift-error``) are stored — the identity fingerprints the budget that
-    produced them — but harness faults never are.
-    """
-
-    VERSION = 2
-
-    def __init__(self, root: str):
-        self.root = root
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        os.makedirs(root, exist_ok=True)
-
-    def _path(self, key: str) -> str:
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return os.path.join(self.root, digest[:2], digest + ".json")
-
-    @staticmethod
-    def _digest(entries: List[Dict]) -> str:
-        return hashlib.sha256(json.dumps(entries).encode("utf-8")).hexdigest()
-
-    def _read(self, key: str) -> Optional[List[Dict]]:
-        """The entry dicts of ``key``'s file if it holds a valid record."""
-        try:
-            with open(self._path(key), "rb") as handle:
-                record = _json_object(handle.read())
-        except OSError:
-            return None
-        if (
-            record is None
-            or record.get("cache") != "repro-sweep-results"
-            or record.get("version") != self.VERSION
-            or record.get("key") != key
-            or not _valid_entries(record.get("entries"))
-            or record.get("digest") != self._digest(record["entries"])
-        ):
-            return None
-        return record["entries"]
-
-    def get(self, key: str) -> Optional[List[Dict]]:
-        """The cached entry dicts for ``key``, or None (counts hit/miss)."""
-        entries = self._read(key)
-        if entries is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return entries
-
-    def put(self, key: str, entries: List[Dict]) -> None:
-        """Store ``entries`` under ``key``, unless a valid record for it is
-        already there; a damaged file is replaced."""
-        if self._read(key) is not None:
-            return
-        path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        payload = {
-            "cache": "repro-sweep-results",
-            "version": self.VERSION,
-            "key": key,
-            "digest": self._digest(entries),
-            "entries": entries,
-        }
-        # No sort_keys, same as the journal: entry dict ordering must
-        # survive the round-trip for byte-identical replayed reports.
-        tmp = path + ".tmp.%d" % os.getpid()
-        with open(tmp, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, path)
-        self.stores += 1
 
 
 # ------------------------------------------------------------------- runner
@@ -950,9 +661,9 @@ class Orchestrator:
             worker.queue.popleft()
             worker.started = time.monotonic() if worker.queue else None
         if kind == "done":
-            row = tuple(
-                _entry_with_attempts(entry, attempt + 1) for entry in payload
-            )
+            row = payload
+            for entry in row:
+                entry.attempts = attempt + 1
             if self._resolve(index, row):
                 self._emit("task_done", index=index, attempt=attempt)
         elif kind == "fail":
@@ -1324,38 +1035,6 @@ class PersistentPool:
             future.cancel()
 
 
-def _entry_with_attempts(entry: BatchEntry, attempts: int) -> BatchEntry:
-    if attempts != entry.attempts:
-        entry.attempts = attempts
-    return entry
-
-
-def _entry_with_index(entry: BatchEntry, index: int) -> BatchEntry:
-    """A representative's entry re-addressed to a duplicate submission.
-
-    Mutable fields are copied (never aliased) so per-entry consumers can
-    edit one submission's report without corrupting its group; everything
-    else — verdicts, warnings, timings, counters — is the representative's
-    result verbatim, exactly what a journal replay of the shared identity
-    would reconstruct."""
-    return BatchEntry(
-        index=index,
-        kinds=entry.kinds,
-        error=entry.error,
-        elapsed_seconds=entry.elapsed_seconds,
-        statement_count=entry.statement_count,
-        deadline_exceeded=entry.deadline_exceeded,
-        stage_seconds=dict(entry.stage_seconds),
-        cache_hits=entry.cache_hits,
-        cache_misses=entry.cache_misses,
-        datalog=dict(entry.datalog),
-        block_count=entry.block_count,
-        warnings=[dict(warning) for warning in entry.warnings],
-        precision=dict(entry.precision),
-        attempts=entry.attempts,
-    )
-
-
 # ------------------------------------------------------------------ driving
 
 
@@ -1377,144 +1056,77 @@ def run_sweep(
     carries the sweep's :class:`OrchestratorStats` counters in
     ``summary.orchestrator``.
 
-    With ``options.dedup`` (the default) submissions are coalesced by
-    sweep identity — ``sha256(bytecode) + config fingerprint`` — before
-    dispatch: one representative runs per unique identity and its row is
-    fanned out to every duplicate with the submission index preserved, so
-    analysis cost scales with *unique* bytecode (§6.1's 38M→240K dedup).
-    ``options.result_cache_path`` additionally resolves representatives
-    from a disk-backed :class:`ResultCache` shared across runs.
+    The sweep is a batch client of :class:`~repro.core.reuse.ReuseFunnel`,
+    and claims every submission before it dispatches any.  The first
+    submission of each identity (``sha256(bytecode) + config
+    fingerprint``) leads, unless ``options.result_cache_path`` already
+    holds its row; every later one joins it and gets the leader's row,
+    with its own index, once the workers are done, so analysis cost scales
+    with *unique* bytecode (§6.1's 38M→240K dedup).  Each row is stored in
+    the result cache as it resolves: re-running an interrupted sweep over
+    the same cache analyzes only what is left.  ``options.dedup=False`` is
+    the naive reference, which analyzes every submission not found
+    finished.
     """
     if not configs:
         raise ValueError("run_sweep needs at least one configuration")
     options = options or OrchestratorOptions()
     configs = tuple(configs)
-    tasks = list(enumerate(bytecodes))
+    width = len(configs)
     started = time.monotonic()
 
-    workers = jobs > 1 and len(tasks) >= 2
+    workers = jobs > 1 and len(bytecodes) >= 2
     stats = OrchestratorStats(mode="orchestrator" if workers else "serial")
     degraded_reason: Optional[str] = None
 
-    # Every submission's sweep identity (the journal/result-cache/dedup
-    # key): bytecode digest + the full configuration fingerprint.
     fingerprint = sweep_fingerprint(configs)
-    keys: Dict[int, str] = {
-        index: journal_key(runtime, fingerprint) for index, runtime in tasks
-    }
-    stats.tasks_total = len(tasks)
-    stats.tasks_unique = len(set(keys.values()))
+    keys = [identity_key(runtime, fingerprint) for runtime in bytecodes]
+    stats.tasks_total = len(keys)
+    stats.tasks_unique = len(set(keys))
 
-    # Resolve the journal and resumed rows up front.
-    journal: Optional[SweepJournal] = None
-    rows: Dict[int, Tuple[BatchEntry, ...]] = {}
-    remaining = tasks
-    if options.journal_path:
-        journal = SweepJournal(
-            options.journal_path, fingerprint, resume=options.resume
-        )
-        remaining = []
-        for index, runtime in tasks:
-            entries = journal.lookup(keys[index])
-            if entries is not None and len(entries) == len(configs):
-                rows[index] = tuple(
-                    _entry_from_dict(entry, index=index) for entry in entries
-                )
-                stats.resumed += 1
-                _send_event(options.on_event, "resumed", index=index)
-            else:
-                remaining.append((index, runtime))
-
-    # Content-addressed coalescing: group what's left by identity; only
-    # group representatives (first submission per identity) are executed.
-    groups: Dict[str, List[int]] = {}
-    if options.dedup:
-        run_list: List[Tuple[int, bytes]] = []
-        for index, runtime in remaining:
-            members = groups.get(keys[index])
-            if members is None:
-                groups[keys[index]] = [index]
-                run_list.append((index, runtime))
-            else:
-                members.append(index)
-    else:
-        run_list = remaining
-
-    # Cross-run result cache: tasks whose identity completed in an
-    # earlier sweep skip analysis entirely (lookups happen before any
-    # dispatch; the write-back below runs at sweep end).
-    result_cache: Optional[ResultCache] = None
-    if options.result_cache_path:
-        result_cache = ResultCache(options.result_cache_path)
-        uncached: List[Tuple[int, bytes]] = []
-        for index, runtime in run_list:
-            entries = result_cache.get(keys[index])
-            if entries is not None and len(entries) == len(configs):
-                rows[index] = tuple(
-                    _entry_from_dict(entry, index=index) for entry in entries
-                )
-                stats.result_cache_hits += 1
-                if journal is not None:
-                    journal.record(keys[index], index, rows[index])
-                _send_event(options.on_event, "result_cache_hit", index=index)
-            else:
-                uncached.append((index, runtime))
-        run_list = uncached
+    funnel = ReuseFunnel(options.result_cache_path)
+    claims = funnel.claim_batch(keys, width, coalesce=options.dedup)
+    rows: Dict[int, Row] = {}
+    for index, row in claims.found.items():
+        rows[index] = row
+        stats.result_cache_hits += 1
+        _send_event(options.on_event, "result_cache_hit", index=index)
+    run_list = [(index, bytecodes[index]) for index in claims.leads]
 
     def on_row(index: int, row: Tuple[BatchEntry, ...]) -> None:
-        # Journaled as each row resolves; harness faults never are, so a
-        # resumed run retries them (the fault may have been environmental).
         rows[index] = row
-        if journal is not None and not _is_harness_fault_row(row):
-            journal.record(keys[index], index, row)
+        funnel.resolve(keys[index], row)
 
-    try:
-        if workers and run_list:
-            supervisor = Orchestrator(jobs, options, stats, configs[0], on_row)
-            try:
-                supervisor.run(
-                    [(index, (runtime, configs)) for index, runtime in run_list]
-                )
-            except _PoolBroken as broken:
-                degraded_reason = str(broken)
-                stats.mode = "serial"
-            run_list = [
-                task for task in run_list if task[0] in supervisor.tasks_by_index
-            ]
-        if run_list:
-            if cache is None:
-                cache = ArtifactCache(
-                    max_entries=max(4096, 8 * len(tasks) * len(configs))
-                )
-            in_process = _InProcess(cache, stats, on_row, options.on_event)
-            for index, runtime in run_list:
-                in_process.run(index, (runtime, configs))
-    finally:
-        if journal is not None:
-            journal.close()
-
-    # Persist completed rows for future runs (put() skips keys whose valid
-    # record is already stored and replaces damaged ones; harness faults are never stored, so a later sweep retries them).
-    if result_cache is not None:
-        for index, row in rows.items():
-            if not _is_harness_fault_row(row):
-                result_cache.put(
-                    keys[index], [_entry_to_dict(entry) for entry in row]
-                )
-
-    # Fan each representative's row out to its duplicate group — the
-    # representative's outcome (verdicts, analysis errors, even a harness
-    # fault after retries) resolves the whole group at once.
-    for members in groups.values():
-        row = rows[members[0]]
-        for index in members[1:]:
-            rows[index] = tuple(
-                _entry_with_index(entry, index) for entry in row
+    if workers and run_list:
+        supervisor = Orchestrator(jobs, options, stats, configs[0], on_row)
+        try:
+            supervisor.run(
+                [(index, (runtime, configs)) for index, runtime in run_list]
             )
-            stats.dedup_hits += 1
-            _send_event(
-                options.on_event, "dedup_hit", index=index, representative=members[0]
+        except _PoolBroken as broken:
+            degraded_reason = str(broken)
+            stats.mode = "serial"
+        run_list = [
+            task for task in run_list if task[0] in supervisor.tasks_by_index
+        ]
+    if run_list:
+        if cache is None:
+            cache = ArtifactCache(
+                max_entries=max(4096, 8 * len(bytecodes) * width)
             )
+        in_process = _InProcess(cache, stats, on_row, options.on_event)
+        for index, runtime in run_list:
+            in_process.run(index, (runtime, configs))
+
+    # Fan each leader's row out to the submissions that joined it: its
+    # outcome (verdicts, analysis errors, even a harness fault after
+    # retries) resolves the whole group at once.
+    for index, leader in claims.joined.items():
+        rows[index] = copy_row(rows[leader], index)
+        stats.dedup_hits += 1
+        _send_event(
+            options.on_event, "dedup_hit", index=index, representative=leader
+        )
 
     stats.elapsed_seconds = time.monotonic() - started
 

@@ -131,8 +131,8 @@ def analysis_fingerprint(config) -> str:
     """Fingerprint over *every* config field, budgets included.
 
     The per-stage cache fingerprints deliberately exclude budget fields
-    (only successful outputs are cached); checkpoint journals must not —
-    a journaled ``timeout`` entry is only reusable under the same budget.
+    (only successful outputs are cached); the result cache must not — a
+    stored ``timeout`` entry is only reusable under the same budget.
     """
     import dataclasses
 

@@ -8,7 +8,7 @@ sweeps, used by the CLI's ``analyze --json`` and ``sweep`` commands.
 Schema v2 contract: both report shapes carry ``"schema_version": 2`` and
 use the same key names for the shared blocks — ``stage_seconds``,
 ``precision``, ``datalog`` — plus the sweep-level ``orchestrator`` block
-(crash/watchdog/retry/resume counters from
+(crash/watchdog/retry/dedup counters from
 :mod:`repro.core.orchestrator`).  :meth:`ContractReport.from_json` and
 :meth:`SweepReport.from_json` reconstruct reports losslessly, so
 downstream tooling can parse and re-emit reports without touching analyzer
@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from typing import Dict, List, Optional, Union
 
 from repro.core.analysis import AnalysisResult
-from repro.core.batch import BatchEntry
+from repro.core.batch import BatchEntry, _entry_from_result
 from repro.core.vulnerabilities import VULNERABILITY_KINDS
 
 SCHEMA_VERSION = 2
@@ -79,32 +79,8 @@ class ContractReport:
     def from_result(
         cls, result: AnalysisResult, name: str = "", bytecode_size: int = 0
     ) -> "ContractReport":
-        return cls(
-            name=name,
-            bytecode_size=bytecode_size,
-            block_count=result.block_count,
-            statement_count=result.statement_count,
-            elapsed_seconds=round(result.elapsed_seconds, 6),
-            error=result.error,
-            deadline_exceeded=result.deadline_exceeded,
-            warnings=[
-                {
-                    "kind": warning.kind,
-                    "pc": warning.pc,
-                    "statement": warning.statement,
-                    "slot": warning.slot,
-                    "detail": warning.detail,
-                }
-                for warning in result.warnings
-            ],
-            stage_seconds={
-                name: round(seconds, 6)
-                for name, seconds in result.stage_seconds().items()
-            },
-            cache_hits=result.cache_hits,
-            cache_misses=result.cache_misses,
-            precision=result.precision.as_dict(),
-            datalog=result.datalog_stats,
+        return cls.from_entry(
+            _entry_from_result(0, result), name=name, bytecode_size=bytecode_size
         )
 
     @classmethod
@@ -168,9 +144,9 @@ class SweepReport:
     # engine (derived_facts, join_probes, iterations, ...).
     datalog: Dict[str, int] = field(default_factory=dict)
     # Sweep-executor health counters (OrchestratorStats.as_dict()):
-    # crashes, watchdog_kills, retries, recycles, resumed, plus the PR 8
-    # dedup accounting (tasks_total/tasks_unique/dedup_hits/
-    # result_cache_hits) — round-tripped verbatim by from_json.
+    # crashes, watchdog_kills, retries, recycles, plus the dedup
+    # accounting (tasks_total/tasks_unique/dedup_hits/result_cache_hits)
+    # — round-tripped verbatim by from_json.
     orchestrator: Dict[str, object] = field(default_factory=dict)
     contracts: List[ContractReport] = field(default_factory=list)
     # Parsed ``error_kind_counts`` kept as a fallback so a summary-only

@@ -313,8 +313,10 @@ class Engine:
         """Run all strata to fixpoint, mutating and returning ``database``.
 
         ``deadline`` is an optional cooperative budget (duck-typed:
-        ``check()`` raises when spent), consulted once per semi-naive
-        iteration so runaway recursion respects the caller's cutoff.
+        ``check()`` raises when spent), consulted before each plan is bound
+        (the first check follows the EDB snapshot), before each rule's seed
+        round, and once per semi-naive iteration, so neither a large EDB nor
+        runaway recursion outlives the caller's cutoff.
         """
         self.stats.evaluations += 1
         self._inc_plans = None
@@ -331,7 +333,11 @@ class Engine:
             if facts
         }
         for templates in self.program.plans(database.count):
-            plans = [self._bind_plan(database, template) for template in templates]
+            plans = []
+            for template in templates:
+                if deadline is not None:
+                    deadline.check()
+                plans.append(self._bind_plan(database, template))
             self._evaluate_stratum(database, plans, max_iterations, deadline)
         return database
 
@@ -425,6 +431,8 @@ class Engine:
         # Naive first round to seed deltas, then semi-naive iteration.
         delta: Dict[str, Set[Tuple]] = {rel: set() for rel in heads}
         for plan in plans:
+            if deadline is not None:
+                deadline.check()
             flush(plan, self._run_variant(database, plan.seed, None, None), delta)
 
         iterations = 0

@@ -32,13 +32,9 @@ import time
 from typing import Dict, Optional, Tuple, Union
 
 from repro.api import AnalyzeRequest
-from repro.core.orchestrator import (
-    HARNESS_FAULT_KINDS,
-    OrchestratorOptions,
-    PersistentPool,
-    ResultCache,
-)
+from repro.core.orchestrator import OrchestratorOptions, PersistentPool
 from repro.core.report import ContractReport
+from repro.core.reuse import is_harness_fault
 from repro.serve.backend import QueueFull, ServingBackend
 from repro.serve.codecs import (
     BadRequest,
@@ -46,7 +42,6 @@ from repro.serve.codecs import (
     decode_request,
     error_body,
     parse_body,
-    report_text,
 )
 from repro.serve.metrics import Metric, encode_metrics
 
@@ -67,6 +62,9 @@ _MAX_BODY_BYTES = 64 * 1024 * 1024  # a whole-chain batch, not a bomb
 # One decoded /batch element: its request, or why it did not decode.
 _BatchItem = Union[AnalyzeRequest, BadRequest]
 
+# One request's outcome: (200, its report) or (status, error message).
+_Outcome = Tuple[int, Union[ContractReport, str]]
+
 
 @dataclasses.dataclass
 class ServeOptions:
@@ -76,9 +74,7 @@ class ServeOptions:
     port: int = 8091
     jobs: int = 1  # worker processes; 0 = analyze inline on the pool thread
     max_queue: int = 64  # open-request admission bound (429 past it)
-    dedup: bool = True  # identity coalescing + completed-work reuse
     result_cache: Optional[str] = None  # disk ResultCache dir (sweep-shared)
-    memory_entries: int = 1024  # in-memory completed-row LRU size
     defaults: AnalyzeRequest = dataclasses.field(default_factory=AnalyzeRequest)
     orchestrator: Optional[OrchestratorOptions] = None
 
@@ -93,17 +89,10 @@ class AnalysisServer:
             options=self.options.orchestrator,
             config=self.options.defaults.config(),
         )
-        result_cache = (
-            ResultCache(self.options.result_cache)
-            if self.options.result_cache
-            else None
-        )
         self.backend = ServingBackend(
             self.pool,
             max_queue=self.options.max_queue,
-            dedup=self.options.dedup,
-            result_cache=result_cache,
-            memory_entries=self.options.memory_entries,
+            result_cache=self.options.result_cache,
         )
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -176,7 +165,11 @@ class AnalysisServer:
         status: int,
         body: bytes,
         content_type: str = "application/json",
+        endpoint: Optional[str] = None,
     ) -> None:
+        """Write one whole response, counted under ``endpoint`` if given."""
+        if endpoint is not None:
+            self._count(endpoint, status)
         head = (
             "HTTP/1.1 %d %s\r\n"
             "Content-Type: %s\r\n"
@@ -198,9 +191,11 @@ class AnalysisServer:
         except Exception as error:  # never let one request kill the daemon
             try:
                 await self._respond(
-                    writer, 500, error_body("internal error: %s" % error)
+                    writer,
+                    500,
+                    error_body("internal error: %s" % error),
+                    endpoint="internal",
                 )
-                self._count("internal", 500)
             except ConnectionError:
                 pass
         finally:
@@ -256,11 +251,13 @@ class AnalysisServer:
         elif path == "/batch" and method == "POST":
             await self._handle_batch(writer, body)
         elif path in ("/health", "/metrics", "/analyze", "/batch"):
-            self._count(path.strip("/"), 405)
-            await self._respond(writer, 405, error_body("method not allowed"))
+            await self._respond(
+                writer, 405, error_body("method not allowed"), endpoint=path[1:]
+            )
         else:
-            self._count("unknown", 404)
-            await self._respond(writer, 404, error_body("no such endpoint"))
+            await self._respond(
+                writer, 404, error_body("no such endpoint"), endpoint="unknown"
+            )
 
     # -- endpoints
 
@@ -273,58 +270,64 @@ class AnalysisServer:
                 time.monotonic() - self._started_at, 3
             ),
         }
-        self._count("health", 200)
         await self._respond(
-            writer, 200, (json.dumps(payload) + "\n").encode("utf-8")
+            writer,
+            200,
+            (json.dumps(payload) + "\n").encode("utf-8"),
+            endpoint="health",
         )
 
     async def _handle_metrics(self, writer: asyncio.StreamWriter) -> None:
-        self._count("metrics", 200)
         await self._respond(
             writer,
             200,
             self.render_metrics().encode("utf-8"),
             content_type="text/plain; version=0.0.4; charset=utf-8",
+            endpoint="metrics",
         )
+
+    async def _analyze_one(self, request: AnalyzeRequest) -> _Outcome:
+        """One contract request through the backend: its report, or the
+        status and message of a 400 (bad input), 429 (admission full) or
+        500 (harness fault)."""
+        try:
+            runtime = request.runtime()
+            config = request.config()
+        except ValueError as error:
+            # UnknownEngineError / UnknownKindError / missing input: all
+            # client mistakes.
+            return 400, str(error)
+        try:
+            future = self.backend.submit(runtime, config)
+        except QueueFull as error:
+            return 429, str(error)
+        row = await asyncio.wrap_future(future)
+        if is_harness_fault(row):
+            return 500, row[0].error
+        report = ContractReport.from_entry(
+            row[0], name=request.name, bytecode_size=len(runtime)
+        )
+        return 200, report
 
     async def _handle_analyze(
         self, writer: asyncio.StreamWriter, body: bytes
     ) -> None:
         try:
             request = decode_request(parse_body(body), self.options.defaults)
-            if request.bundle is not None:
-                await self._handle_bundle(writer, request)
-                return
-            runtime = request.runtime()
-            config = request.config()
-        except (BadRequest, ValueError) as error:
-            # ValueError covers UnknownEngineError / UnknownKindError /
-            # missing-input — all client mistakes.
-            self._count("analyze", 400)
-            await self._respond(writer, 400, error_body(str(error)))
+        except ValueError as error:  # BadRequest included
+            await self._respond(
+                writer, 400, error_body(str(error)), endpoint="analyze"
+            )
             return
-        from repro.core.orchestrator import journal_key
-        from repro.core.pipeline import analysis_fingerprint
-
-        identity = journal_key(runtime, analysis_fingerprint(config))
-        try:
-            future = self.backend.submit(runtime, config, identity)
-        except QueueFull as error:
-            self._count("analyze", 429)
-            await self._respond(writer, 429, error_body(str(error)))
+        if request.bundle is not None:
+            await self._handle_bundle(writer, request)
             return
-        row = await asyncio.wrap_future(future)
-        entry = row[0]
-        if entry.error_kind in HARNESS_FAULT_KINDS:
-            self._count("analyze", 500)
-            await self._respond(writer, 500, error_body(entry.error))
-            return
-        self._count("analyze", 200)
-        await self._respond(
-            writer,
-            200,
-            report_text(entry, request.name, len(runtime)).encode("utf-8"),
-        )
+        status, outcome = await self._analyze_one(request)
+        if status == 200:
+            body = (outcome.to_json() + "\n").encode("utf-8")
+        else:
+            body = error_body(outcome)
+        await self._respond(writer, status, body, endpoint="analyze")
 
     async def _handle_bundle(self, writer: asyncio.StreamWriter, request) -> None:
         """Cross-contract ``/analyze`` requests carrying a ``bundle``.
@@ -343,24 +346,19 @@ class AnalysisServer:
                 raise ValueError(
                     "request takes a bundle or bytecode/source, not both"
                 )
-        except ValueError as error:
-            self._count("analyze", 400)
-            await self._respond(writer, 400, error_body(str(error)))
-            return
-        loop = asyncio.get_running_loop()
-        try:
-            result = await loop.run_in_executor(
+            result = await asyncio.get_running_loop().run_in_executor(
                 None, lambda: api.analyze_bundle(request)
             )
         except ValueError as error:
-            self._count("analyze", 400)
-            await self._respond(writer, 400, error_body(str(error)))
+            await self._respond(
+                writer, 400, error_body(str(error)), endpoint="analyze"
+            )
             return
-        self._count("analyze", 200)
         await self._respond(
             writer,
             200,
             (BundleReport.from_result(result).to_json() + "\n").encode("utf-8"),
+            endpoint="analyze",
         )
 
     async def _handle_batch(
@@ -369,8 +367,9 @@ class AnalysisServer:
         try:
             requests = batch_requests(parse_body(body), self.options.defaults)
         except BadRequest as error:
-            self._count("batch", 400)
-            await self._respond(writer, 400, error_body(str(error)))
+            await self._respond(
+                writer, 400, error_body(str(error)), endpoint="batch"
+            )
             return
         # Stream NDJSON in completion order: headers first (no
         # Content-Length — the connection close delimits the body), then
@@ -384,45 +383,21 @@ class AnalysisServer:
         )
         await writer.drain()
 
-        async def _resolve(index: int, request: _BatchItem) -> Dict:
-            # The headers are out: any failure must become this item's
-            # line, or it would corrupt the stream for every other item.
-            try:
-                return await _analyze(index, request)
-            except Exception as error:
-                return {
-                    "index": index,
-                    "error": "internal error: %s" % error,
-                    "status": 500,
-                }
-
-        async def _analyze(index: int, request: _BatchItem) -> Dict:
+        async def _line(index: int, request: _BatchItem) -> Dict:
             if isinstance(request, BadRequest):
                 return {"index": index, "error": str(request), "status": 400}
             try:
-                runtime = request.runtime()
-                config = request.config()
-            except ValueError as error:
-                return {"index": index, "error": str(error), "status": 400}
-            from repro.core.orchestrator import journal_key
-            from repro.core.pipeline import analysis_fingerprint
-
-            identity = journal_key(runtime, analysis_fingerprint(config))
-            try:
-                future = self.backend.submit(runtime, config, identity)
-            except QueueFull as error:
-                return {"index": index, "error": str(error), "status": 429}
-            row = await asyncio.wrap_future(future)
-            entry = row[0]
-            if entry.error_kind in HARNESS_FAULT_KINDS:
-                return {"index": index, "error": entry.error, "status": 500}
-            report = ContractReport.from_entry(
-                entry, name=request.name, bytecode_size=len(runtime)
-            )
-            return {"index": index, "report": dataclasses.asdict(report)}
+                status, outcome = await self._analyze_one(request)
+                if status == 200:
+                    return {"index": index, "report": dataclasses.asdict(outcome)}
+            except Exception as error:
+                # The headers are out: any failure must become this item's
+                # line, or it would corrupt the stream for every other item.
+                status, outcome = 500, "internal error: %s" % error
+            return {"index": index, "error": outcome, "status": status}
 
         tasks = [
-            asyncio.ensure_future(_resolve(index, request))
+            asyncio.ensure_future(_line(index, request))
             for index, request in enumerate(requests)
         ]
         try:
@@ -442,8 +417,8 @@ class AnalysisServer:
 
     def render_metrics(self) -> str:
         """The /metrics payload: serving funnel + orchestrator counters."""
-        pool_stats = self.pool.stats
-        backend_stats = self.backend.stats
+        pool = self.pool.stats
+        backend = self.backend.stats
         requests = Metric(
             "repro_serve_requests_total",
             "HTTP requests handled, by endpoint and status code.",
@@ -451,85 +426,50 @@ class AnalysisServer:
         )
         for (endpoint, status), count in sorted(self._request_counts.items()):
             requests.add(count, endpoint=endpoint, status=str(status))
-        metrics = [
-            requests,
-            Metric(
-                "repro_serve_queue_depth",
-                "Admitted analysis requests not yet resolved.",
-                "gauge",
-            ).add(self.backend.open_requests),
-            Metric(
-                "repro_serve_inflight_identities",
-                "Distinct request identities currently being analyzed.",
-                "gauge",
-            ).add(self.backend.inflight_identities),
-            Metric(
-                "repro_serve_coalesced_requests_total",
-                "Requests that joined an in-flight duplicate's analysis.",
-                "counter",
-            ).add(backend_stats.coalesced),
-            Metric(
-                "repro_serve_report_cache_hits_total",
-                "Requests resolved from the in-memory completed-row cache.",
-                "counter",
-            ).add(backend_stats.report_cache_hits),
-            Metric(
-                "repro_serve_result_cache_hits_total",
-                "Requests resolved from the cross-run disk result cache.",
-                "counter",
-            ).add(backend_stats.result_cache_hits),
-            Metric(
-                "repro_serve_queue_rejections_total",
-                "Requests rejected by admission control (HTTP 429).",
-                "counter",
-            ).add(backend_stats.rejections),
-            Metric(
-                "repro_serve_uptime_seconds",
-                "Seconds since the daemon started.",
-                "gauge",
-            ).add(round(time.monotonic() - self._started_at, 3)),
-            Metric(
-                "repro_orchestrator_workers",
-                "Peak worker processes in the persistent pool.",
-                "gauge",
-            ).add(pool_stats.workers),
-            Metric(
-                "repro_orchestrator_dispatched_total",
-                "Tasks dispatched to workers, retries included.",
-                "counter",
-            ).add(pool_stats.dispatched),
-            Metric(
-                "repro_orchestrator_completed_total",
-                "Tasks that produced a result row.",
-                "counter",
-            ).add(pool_stats.completed),
-            Metric(
-                "repro_orchestrator_heartbeats_total",
-                "Supervision heartbeats emitted.",
-                "counter",
-            ).add(pool_stats.heartbeats),
-            Metric(
-                "repro_orchestrator_retries_total",
-                "Transient task failures retried with backoff.",
-                "counter",
-            ).add(pool_stats.retries),
-            Metric(
-                "repro_orchestrator_crashes_total",
-                "Worker processes that died and were respawned.",
-                "counter",
-            ).add(pool_stats.crashes),
-            Metric(
-                "repro_orchestrator_watchdog_kills_total",
-                "Hung workers SIGKILLed by the watchdog.",
-                "counter",
-            ).add(pool_stats.watchdog_kills),
-            Metric(
-                "repro_orchestrator_recycles_total",
-                "Workers retired after recycle_after tasks.",
-                "counter",
-            ).add(pool_stats.recycles),
+        uptime = round(time.monotonic() - self._started_at, 3)
+        # (name, type, value, help) of every unlabeled sample.
+        samples = [
+            ("repro_serve_queue_depth", "gauge", self.backend.open_requests,
+             "Admitted analysis requests not yet resolved."),
+            ("repro_serve_inflight_identities", "gauge",
+             self.backend.inflight_identities,
+             "Distinct request identities currently being analyzed."),
+            ("repro_serve_coalesced_requests_total", "counter", backend.coalesced,
+             "Requests that joined an in-flight duplicate's analysis."),
+            ("repro_serve_report_cache_hits_total", "counter",
+             backend.report_cache_hits,
+             "Requests resolved from the in-memory completed-row cache."),
+            ("repro_serve_result_cache_hits_total", "counter",
+             backend.result_cache_hits,
+             "Requests resolved from the cross-run disk result cache."),
+            ("repro_serve_queue_rejections_total", "counter", backend.rejections,
+             "Requests rejected by admission control (HTTP 429)."),
+            ("repro_serve_uptime_seconds", "gauge", uptime,
+             "Seconds since the daemon started."),
+            ("repro_orchestrator_workers", "gauge", pool.workers,
+             "Peak worker processes in the persistent pool."),
+            ("repro_orchestrator_dispatched_total", "counter", pool.dispatched,
+             "Tasks dispatched to workers, retries included."),
+            ("repro_orchestrator_completed_total", "counter", pool.completed,
+             "Tasks that produced a result row."),
+            ("repro_orchestrator_heartbeats_total", "counter", pool.heartbeats,
+             "Supervision heartbeats emitted."),
+            ("repro_orchestrator_retries_total", "counter", pool.retries,
+             "Transient task failures retried with backoff."),
+            ("repro_orchestrator_crashes_total", "counter", pool.crashes,
+             "Worker processes that died and were respawned."),
+            ("repro_orchestrator_watchdog_kills_total", "counter",
+             pool.watchdog_kills, "Hung workers SIGKILLed by the watchdog."),
+            ("repro_orchestrator_recycles_total", "counter", pool.recycles,
+             "Workers retired after recycle_after tasks."),
         ]
-        return encode_metrics(metrics)
+        return encode_metrics(
+            [requests]
+            + [
+                Metric(name, help_text, kind).add(value)
+                for name, kind, value, help_text in samples
+            ]
+        )
 
 
 def serve_forever(options: Optional[ServeOptions] = None) -> None:
@@ -543,9 +483,8 @@ async def _serve_main(options: ServeOptions) -> None:
     server.install_signal_handlers()
     host, port = server.address
     print(
-        "repro serve listening on http://%s:%d "
-        "(jobs=%d, max_queue=%d, dedup=%s)"
-        % (host, port, options.jobs, options.max_queue, options.dedup),
+        "repro serve listening on http://%s:%d (jobs=%d, max_queue=%d)"
+        % (host, port, options.jobs, options.max_queue),
         flush=True,
     )
     await server.run_until_shutdown()

@@ -143,8 +143,6 @@ class TestSweepAndBattery:
         resolved = _options(
             mp_context=None,
             max_retries=None,
-            journal=None,
-            resume=False,
             dedup=None,
             result_cache=None,
             on_event=None,
@@ -163,17 +161,14 @@ class TestSweepAndBattery:
         resolved = _options(
             mp_context=None,
             max_retries=1,
-            journal="j.jsonl",
-            resume=True,
             dedup=None,
-            result_cache=None,
+            result_cache="rc",
             on_event=None,
             options=options,
         )
         assert resolved.max_retries == 1
-        assert resolved.journal_path == "j.jsonl"
-        assert resolved.resume is True
-        assert options.max_retries == 7 and options.journal_path is None
+        assert resolved.result_cache_path == "rc"
+        assert options.max_retries == 7 and options.result_cache_path is None
 
 
 class TestDeprecatedShims:
@@ -236,10 +231,10 @@ class TestAnalyzeRequest:
             api.AnalyzeRequest(bytecode=b"\x00", source=source).runtime()
 
     def test_identity_matches_sweep_identity(self, bytecodes):
-        from repro.core.orchestrator import journal_key, sweep_fingerprint
+        from repro.core.reuse import identity_key, sweep_fingerprint
 
         request = api.AnalyzeRequest(bytecode=bytecodes[0], engine="datalog")
-        expected = journal_key(
+        expected = identity_key(
             bytecodes[0], sweep_fingerprint((request.config(),))
         )
         assert request.identity() == expected

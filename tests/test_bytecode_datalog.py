@@ -115,3 +115,59 @@ class TestDatalogEntryPoints:
         python_result, _ = both_results(victim_contract.runtime, TaintOptions())
         assert result.compromised_guards == python_result.compromised_guards
         assert len(result.compromised_guards) == 4
+
+
+def _memory_hop_chain(hops):
+    """``CALLDATALOAD``, then ``hops`` ``PUSH2 a; MSTORE; PUSH2 a; MLOAD``
+    round trips at distinct addresses, then ``SELFDESTRUCT``: every hop's
+    copy sources include every earlier hop, so the EDB's mapping-confinement
+    walk is quadratic, the way it was on a mutated mainnet-size contract."""
+    code = bytearray(b"\x60\x04\x35")
+    for hop in range(hops):
+        address = (0x100 + 0x20 * hop).to_bytes(2, "big")
+        code += b"\x61" + address + b"\x52\x61" + address + b"\x51"
+    return bytes(code + b"\xff")
+
+
+class TestDeadlineBeforeFirstIteration:
+    """The taint stage honors its budget while it builds and loads the EDB
+    and seeds each stratum, not only between semi-naive iterations."""
+
+    @pytest.fixture(scope="class")
+    def chain_models(self):
+        facts = extract_facts(lift(_memory_hop_chain(2000)))
+        storage = build_storage_model(facts)
+        return facts, storage, build_guard_model(facts, storage)
+
+    def test_large_edb_raises_within_budget(self, chain_models):
+        import time
+
+        from repro.core.pipeline import Deadline, DeadlineExceeded
+
+        facts, storage, guards = chain_models
+        options = TaintOptions(deadline=Deadline(0.05))
+        started = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            analyze_with_datalog(
+                facts=facts, storage=storage, guards=guards, options=options
+            )
+        assert time.monotonic() - started < 0.5
+
+    def test_spent_budget_stops_edb_load_and_seed_round(self):
+        from repro.core.bytecode_datalog import _facts_to_edb, _load_edb, _rules
+        from repro.core.pipeline import Deadline, DeadlineExceeded
+        from repro.datalog import Engine
+
+        facts = extract_facts(lift(_memory_hop_chain(100)))
+        storage = build_storage_model(facts)
+        guards = build_guard_model(facts, storage)
+        spent = Deadline(1e-9, started=0.0)
+        with pytest.raises(DeadlineExceeded):
+            _facts_to_edb(facts, storage, guards, TaintOptions(deadline=spent))
+        edb = _facts_to_edb(facts, storage, guards, TaintOptions())
+        with pytest.raises(DeadlineExceeded):
+            _load_edb(edb, spent)
+        engine = Engine(_rules(TaintOptions()))
+        with pytest.raises(DeadlineExceeded):
+            engine.evaluate(_load_edb(edb), deadline=spent)
+        assert engine.stats.iterations == 0

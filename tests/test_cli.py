@@ -338,15 +338,30 @@ class TestSweepOrchestration:
         assert "mode                         serial" in capsys.readouterr().out
 
     def test_sweep_resume_flow(self, tmp_path, capsys):
-        journal = tmp_path / "sweep.jsonl"
+        cache_dir = tmp_path / "results"
         assert main(["sweep", "--size", "5", "--seed", "3",
-                     "--resume", str(journal)]) == 0
+                     "--result-cache", str(cache_dir)]) == 0
         capsys.readouterr()
-        # journal now complete: the second run resumes everything
+        # the cache now holds every contract: the second run analyzes none
         assert main(["sweep", "--size", "5", "--seed", "3", "--jobs", "2",
-                     "--resume", str(journal), "--profile"]) == 0
+                     "--result-cache", str(cache_dir), "--profile"]) == 0
         output = capsys.readouterr().out
-        assert "resumed                      5" in output
+        assert "result_cache_hits            5" in output
+        assert "dispatched                   0" in output
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--resume", "sweep.jsonl"],
+            ["sweep", "--no-dedup"],
+            ["serve", "--no-dedup"],
+        ],
+    )
+    def test_removed_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sweep_mp_context_spawn(self, capsys):
         assert main(["sweep", "--size", "4", "--seed", "3", "--jobs", "2",

@@ -7,9 +7,9 @@ config fingerprint`` identity) run once and fan out to the whole group,
 the outcome — success, analysis error, or harness fault — propagates to
 every member with exactly one retry budget per group, the disk-backed
 :class:`ResultCache` resolves repeated sweeps without analysis, and the
-``--no-dedup`` escape hatch plus a Hypothesis property guarantee the
+naive ``dedup=False`` reference plus a Hypothesis property guarantee the
 deduped sweep is byte-identical (modulo timings) to the naive one,
-including journal replay under ``--resume`` from every truncation point.
+including a re-run over a cache that holds any subset of the rows.
 """
 
 import dataclasses
@@ -21,15 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.core.batch import BatchEntry
-from repro.core.orchestrator import (
-    FaultPlan,
-    OrchestratorOptions,
-    ResultCache,
-    _entry_to_dict,
-    journal_key,
-    run_sweep,
-    sweep_fingerprint,
-)
+from repro.core.orchestrator import FaultPlan, OrchestratorOptions, run_sweep
+from repro.core.reuse import ResultCache, identity_key, sweep_fingerprint
 from repro.corpus import generate_corpus, generate_mainnet
 
 VOLATILE_FIELDS = {"elapsed_seconds", "stage_seconds", "cache_hits", "cache_misses"}
@@ -204,36 +197,37 @@ def _damage_files(root, damage):
                 handle.write(damage(data))
 
 
-def _entries(index=0, kinds=("x",)):
-    """One row's entry dicts, as the sweep stores them."""
-    entry = BatchEntry(
-        index=index, kinds=kinds, error=None, elapsed_seconds=0.0, statement_count=0
+def _row(index=0, kinds=("x",)):
+    """A one-entry row, as the sweep stores it."""
+    return (
+        BatchEntry(
+            index=index, kinds=kinds, error=None, elapsed_seconds=0.0, statement_count=0
+        ),
     )
-    return [_entry_to_dict(entry)]
 
 
 class TestResultCache:
     def _key(self, bytecode, config=None):
         fingerprint = sweep_fingerprint((config or api.AnalysisConfig(),))
-        return journal_key(bytecode, fingerprint)
+        return identity_key(bytecode, fingerprint)
 
     def test_round_trip_and_counters(self, tmp_path):
         cache = ResultCache(str(tmp_path / "rc"))
         assert cache.get("k") is None
         assert cache.misses == 1
-        cache.put("k", _entries())
-        assert cache.get("k") == json.loads(json.dumps(_entries()))
+        cache.put("k", _row())
+        assert cache.get("k") == _row()
         assert cache.hits == 1
 
     def test_put_never_overwrites(self, tmp_path):
         cache = ResultCache(str(tmp_path / "rc"))
-        cache.put("k", _entries(index=0))
-        cache.put("k", _entries(index=999))
-        assert cache.get("k")[0]["index"] == 0
+        cache.put("k", _row(index=0))
+        cache.put("k", _row(index=999))
+        assert cache.get("k")[0].index == 0
 
     def test_corrupt_and_mismatched_files_read_as_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path / "rc"))
-        cache.put("k", _entries())
+        cache.put("k", _row())
         path = cache._path("k")
         with open(path, "w") as handle:
             handle.write("{torn json")
@@ -248,12 +242,12 @@ class TestResultCache:
         """Truncated, bit-flipped and arbitrary-JSON files are misses, never
         exceptions or wrong entries, and the next put replaces them."""
         cache = ResultCache(str(tmp_path_factory.mktemp("rc")))
-        cache.put("k", _entries())
+        cache.put("k", _row())
         _damage_files(cache.root, damage)
         assert cache.get("k") is None
         assert (cache.hits, cache.misses) == (0, 1)
-        cache.put("k", _entries())
-        assert cache.get("k") == json.loads(json.dumps(_entries()))
+        cache.put("k", _row())
+        assert cache.get("k") == _row()
 
     @settings(max_examples=4, deadline=None)
     @given(damage=_damage())
@@ -380,50 +374,51 @@ class TestMainnetGenerator:
 class TestDedupEquivalenceProperty:
     @settings(max_examples=6, deadline=None)
     @given(
-        cut=st.integers(min_value=0, max_value=6),
+        kept=st.sets(st.integers(min_value=0, max_value=5)),
         tear=st.integers(min_value=0, max_value=10_000),
         dup_seed=st.integers(0, 3),
     )
     def test_dedup_naive_and_resume_converge(
-        self, cut, tear, dup_seed, tmp_path_factory
+        self, kept, tear, dup_seed, tmp_path_factory
     ):
         """Property: over any duplicated corpus, the deduped sweep equals
-        the naive sweep (stable fields), and resuming the deduped sweep
-        from any journal truncation point — a torn last line included —
-        converges to the same report; resuming once more replays every
-        row."""
+        the naive sweep (stable fields), and when any k of its identities
+        are still cached (the others lost, one of them torn mid-write) a
+        re-run dispatches exactly the rest and converges to the same
+        report; a further re-run dispatches nothing."""
         net = generate_mainnet(14, unique=6, seed=11, duplication_seed=dup_seed)
         bytecodes = net.bytecodes()
         naive = run_sweep(
             bytecodes, (api.AnalysisConfig(),),
             options=OrchestratorOptions(dedup=False),
         )[0]
-        path = str(tmp_path_factory.mktemp("dedup") / "sweep.jsonl")
-        deduped = run_sweep(
-            bytecodes, (api.AnalysisConfig(),),
-            options=OrchestratorOptions(journal_path=path),
-        )[0]
+        cache_dir = str(tmp_path_factory.mktemp("dedup") / "rc")
+        options = OrchestratorOptions(result_cache_path=cache_dir)
+        deduped = run_sweep(bytecodes, (api.AnalysisConfig(),), options=options)[0]
         assert _stable(naive) == _stable(deduped)
 
-        lines = open(path, "rb").read().splitlines(True)
-        header, rows = lines[0], lines[1:]
-        assert len(rows) == deduped.tasks_unique  # one journal row per identity
-        # A kill mid-write leaves a strict prefix of the next row.
-        torn = rows[cut][: tear % len(rows[cut])] if cut < len(rows) else b""
-        with open(path, "wb") as handle:
-            handle.writelines([header] + rows[:cut] + [torn])
-        resumed = run_sweep(
-            bytecodes, (api.AnalysisConfig(),),
-            options=OrchestratorOptions(journal_path=path, resume=True),
-        )[0]
+        cache = ResultCache(cache_dir)
+        identities = list(dict.fromkeys(
+            identity_key(bytecode, sweep_fingerprint((api.AnalysisConfig(),)))
+            for bytecode in bytecodes
+        ))
+        assert len(identities) == deduped.tasks_unique
+        lost = [key for position, key in enumerate(identities) if position not in kept]
+        for position, key in enumerate(lost):
+            path = cache._path(key)
+            if position == 0:
+                # A kill mid-write leaves a strict prefix of the file.
+                with open(path, "rb") as handle:
+                    data = handle.read()
+                with open(path, "wb") as handle:
+                    handle.write(data[: tear % len(data)])
+            else:
+                os.remove(path)
+        resumed = run_sweep(bytecodes, (api.AnalysisConfig(),), options=options)[0]
         assert _stable(resumed) == _stable(deduped)
-        assert resumed.orchestrator["dispatched"] == deduped.tasks_unique - min(
-            cut, deduped.tasks_unique
-        )
-        again = run_sweep(
-            bytecodes, (api.AnalysisConfig(),),
-            options=OrchestratorOptions(journal_path=path, resume=True),
-        )[0]
+        assert resumed.orchestrator["dispatched"] == len(lost)
+        assert resumed.result_cache_hits == len(identities) - len(lost)
+        again = run_sweep(bytecodes, (api.AnalysisConfig(),), options=options)[0]
         assert _stable(again) == _stable(deduped)
-        assert again.orchestrator["resumed"] == len(bytecodes)
+        assert again.result_cache_hits == len(identities)
         assert again.orchestrator["dispatched"] == 0

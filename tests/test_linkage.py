@@ -4,6 +4,7 @@ and the end-to-end exploit replay (repro.core.linkage / kill.bundle)."""
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import api
 from repro.core.analysis import AnalysisConfig
@@ -12,6 +13,7 @@ from repro.core.linkage import (
     analyze_bundle,
     bundle_contract,
     bundle_from_specs,
+    load_bundle_file,
     resolve_call_edges,
 )
 from repro.core.report import BundleReport
@@ -110,6 +112,74 @@ class TestBundleFromSpecs:
     def test_rejects_bad_address(self):
         with pytest.raises(ValueError, match="address"):
             bundle_from_specs([{"address": "street", "bytecode": "00"}])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("storage", [1, 2]),
+            ("storage", "0x1"),
+            ("source", 5),
+            ("name", 5),
+            ("bytecode", 5),
+            ("source_file", 5),
+            ("hex_file", ["a.hex"]),
+        ],
+    )
+    def test_rejects_wrong_typed_fields(self, field, value):
+        spec = {"address": 1, "bytecode": "00", field: value}
+        with pytest.raises(ValueError, match=field):
+            bundle_from_specs([spec], allow_files=True)
+
+
+# Any JSON value, for the bundle-file property.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+
+# Bundle contract specs that keep a valid address and bytecode, so every
+# other field, of any JSON type, is actually reached.
+_SPECS = st.fixed_dictionaries(
+    {"address": st.integers(1, 2**160 - 1), "bytecode": st.just("6000ff")},
+    optional={
+        "name": _JSON,
+        "source": _JSON | st.just("contract {"),
+        "storage": _JSON
+        | st.dictionaries(st.text(max_size=4), _JSON, max_size=3),
+        "source_file": _JSON | st.sampled_from([".", "missing.msol", "a\x00b"]),
+        "hex_file": _JSON | st.sampled_from([".", "missing.hex"]),
+    },
+)
+
+
+class TestBundleFileProperty:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        contracts=st.lists(_SPECS, min_size=1, max_size=3) | _JSON,
+        nesting=st.sampled_from([0, 0, 0, 100_000]),
+    )
+    def test_any_bundle_file_loads_or_is_an_error(
+        self, tmp_path, contracts, nesting
+    ):
+        """Any JSON bundle file, wrong-typed spec fields and JSON nested
+        far past the recursion limit included, gives a bundle, a
+        ValueError or an OSError: never another exception."""
+        path = tmp_path / "bundle.json"
+        text = json.dumps({"contracts": contracts})
+        if nesting:
+            text = "[" * nesting + "]" * nesting
+        path.write_text(text)
+        try:
+            bundle = load_bundle_file(path)
+        except (ValueError, OSError):
+            return
+        assert isinstance(bundle, ContractBundle)
 
 
 # -------------------------------------------------------------- call graph
@@ -371,6 +441,23 @@ class TestCliBundle:
         assert [w["kind"] for w in payload["cross_warnings"]] == [
             PROXY_UPGRADE_HIJACK
         ]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"contracts": [{"address": 1, "source_file": 5}]}),
+            json.dumps({"contracts": [{"address": 1, "bytecode": "00",
+                                       "storage": [1, 2]}]}),
+            "[" * 100_000 + "]" * 100_000,
+        ],
+    )
+    def test_bad_bundle_file_is_an_error_not_a_traceback(self, tmp_path, text):
+        from repro.cli import main
+
+        path = tmp_path / "bundle.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit, match="bad bundle file"):
+            main(["analyze", "--bundle", str(path)])
 
     def test_bundle_conflicts_with_source(self, tmp_path):
         from repro.cli import main

@@ -5,12 +5,13 @@ days; the harness must survive worker crashes, hangs, and operator
 restarts without losing more than the one contract at fault.  These tests
 inject each failure mode via the test-only :class:`FaultPlan` worker hook
 and assert the documented taxonomy (``worker_crashed`` /
-``watchdog_killed`` / ``task_failed``), retry semantics, and checkpoint
-journal resume behavior — including the byte-identical report guarantee
-for a sweep resumed from its journal.
+``watchdog_killed`` / ``task_failed``), retry semantics, and resume from
+the result cache — including the byte-identical report guarantee for a
+sweep replayed from it.
 """
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,14 +20,11 @@ from repro import api
 from repro.core.orchestrator import (
     FaultPlan,
     OrchestratorOptions,
-    SweepJournal,
-    _entry_to_dict,
-    journal_key,
     resolve_mp_context,
     run_sweep,
-    sweep_fingerprint,
 )
 from repro.core.report import ContractReport, SweepReport
+from repro.core.reuse import ResultCache, identity_key, sweep_fingerprint
 from repro.corpus import generate_corpus
 
 
@@ -49,6 +47,12 @@ def _report(corpus, summary):
             )
         )
     return report
+
+
+def _cache_path(cache_dir, bytecode, config=None):
+    """The result-cache file of ``bytecode``'s identity under ``config``."""
+    key = identity_key(bytecode, sweep_fingerprint((config or api.AnalysisConfig(),)))
+    return ResultCache(cache_dir)._path(key)
 
 
 def _stable_fields(report_json: str):
@@ -277,13 +281,11 @@ class TestExecutors:
             return analyze(self, runtime)
 
         monkeypatch.setattr(orchestrator.EthainterAnalysis, "analyze", flaky)
-        journal = str(tmp_path / "sweep.jsonl")
         cache_dir = str(tmp_path / "results")
         events = []
         summary = api.sweep(
             bytecodes,
             jobs=1,
-            journal=journal,
             result_cache=cache_dir,
             on_event=events.append,
         )
@@ -297,13 +299,10 @@ class TestExecutors:
         for before, after in zip(clean.entries, summary.entries):
             if after.index != 4:
                 assert (after.kinds, after.warnings) == (before.kinds, before.warnings)
-        # Neither journaled nor cached: a later run retries the contract.
+        # Not cached: a later run retries the contract.
         monkeypatch.undo()
-        resumed = api.sweep(
-            bytecodes, journal=journal, resume=True, result_cache=cache_dir
-        )
-        assert resumed.orchestrator["resumed"] == len(bytecodes) - 1
-        assert resumed.orchestrator["result_cache_hits"] == 0
+        resumed = api.sweep(bytecodes, result_cache=cache_dir)
+        assert resumed.orchestrator["result_cache_hits"] == len(bytecodes) - 1
         assert resumed.orchestrator["dispatched"] == 1
         assert resumed.errors == 0
 
@@ -321,13 +320,17 @@ class TestExecutors:
 
 
 class TestJournalResume:
+    """Resume from the result cache, which a sweep writes as each row
+    resolves.  (The class and test names predate the cache; the JSONL
+    journal they were written for is gone.)"""
+
     def test_resume_from_complete_journal_is_byte_identical(
         self, corpus, bytecodes, tmp_path
     ):
-        path = str(tmp_path / "sweep.jsonl")
-        first = api.sweep(bytecodes, jobs=2, journal=path)
-        second = api.sweep(bytecodes, jobs=2, journal=path, resume=True)
-        assert second.orchestrator["resumed"] == len(bytecodes)
+        cache_dir = str(tmp_path / "results")
+        first = api.sweep(bytecodes, jobs=2, result_cache=cache_dir)
+        second = api.sweep(bytecodes, jobs=2, result_cache=cache_dir)
+        assert second.orchestrator["result_cache_hits"] == len(bytecodes)
         assert second.orchestrator["dispatched"] == 0
         left, right = _report(corpus, first), _report(corpus, second)
         left.orchestrator = right.orchestrator = {}
@@ -336,15 +339,15 @@ class TestJournalResume:
     def test_truncated_journal_reexecutes_only_remainder(
         self, corpus, bytecodes, tmp_path
     ):
-        path = str(tmp_path / "sweep.jsonl")
-        full = api.sweep(bytecodes, jobs=2, journal=path)
-        lines = open(path).read().splitlines(True)
-        # Simulate a kill mid-write: drop 3 rows and leave a torn line.
-        with open(path, "w") as handle:
-            handle.writelines(lines[:-3])
-            handle.write('{"key": "torn')
-        resumed = api.sweep(bytecodes, jobs=2, journal=path, resume=True)
-        assert resumed.orchestrator["resumed"] == len(bytecodes) - 3
+        cache_dir = str(tmp_path / "results")
+        full = api.sweep(bytecodes, jobs=2, result_cache=cache_dir)
+        # Simulate an interruption: two rows never stored, a third torn.
+        for bytecode in bytecodes[-3:-1]:
+            os.remove(_cache_path(cache_dir, bytecode))
+        torn = _cache_path(cache_dir, bytecodes[-1])
+        os.truncate(torn, os.path.getsize(torn) // 2)
+        resumed = api.sweep(bytecodes, jobs=2, result_cache=cache_dir)
+        assert resumed.orchestrator["result_cache_hits"] == len(bytecodes) - 3
         assert resumed.orchestrator["dispatched"] == 3
         assert _stable_fields(_report(corpus, full).to_json()) == _stable_fields(
             _report(corpus, resumed).to_json()
@@ -353,63 +356,62 @@ class TestJournalResume:
     def test_journal_discarded_on_config_change(self, bytecodes, tmp_path):
         from repro.core.analysis import AnalysisConfig
 
-        path = str(tmp_path / "sweep.jsonl")
-        api.sweep(bytecodes, journal=path)
+        cache_dir = str(tmp_path / "results")
+        api.sweep(bytecodes, result_cache=cache_dir)
         resumed = api.sweep(
-            bytecodes,
-            AnalysisConfig(model_guards=False),
-            journal=path,
-            resume=True,
+            bytecodes, AnalysisConfig(model_guards=False), result_cache=cache_dir
         )
-        assert resumed.orchestrator["resumed"] == 0
+        assert resumed.orchestrator["result_cache_hits"] == 0
 
     def test_resume_under_new_config_starts_a_fresh_journal(
         self, bytecodes, tmp_path
     ):
-        """Resuming under another configuration rewrites the journal under
-        the new header, so the next resume under that configuration
-        replays every row."""
+        """A sweep under another configuration stores its rows under their
+        own identities: the next run under it replays every row, and the
+        first configuration's rows stay."""
         from repro.core.analysis import AnalysisConfig
 
-        path = str(tmp_path / "sweep.jsonl")
-        api.sweep(bytecodes, journal=path)
+        cache_dir = str(tmp_path / "results")
+        api.sweep(bytecodes, result_cache=cache_dir)
         other = AnalysisConfig(model_guards=False)
-        first = api.sweep(bytecodes, other, journal=path, resume=True)
-        assert first.orchestrator["resumed"] == 0
-        again = api.sweep(bytecodes, other, journal=path, resume=True)
-        assert again.orchestrator["resumed"] == len(bytecodes)
+        first = api.sweep(bytecodes, other, result_cache=cache_dir)
+        assert first.orchestrator["result_cache_hits"] == 0
+        again = api.sweep(bytecodes, other, result_cache=cache_dir)
+        assert again.orchestrator["result_cache_hits"] == len(bytecodes)
         assert [entry.kinds for entry in again.entries] == [
             entry.kinds for entry in first.entries
         ]
+        default = api.sweep(bytecodes, result_cache=cache_dir)
+        assert default.orchestrator["result_cache_hits"] == len(bytecodes)
 
     def test_budget_change_invalidates_journal(self, bytecodes, tmp_path):
         from repro.core.analysis import AnalysisConfig
 
-        path = str(tmp_path / "sweep.jsonl")
-        api.sweep(bytecodes, AnalysisConfig(timeout_seconds=120.0), journal=path)
-        resumed = api.sweep(
-            bytecodes,
-            AnalysisConfig(timeout_seconds=60.0),
-            journal=path,
-            resume=True,
+        cache_dir = str(tmp_path / "results")
+        api.sweep(
+            bytecodes, AnalysisConfig(timeout_seconds=120.0), result_cache=cache_dir
         )
-        assert resumed.orchestrator["resumed"] == 0
+        resumed = api.sweep(
+            bytecodes, AnalysisConfig(timeout_seconds=60.0), result_cache=cache_dir
+        )
+        assert resumed.orchestrator["result_cache_hits"] == 0
 
     def test_harness_faults_are_not_journaled(self, bytecodes, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
+        cache_dir = str(tmp_path / "results")
         crashed = api.sweep(
             bytecodes,
             jobs=2,
-            journal=path,
+            result_cache=cache_dir,
             options=OrchestratorOptions(
                 fault_plan=FaultPlan(crash_indices=(3,))
             ),
         )
         assert crashed.entries[3].error_kind == "worker_crashed"
-        # The resumed run retries the crashed contract (no fault plan now)
-        # and it succeeds.
-        resumed = api.sweep(bytecodes, jobs=2, journal=path, resume=True)
-        assert resumed.orchestrator["resumed"] == len(bytecodes) - 1
+        assert not os.path.exists(_cache_path(cache_dir, bytecodes[3]))
+        # The re-run retries the crashed contract (no fault plan now) and
+        # it succeeds.
+        resumed = api.sweep(bytecodes, jobs=2, result_cache=cache_dir)
+        assert resumed.orchestrator["result_cache_hits"] == len(bytecodes) - 1
         assert resumed.orchestrator["dispatched"] == 1
         assert resumed.errors == 0
 
@@ -419,99 +421,85 @@ class TestJournalResume:
         fp_a = sweep_fingerprint((AnalysisConfig(),))
         fp_b = sweep_fingerprint((AnalysisConfig(timeout_seconds=60.0),))
         assert fp_a != fp_b
-        assert journal_key(bytecodes[0], fp_a) != journal_key(bytecodes[1], fp_a)
-        assert journal_key(bytecodes[0], fp_a) != journal_key(bytecodes[0], fp_b)
-
-    def test_journal_load_tolerates_garbage_then_stops(self, tmp_path):
-        from repro.core.batch import BatchEntry
-
-        path = str(tmp_path / "sweep.jsonl")
-        fingerprint = "fp"
-        journal = SweepJournal(path, fingerprint)
-        entry = BatchEntry(
-            index=0, kinds=(), error=None, elapsed_seconds=0.0, statement_count=0
-        )
-        journal.record("abc:fp", 0, (entry,))
-        journal.close()
-        with open(path, "a") as handle:
-            handle.write("{not json")
-        reloaded = SweepJournal(path, fingerprint, resume=True)
-        reloaded.close()
-        assert "abc:fp" in reloaded.completed
+        assert identity_key(bytecodes[0], fp_a) != identity_key(bytecodes[1], fp_a)
+        assert identity_key(bytecodes[0], fp_a) != identity_key(bytecodes[0], fp_b)
 
     def test_entry_checks_cover_every_batch_entry_field(self):
-        """A field without a check would be dropped on every journal
-        replay and result-cache hit."""
+        """A field without a check would be dropped on every result-cache
+        hit."""
         import dataclasses
 
         from repro.core.batch import BatchEntry
-        from repro.core.orchestrator import _ENTRY_FIELD_CHECKS
+        from repro.core.reuse import _ENTRY_FIELD_CHECKS
 
         assert set(_ENTRY_FIELD_CHECKS) == {
             field.name for field in dataclasses.fields(BatchEntry)
         }
 
-    @pytest.mark.parametrize(
-        "bad_line",
-        [
-            b"[1]\n",
-            b"\xff\xfe not utf-8\n",
-            b'{"key": 5, "index": 1, "entries": []}\n',
-            b'{"key": "bad:fp", "index": 1, "entries": 5}\n',
-            b'{"key": "bad:fp", "index": 1, "entries": [1]}\n',
-            b'{"key": "bad:fp", "index": 1, "entries": [{"index": "0"}]}\n',
-        ],
-    )
-    def test_damaged_line_ends_the_valid_prefix(self, bad_line, tmp_path):
-        """A damaged line and everything after it are dropped on resume,
-        and the file is cut back to the valid prefix before new rows are
-        appended, so a second resume still reads every good row."""
-        from repro.core.batch import BatchEntry
 
-        path = str(tmp_path / "sweep.jsonl")
-        entry = BatchEntry(
-            index=0, kinds=(), error=None, elapsed_seconds=0.0, statement_count=0
-        )
-        journal = SweepJournal(path, "fp")
-        journal.record("a:fp", 0, (entry,))
-        journal.close()
-        after = {"key": "c:fp", "index": 2, "entries": [_entry_to_dict(entry)]}
-        with open(path, "ab") as handle:
-            handle.write(bad_line + json.dumps(after).encode() + b"\n")
-        resumed = SweepJournal(path, "fp", resume=True)
-        resumed.record("b:fp", 1, (entry,))
-        resumed.close()
-        assert set(resumed.completed) == {"a:fp", "b:fp"}
-        again = SweepJournal(path, "fp", resume=True)
-        again.close()
-        assert set(again.completed) == {"a:fp", "b:fp"}
+class _Interrupted(Exception):
+    """Raised by an ``on_event`` hook to stop a sweep part way."""
+
+
+class TestInterruptedSweep:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_interrupted_sweep_keeps_finished_rows(
+        self, bytecodes, tmp_path, jobs, k
+    ):
+        """Rows reach the result cache as they resolve, so a sweep stopped
+        after k ``task_done`` events leaves at least k identities stored,
+        and re-running it analyzes only the rest."""
+        cache_dir = str(tmp_path / "results")
+        done = []
+
+        def stop_after_k(event):
+            if event["event"] == "task_done":
+                done.append(event["index"])
+                if len(done) == k:
+                    raise _Interrupted()
+
+        with pytest.raises(_Interrupted):
+            api.sweep(
+                bytecodes, jobs=jobs, result_cache=cache_dir, on_event=stop_after_k
+            )
+        stored = [
+            bytecode
+            for bytecode in bytecodes
+            if os.path.exists(_cache_path(cache_dir, bytecode))
+        ]
+        assert len(stored) >= k
+        for index in done:
+            assert bytecodes[index] in stored
+        resumed = api.sweep(bytecodes, jobs=jobs, result_cache=cache_dir)
+        assert resumed.orchestrator["result_cache_hits"] == len(stored)
+        assert resumed.orchestrator["dispatched"] == len(bytecodes) - len(stored)
+        assert resumed.errors == 0
 
 
 class TestResumeProperty:
     @settings(max_examples=8, deadline=None)
     @given(cut=st.integers(min_value=0, max_value=8))
     def test_resume_from_any_interruption_point(self, cut, tmp_path_factory):
-        """Property: however many journal rows survive an interruption, the
+        """Property: however many cached rows survive an interruption, the
         resumed sweep re-executes exactly the remainder and converges to
         the same verdicts as an uninterrupted run."""
         corpus = generate_corpus(8, seed=11)
         bytecodes = [contract.runtime for contract in corpus]
-        path = str(tmp_path_factory.mktemp("resume") / "sweep.jsonl")
+        cache_dir = str(tmp_path_factory.mktemp("resume") / "results")
         full = run_sweep(
             bytecodes,
             (api.AnalysisConfig(),),
-            options=OrchestratorOptions(journal_path=path),
+            options=OrchestratorOptions(result_cache_path=cache_dir),
         )[0]
-        lines = open(path).read().splitlines(True)
-        header, rows = lines[0], lines[1:]
-        with open(path, "w") as handle:
-            handle.writelines([header] + rows[:cut])
+        for bytecode in bytecodes[cut:]:
+            os.remove(_cache_path(cache_dir, bytecode))
         resumed = run_sweep(
             bytecodes,
             (api.AnalysisConfig(),),
-            options=OrchestratorOptions(journal_path=path, resume=True),
+            options=OrchestratorOptions(result_cache_path=cache_dir),
         )[0]
-        assert resumed.orchestrator["resumed"] == cut
+        assert resumed.orchestrator["result_cache_hits"] == cut
         assert resumed.orchestrator["dispatched"] == len(bytecodes) - cut
         assert [e.kinds for e in resumed.entries] == [
             e.kinds for e in full.entries

@@ -175,6 +175,10 @@ class TestAnalyzeParity:
                 {"bytecode": bytecodes[0].hex(), "model_guards": 0},
                 {"bytecode": bytecodes[0].hex(), "deadline": "abc"},
                 {"source": 42},
+                # Wrong-typed bundle spec fields.
+                {"bundle": [{"address": 1, "bytecode": "00", "storage": [1, 2]}]},
+                {"bundle": [{"address": 1, "source": 5}]},
+                {"bundle": [{"address": 1, "bytecode": "00", "name": 5}]},
             ):
                 status, body = request(port, "POST", "/analyze", payload)
                 assert status == 400, payload
@@ -323,6 +327,26 @@ class TestBatch:
         ):
             assert lines[index]["status"] == 400
             assert lines[index]["error"].startswith(field)
+
+    def test_bad_bundle_item_is_that_items_400(self, bytecodes):
+        good = {"bytecode": bytecodes[0].hex()}
+        bad = [
+            {"bundle": [{"address": 1, "bytecode": "00", "storage": [1, 2]}]},
+            {"bundle": [{"address": 1, "source": 5}]},
+        ]
+        with running_server() as (_server, port):
+            status, body = request(
+                port, "POST", "/batch", {"contracts": [good] + bad}
+            )
+        assert status == 200
+        lines = {
+            line["index"]: line
+            for line in (json.loads(text) for text in body.splitlines() if text)
+        }
+        assert lines[0]["report"]["schema_version"] == 2
+        for index in (1, 2):
+            assert lines[index]["status"] == 400
+            assert "bad bundle" in lines[index]["error"]
 
     def test_malformed_batch_is_400(self):
         with running_server() as (_server, port):
