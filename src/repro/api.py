@@ -36,7 +36,6 @@ from repro.core.analysis import (
     Warning,
 )
 from repro.core.batch import BatchEntry, BatchSummary
-from repro.core.bytecode_datalog import WarmEngineCache
 from repro.core.orchestrator import (
     FaultPlan,
     OrchestratorOptions,
@@ -94,7 +93,6 @@ __all__ = [
     "SweepReport",
     "UnknownKindError",
     "VULNERABILITY_KINDS",
-    "WarmEngineCache",
     "Warning",
     "bundle_contract",
     "bundle_from_specs",
@@ -300,20 +298,12 @@ def analyze(
     config: Optional[AnalysisConfig] = None,
     *,
     cache: Optional[ArtifactCache] = None,
-    warm=None,
 ) -> AnalysisResult:
     """Analyze one contract's runtime bytecode.
 
     The first argument is runtime bytecode, or a full
     :class:`AnalyzeRequest` (whose input and configuration are both
     honored; passing ``config`` alongside a request is an error).
-
-    ``warm`` optionally takes a
-    :class:`~repro.core.bytecode_datalog.WarmEngineCache`: repeated calls
-    on the same contract with a datalog engine then repair one live
-    fixpoint incrementally (DRed) instead of recomputing it — e.g. an
-    ablation battery flipping ``model_guards`` re-derives only the facts
-    the flipped guards touch.
     """
     if isinstance(bytecode, AnalyzeRequest):
         if config is not None:
@@ -328,12 +318,10 @@ def analyze(
                     "AnalyzeRequest takes a bundle or bytecode/source, "
                     "not both"
                 )
-            return _analyze_bundle(
-                request.bundle, request.config(), cache=cache, warm=warm
-            )
+            return _analyze_bundle(request.bundle, request.config(), cache=cache)
         bytecode = request.runtime()
         config = request.config()
-    return EthainterAnalysis(config, cache=cache, warm=warm).analyze(bytecode)
+    return EthainterAnalysis(config, cache=cache).analyze(bytecode)
 
 
 def analyze_bundle(
@@ -341,7 +329,6 @@ def analyze_bundle(
     config: "Union[AnalysisConfig, AnalyzeRequest, None]" = None,
     *,
     cache: Optional[ArtifactCache] = None,
-    warm=None,
 ) -> BundleResult:
     """Analyze a multi-contract :class:`ContractBundle` as one deployment.
 
@@ -363,9 +350,7 @@ def analyze_bundle(
             raise ValueError("AnalyzeRequest has no bundle")
         config = bundle.config()
         bundle = bundle.bundle
-    return _analyze_bundle(
-        bundle, _coerce_config(config), cache=cache, warm=warm
-    )
+    return _analyze_bundle(bundle, _coerce_config(config), cache=cache)
 
 
 def _options(

@@ -191,20 +191,13 @@ class EthainterAnalysis:
         self,
         config: Optional[AnalysisConfig] = None,
         cache: Optional[ArtifactCache] = None,
-        warm: Optional[object] = None,
     ):
         self.config = config or AnalysisConfig()
         self.cache = cache
-        # Optional WarmEngineCache shared across analyses so the datalog
-        # tiers repair a live fixpoint instead of recomputing (Fig. 8
-        # ablation batteries, repeated api.analyze calls).
-        self.warm = warm
 
     def analyze(self, runtime_bytecode: bytes) -> AnalysisResult:
         """Run the staged pipeline (lift, model, fixpoint, detect)."""
-        outcome = run_pipeline(
-            runtime_bytecode, self.config, cache=self.cache, warm=self.warm
-        )
+        outcome = run_pipeline(runtime_bytecode, self.config, cache=self.cache)
         result = AnalysisResult(
             error=outcome.error,
             deadline_exceeded=outcome.deadline_exceeded,

@@ -50,8 +50,6 @@ IDB:
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from functools import lru_cache
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -173,10 +171,7 @@ def _facts_to_edb(
 ) -> Dict[str, Set[Tuple]]:
     """The EDB as plain per-relation fact sets.
 
-    Keeping the extraction separate from :class:`Database` loading lets the
-    warm-engine path diff two EDBs and repair a live fixpoint incrementally
-    instead of re-evaluating from scratch.  ``options.deadline`` is checked
-    every 256 rows.
+    ``options.deadline`` is checked every 256 rows.
     """
     database = _EdbBuilder(options.deadline)
 
@@ -256,12 +251,19 @@ def _facts_to_edb(
                     "SLoadUnknown",
                     (load.statement.ident, load.address_var, load.def_var),
                 )
-        for count, (variable, sources) in enumerate(storage.copy_sources.items()):
-            if count & 255 == 0:
-                database.check()
-            if any(source in storage.mapping_accesses for source in sources):
-                database.add("MappingConfined", (variable,))
-        for variable in storage.mapping_accesses:
+        # A variable is confined when one of its copy sources is a mapping
+        # access; with no mapping access in the contract none is, and the
+        # walk over every copy source of every variable is skipped.
+        mapping_vars = storage.mapping_accesses.keys()
+        if mapping_vars:
+            for count, (variable, sources) in enumerate(
+                storage.copy_sources.items()
+            ):
+                if count & 255 == 0:
+                    database.check()
+                if not mapping_vars.isdisjoint(sources):
+                    database.add("MappingConfined", (variable,))
+        for variable in mapping_vars:
             database.add("MappingConfined", (variable,))
         for variable in storage.ds_vars:
             database.add("SenderKey", (variable,))
@@ -370,104 +372,6 @@ def _rules(options: TaintOptions, reentrancy: bool = False) -> CompiledProgram:
     return ruleset_program(ruleset_key(options, reentrancy))
 
 
-def _contract_key(
-    runtime_bytecode: Optional[bytes], edb: Dict[str, Set[Tuple]]
-) -> str:
-    """A stable identity for the analyzed contract.
-
-    Prefers the bytecode digest; falls back to hashing the flag-insensitive
-    base relations (always emitted regardless of :class:`TaintOptions`) so
-    pre-extracted facts still key consistently across option flips.
-    """
-    digest = hashlib.sha256()
-    if runtime_bytecode is not None:
-        digest.update(runtime_bytecode)
-        return digest.hexdigest()
-    for relation in ("Stmt", "Infoflow", "CALLDATALOAD"):
-        digest.update(relation.encode())
-        for fact in sorted(edb.get(relation, ()), key=repr):
-            digest.update(repr(fact).encode())
-    return digest.hexdigest()
-
-
-class WarmEngineCache:
-    """LRU of live Datalog fixpoints repaired incrementally across calls.
-
-    Keyed by (contract identity, ruleset flags, provenance tracking).  A
-    repeated analysis of the same contract whose EDB differs — e.g. the
-    Fig. 8 ablation battery flipping ``model_guards``, which changes the
-    extracted facts but not the ruleset — diffs the EDBs and hands the
-    delta to :meth:`Engine.apply_changes` (DRed) instead of re-running the
-    fixpoint from scratch.  Identical EDBs reuse the fixpoint outright.
-    """
-
-    def __init__(self, maxsize: int = 8) -> None:
-        self.maxsize = maxsize
-        # key -> (engine, database, edb snapshot)
-        self._entries: "OrderedDict[Tuple, Tuple[Engine, Database, dict]]" = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
-        self.repairs = 0
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "repairs": self.repairs,
-            "entries": len(self._entries),
-        }
-
-    def fixpoint(
-        self,
-        contract_key: str,
-        options: TaintOptions,
-        edb: Dict[str, Set[Tuple]],
-        program: CompiledProgram,
-        track_provenance: bool,
-        reentrancy: bool = False,
-    ) -> Tuple[Engine, Database]:
-        key = (
-            contract_key,
-            options.model_storage_taint,
-            options.conservative_storage,
-            track_provenance,
-            reentrancy,  # the ruleset differs when the stratum is active
-        )
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            engine, database, cached_edb = entry
-            additions = {
-                relation: rows - cached_edb.get(relation, set())
-                for relation, rows in edb.items()
-            }
-            retractions = {
-                relation: rows - edb.get(relation, set())
-                for relation, rows in cached_edb.items()
-            }
-            additions = {rel: rows for rel, rows in additions.items() if rows}
-            retractions = {rel: rows for rel, rows in retractions.items() if rows}
-            if additions or retractions:
-                engine.apply_changes(
-                    additions, retractions, deadline=options.deadline
-                )
-                self.repairs += 1
-            else:
-                self.hits += 1
-            self._entries[key] = (engine, database, edb)
-            return engine, database
-        self.misses += 1
-        database = _load_edb(edb, options.deadline)
-        engine = Engine(program, track_provenance=track_provenance)
-        engine.evaluate(database, deadline=options.deadline)
-        self._entries[key] = (engine, database, edb)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        return engine, database
-
-
 def analyze_with_datalog(
     runtime_bytecode: Optional[bytes] = None,
     facts: Optional[ContractFacts] = None,
@@ -477,7 +381,6 @@ def analyze_with_datalog(
     track_provenance: bool = False,
     use_plans: bool = True,
     columnar: Optional[bool] = None,
-    warm: Optional[WarmEngineCache] = None,
     ordering: Optional[CallOrderModel] = None,
 ) -> TaintResult:
     """Run the declarative bytecode analysis.
@@ -494,10 +397,8 @@ def analyze_with_datalog(
     working: the engine has one executor, so they accept ``use_plans=True``
     and ``columnar`` None or False, and raise :class:`ValueError` on
     anything else.
-    Passing a :class:`WarmEngineCache` as ``warm`` reuses a live fixpoint
-    for repeat analyses of the same contract, repairing it via DRed when
-    the extracted EDB changed (e.g. an ablation flag flip).
-    The engine's profiling counters land in ``result.engine_stats``.
+    Every call loads a fresh database and evaluates its fixpoint from
+    scratch.  The engine's profiling counters land in ``result.engine_stats``.
     """
     if use_plans is not True or not (columnar is None or columnar is False):
         raise ValueError(
@@ -509,30 +410,21 @@ def analyze_with_datalog(
         if runtime_bytecode is None:
             raise ValueError("need runtime_bytecode or extracted facts")
         program = lift(runtime_bytecode, deadline=options.deadline)
-        facts = extract_facts(program)
+        facts = extract_facts(program, deadline=options.deadline)
     if storage is None:
-        storage = build_storage_model(facts)
+        storage = build_storage_model(facts, deadline=options.deadline)
     if guards is None:
         guards = build_guard_model(facts, storage)
     if ordering is None:
         ordering = build_call_order_model(facts, storage, guards)
 
     edb = _facts_to_edb(facts, storage, guards, options, ordering=ordering)
-    reentrancy = "ReentrancyCall" in edb
-    program = _rules(options, reentrancy=reentrancy)
-    if warm is not None:
-        engine, database = warm.fixpoint(
-            _contract_key(runtime_bytecode, edb),
-            options,
-            edb,
-            program,
-            track_provenance,
-            reentrancy=reentrancy,
-        )
-    else:
-        database = _load_edb(edb, options.deadline)
-        engine = Engine(program, track_provenance=track_provenance)
-        engine.evaluate(database, deadline=options.deadline)
+    database = _load_edb(edb, options.deadline)
+    engine = Engine(
+        _rules(options, reentrancy="ReentrancyCall" in edb),
+        track_provenance=track_provenance,
+    )
+    engine.evaluate(database, deadline=options.deadline)
 
     result = TaintResult()
     result.input_tainted = {row[0] for row in database.facts("InputTaint")}

@@ -143,13 +143,23 @@ def _resolve_memory_word(
     return last_write.get(address)
 
 
-def extract_facts(program: TACProgram) -> ContractFacts:
-    """Build :class:`ContractFacts` from a decompiled program."""
+def extract_facts(program: TACProgram, deadline=None) -> ContractFacts:
+    """Build :class:`ContractFacts` from a decompiled program.
+
+    ``deadline`` is an optional cooperative budget (duck-typed: ``check()``
+    raises when spent), consulted before the first block and then at the
+    first block boundary after every 256 statements (per block, not per
+    statement, to keep the check off the per-statement path)."""
     facts = ContractFacts(program=program)
     facts.def_stmt = program.defining_statement()
     facts.const = dict(program.const_value)
 
+    unchecked = 0
     for block in program.blocks.values():
+        if unchecked <= 0 and deadline is not None:
+            deadline.check()
+            unchecked = 256
+        unchecked -= len(block.statements)
         # Block-local memory model for SHA3 argument recovery: last constant
         # write per word address; cleared by unknown-address writes and calls
         # (which may write their output buffer).

@@ -688,7 +688,6 @@ def analyze_bundle(
     config: Optional[AnalysisConfig] = None,
     *,
     cache=None,
-    warm=None,
 ) -> BundleResult:
     """Analyze a :class:`ContractBundle` end to end.
 
@@ -701,7 +700,7 @@ def analyze_bundle(
     strata; the resulting verdicts land in ``cross_findings``.
     """
     config = config or AnalysisConfig()
-    analyzer = EthainterAnalysis(config, cache=cache, warm=warm)
+    analyzer = EthainterAnalysis(config, cache=cache)
     results: Dict[int, AnalysisResult] = {}
     for contract in bundle.contracts:
         results[contract.address] = analyzer.analyze(contract.runtime())

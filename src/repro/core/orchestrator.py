@@ -80,7 +80,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.analysis import AnalysisConfig, EthainterAnalysis
 from repro.core.batch import BatchEntry, BatchSummary, _entry_from_result
-from repro.core.bytecode_datalog import WarmEngineCache
 from repro.core.pipeline import ArtifactCache
 from repro.core.reuse import (
     ReuseFunnel,
@@ -225,7 +224,6 @@ def _analyze_task(
     index: int,
     task: Task,
     cache: Optional[ArtifactCache],
-    warm: WarmEngineCache,
 ) -> Tuple[BatchEntry, ...]:
     """One entry per configuration, in order: the Fig. 8 battery shape for
     sweeps, a single entry for a daemon request (each request carries its
@@ -234,7 +232,7 @@ def _analyze_task(
     return tuple(
         _entry_from_result(
             index,
-            EthainterAnalysis(config, cache=cache, warm=warm).analyze(runtime),
+            EthainterAnalysis(config, cache=cache).analyze(runtime),
         )
         for config in configs
     )
@@ -272,7 +270,7 @@ def _send_event(
 
 class _InProcess:
     """Analysis on the calling thread, with what a worker holds: one
-    :class:`ArtifactCache` and one :class:`WarmEngineCache`.
+    :class:`ArtifactCache`.
 
     Serves ``jobs <= 1`` and tiny sweeps, ``repro serve --jobs 0``, and
     both drivers' fallback when workers cannot be spawned.  Rows go to
@@ -288,7 +286,6 @@ class _InProcess:
         on_event: Optional[Callable[[Dict], None]],
     ):
         self.cache = cache
-        self.warm = WarmEngineCache()
         self.stats = stats
         self.on_row = on_row
         self.on_event = on_event
@@ -296,7 +293,7 @@ class _InProcess:
     def run(self, index: int, task: Task) -> None:
         error = None
         try:
-            row = _analyze_task(index, task, self.cache, self.warm)
+            row = _analyze_task(index, task, self.cache)
         except Exception as failure:  # same surface as an exhausted retry
             error = "%s: %s" % (type(failure).__name__, failure)
             row = _fault_row(
@@ -349,7 +346,6 @@ def _worker_main(
     more than that, so the exit falls between chunks.
     """
     cache = ArtifactCache(cache_entries) if cache_entries > 0 else None
-    warm = WarmEngineCache()
     done = 0
     while True:
         message = conn.recv()
@@ -359,7 +355,7 @@ def _worker_main(
             try:
                 if fault_plan is not None:
                     fault_plan.apply(index, attempt)
-                row = _analyze_task(index, task, cache, warm)
+                row = _analyze_task(index, task, cache)
                 conn.send(("done", worker_id, index, attempt, row))
             except Exception as error:  # reported; the supervisor decides retry
                 conn.send(
@@ -821,10 +817,8 @@ class PersistentPool:
     (:class:`_PoolBroken`) degrades to the same inline mode mid-flight:
     open requests are re-run in-process, recorded in ``stats.mode``,
     never dropped.  Inline mode is the sweep's in-process path
-    (:class:`_InProcess`): it holds a warm
-    :class:`~repro.core.bytecode_datalog.WarmEngineCache` and
-    :class:`ArtifactCache` across requests, mirroring what warm workers
-    hold.
+    (:class:`_InProcess`): it holds an :class:`ArtifactCache` across
+    requests, mirroring what warm workers hold.
 
     ``task_hook`` is a test seam: called (inline mode only) with
     ``(index, runtime, configs)`` before each analysis, letting tests

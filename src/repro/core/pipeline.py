@@ -200,9 +200,6 @@ class PipelineContext:
     config: object  # AnalysisConfig (not imported here to avoid a cycle)
     deadline: Deadline
     artifacts: Dict[str, object] = field(default_factory=dict)
-    # WarmEngineCache for the datalog tiers: repeat analyses of the same
-    # contract repair a live fixpoint (DRed) instead of re-evaluating.
-    warm: Optional[object] = None
 
 
 def _run_lift(ctx: PipelineContext):
@@ -214,7 +211,7 @@ def _run_lift(ctx: PipelineContext):
 
 
 def _run_facts(ctx: PipelineContext):
-    return extract_facts(ctx.artifacts["lift"])
+    return extract_facts(ctx.artifacts["lift"], deadline=ctx.deadline)
 
 
 def _run_values(ctx: PipelineContext):
@@ -260,7 +257,6 @@ def _run_taint(ctx: PipelineContext):
             guards=ctx.artifacts["guards"],
             ordering=ctx.artifacts["ordering"],
             options=options,
-            warm=ctx.warm,
         )
     from repro.core.taint import TaintAnalysis
 
@@ -370,13 +366,8 @@ def run_pipeline(
     config,
     cache: Optional[ArtifactCache] = None,
     deadline: Optional[Deadline] = None,
-    warm: Optional[object] = None,
 ) -> PipelineOutcome:
     """Run the staged analysis over one contract.
-
-    ``warm`` optionally carries a
-    :class:`~repro.core.bytecode_datalog.WarmEngineCache` so repeat datalog
-    runs over the same contract repair a live fixpoint incrementally.
 
     Terminal states are explicit:
 
@@ -402,7 +393,7 @@ def run_pipeline(
     digest = bytecode_digest(runtime_bytecode) if cache is not None else None
     fingerprints = stage_fingerprints(config) if cache is not None else {}
     context = PipelineContext(
-        bytecode=runtime_bytecode, config=config, deadline=deadline, warm=warm
+        bytecode=runtime_bytecode, config=config, deadline=deadline
     )
 
     for stage in STAGES:

@@ -186,7 +186,10 @@ class ResultCache:
     :meth:`put` for its key replaces it.
     """
 
-    VERSION = 2
+    # 3: rows no longer carry the incremental-repair Datalog counters, so
+    # a row stored before that change would report differently from a
+    # fresh analysis.
+    VERSION = 3
 
     def __init__(self, root: str):
         self.root = root

@@ -98,8 +98,9 @@ def build_storage_model(facts: ContractFacts, deadline=None) -> StorageModel:
     aliases, mapping roots) for one contract.
 
     ``deadline`` is an optional cooperative budget (duck-typed: ``check()``
-    raises when spent), consulted between slices of variables and once per
-    DS/DSA round."""
+    raises when spent), consulted between slices of variables, every
+    ``_CHECK_EVERY`` stack pops of the copy closure, and once per DS/DSA
+    round."""
     model = StorageModel(facts=facts)
 
     # ------------------------------------------------------ copy closure
@@ -122,9 +123,14 @@ def build_storage_model(facts: ContractFacts, deadline=None) -> StorageModel:
     # replays a depth-first recursion's visit order exactly.  A variable's
     # set is registered before its sources are visited, so a PHI cycle back
     # to a variable still in progress copies that set as it stands then.
+    # One call can build a whole chain's sets (the set unions at each pop
+    # are the quadratic part), so the deadline is also checked every
+    # ``_CHECK_EVERY`` pops, not only between slices.
     closure_cache: Dict[str, Set[str]] = {}
+    pops = 0
 
     def closure(variable: str) -> Set[str]:
+        nonlocal pops
         result = closure_cache.get(variable)
         if result is not None:
             return result
@@ -143,6 +149,9 @@ def build_storage_model(facts: ContractFacts, deadline=None) -> StorageModel:
                 stack.pop()
                 if stack:
                     stack[-1][0].update(current)
+                pops += 1
+                if pops % _CHECK_EVERY == 0 and deadline is not None:
+                    deadline.check()
         return result
 
     all_vars: Set[str] = set(direct)

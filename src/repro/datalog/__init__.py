@@ -13,8 +13,9 @@ Ethainter rules in the paper.  Supports:
 * compile-once programs (:class:`CompiledProgram`): a ruleset is
   stratified and planned once, its plan templates cached by the ranks of
   the relation sizes they depend on, and shared by every evaluation,
-* incremental DRed repair of an evaluated fixpoint
-  (:meth:`Engine.apply_changes`), run by the same executor as evaluation,
+* one way to reach a fixpoint: :meth:`Engine.evaluate` computes each one
+  from scratch, as the paper's per-contract Soufflé runs do (an evaluated
+  fixpoint is never repaired in place),
 * wildcard ``_`` arguments, constants, and Python filter predicates,
 * a textual parser for a Soufflé-like surface syntax (``:-``, ``!``, ``.``)
   with parse-time arity checking,

@@ -24,9 +24,10 @@ Evaluation pipeline:
 
 The database interns every constant into a dense symbol table, so stored
 tuples are int-only: hashing, equality, and index keys never touch the
-original (possibly string) values.  This one executor runs every
-evaluation and every DRed repair (:meth:`Engine.apply_changes`); the test
-suite checks its fixpoints against a naive reference evaluator.
+original (possibly string) values.  Every fixpoint is computed from
+scratch by :meth:`Engine.evaluate`, as the paper's per-contract Soufflé
+runs are; the test suite checks its fixpoints against a naive reference
+evaluator.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class Database:
     Every constant is interned into a dense symbol table on first sight, so
     relations store tuples of small ints: hashing, equality, and index keys
     are int-only no matter how large the original values are.  The public
-    API (``add``/``remove``/``facts``/``contains``) still speaks raw
+    API (``add``/``facts``/``contains``) still speaks raw
     values — interning is invisible to callers.
 
     Indexes live per relation (``_indexes[relation][positions]``) so an
@@ -138,39 +139,6 @@ class Database:
     def add_all(self, relation: str, facts: Iterable[Iterable]) -> int:
         """Insert many facts; returns how many were new."""
         return sum(1 for fact in facts if self.add(relation, fact))
-
-    def remove(self, relation: str, fact: Iterable) -> bool:
-        """Remove one fact (raw values); returns True if it was present."""
-        intern = self._intern
-        interned: List[int] = []
-        for value in fact:
-            ident = intern.get(value)
-            if ident is None:
-                return False
-            interned.append(ident)
-        return self.remove_interned(relation, tuple(interned))
-
-    def remove_interned(self, relation: str, fact: Tuple[int, ...]) -> bool:
-        """Remove an already-interned fact, maintaining hash indexes and
-        invalidating caches; returns True if it was present."""
-        rel = self._relations.get(relation)
-        if rel is None or fact not in rel:
-            return False
-        rel.discard(fact)
-        indexes = self._indexes.get(relation)
-        if indexes:
-            for positions, index in indexes.items():
-                key = tuple(fact[position] for position in positions)
-                bucket = index.get(key)
-                if bucket is not None:
-                    try:
-                        bucket.remove(fact)
-                    except ValueError:
-                        pass
-                    if not bucket:
-                        del index[key]
-        self._decoded.pop(relation, None)
-        return True
 
     # -------------------------------------------------------------- reads
 
@@ -267,18 +235,12 @@ class Engine:
     (and size-rank signature), not once per evaluation.  Each
     :meth:`evaluate` binds fresh copies of the program's plan templates to
     its database.  ``stats`` accumulates :class:`EngineStats` counters
-    across evaluations and repairs.
+    across evaluations.
 
     With ``track_provenance=True`` the engine records, for each derived
     fact, the rule and body facts of its *first* derivation; ``explain``
     then renders the derivation tree down to the EDB — the "why" behind an
     analysis warning.
-
-    After an ``evaluate()`` the engine remembers the database and its EDB
-    (the facts present before derivation started); :meth:`apply_changes`
-    then accepts EDB additions/retractions and repairs the fixpoint
-    incrementally with DRed (overdelete / rederive / insert) instead of
-    recomputing from scratch.
     """
 
     def __init__(
@@ -295,12 +257,6 @@ class Engine:
         self.stats = EngineStats()
         # (relation, fact) -> (rule, [(relation, fact), ...]) of 1st proof.
         self.provenance: Dict[Tuple[str, Tuple], Tuple[Rule, List[Tuple[str, Tuple]]]] = {}
-        # Incremental (DRed) state: the database of the last evaluate(),
-        # its EDB snapshot, and lazily built all-delta repair plans bound
-        # to that database.
-        self._inc_db: Optional[Database] = None
-        self._inc_edb: Optional[Dict[str, Set[Tuple[int, ...]]]] = None
-        self._inc_plans: Optional[List[List[RulePlan]]] = None
 
     # ------------------------------------------------------------ evaluation
 
@@ -313,25 +269,16 @@ class Engine:
         """Run all strata to fixpoint, mutating and returning ``database``.
 
         ``deadline`` is an optional cooperative budget (duck-typed:
-        ``check()`` raises when spent), consulted before each plan is bound
-        (the first check follows the EDB snapshot), before each rule's seed
-        round, and once per semi-naive iteration, so neither a large EDB nor
-        runaway recursion outlives the caller's cutoff.
+        ``check()`` raises when spent), consulted before each plan is bound,
+        before each rule's seed round, and once per semi-naive iteration, so
+        neither a large EDB nor runaway recursion outlives the caller's
+        cutoff.
         """
         self.stats.evaluations += 1
-        self._inc_plans = None
-        # Snapshot the EDB (everything present before derivation) so
-        # apply_changes() can later tell explicit facts from derived ones.
         # The program picks plan templates by the relation sizes read here,
         # before the first stratum runs; each stratum then binds fresh
         # copies (constants interned, indexes registered) just before it
         # runs.
-        self._inc_db = database
-        self._inc_edb = {
-            relation: set(facts)
-            for relation, facts in database._relations.items()
-            if facts
-        }
         for templates in self.program.plans(database.count):
             plans = []
             for template in templates:
@@ -585,395 +532,6 @@ class Engine:
             for from_slot, value in guard.arg_spec
         ]
         return bool(guard.predicate(*values))
-
-    # ------------------------------------------- incremental (DRed) repair
-
-    def apply_changes(
-        self,
-        additions: Optional[Dict[str, Iterable[Iterable]]] = None,
-        retractions: Optional[Dict[str, Iterable[Iterable]]] = None,
-        max_iterations: int = 1_000_000,
-        deadline=None,
-    ) -> Database:
-        """Apply EDB additions/retractions after an :meth:`evaluate` and
-        incrementally repair the IDB (delete-and-rederive).
-
-        Retractions must name facts that were explicitly added (EDB facts
-        of the last evaluation, or earlier ``apply_changes`` additions) —
-        retracting a derived fact raises :class:`ValueError`.  Per
-        stratum, the repair runs DRed: an overdeletion fixpoint marks
-        everything derivable from a deleted fact, a one-step rederivation
-        restores facts with surviving alternative proofs, and a
-        semi-naive insertion pass propagates additions.  Strata whose
-        *negated* dependencies changed are recomputed from scratch
-        instead (DRed cannot reason through negation).  Provenance stays
-        consistent: overdeletion pops the proofs of every fact whose
-        recorded premises died, and rederivation records fresh ones.
-
-        Returns the repaired database (the same object ``evaluate`` ran
-        on); the fixpoint is identical to a cold re-evaluation of the
-        mutated EDB.
-        """
-        database = self._inc_db
-        if database is None:
-            raise RuntimeError("apply_changes() needs a prior evaluate()")
-        stats = self.stats
-        stats.incremental_applies += 1
-        edb = self._inc_edb
-        tracking = self.track_provenance
-        program = self.program
-        all_heads: Set[str] = set().union(*program.stratum_heads)
-
-        # ---- normalize the change set against the EDB bookkeeping
-        retract: Dict[str, Set[Tuple[int, ...]]] = {}
-        for relation, facts in (retractions or {}).items():
-            known = edb.get(relation, set())
-            interned: Set[Tuple[int, ...]] = set()
-            for fact in facts:
-                ifact = self._intern_known(database, fact)
-                if ifact is None or ifact not in known:
-                    raise ValueError(
-                        "cannot retract %s%r: not an explicitly added "
-                        "(EDB) fact" % (relation, tuple(fact))
-                    )
-                interned.add(ifact)
-            if interned:
-                retract[relation] = interned
-        insert: Dict[str, Set[Tuple[int, ...]]] = {}
-        for relation, facts in (additions or {}).items():
-            interned = {
-                tuple(database.intern_value(value) for value in fact)
-                for fact in facts
-            }
-            if interned:
-                insert[relation] = interned
-        for relation in list(insert):
-            gone = retract.get(relation)
-            if gone:
-                # Retract + re-add of the same fact cancels out.
-                both = insert[relation] & gone
-                insert[relation] -= both
-                gone -= both
-                if not gone:
-                    del retract[relation]
-            existing = edb.get(relation)
-            if existing:
-                insert[relation] -= existing  # re-adding EDB facts: no-op
-            if not insert[relation]:
-                del insert[relation]
-
-        for relation, facts in retract.items():
-            edb[relation] -= facts
-        for relation, facts in insert.items():
-            edb.setdefault(relation, set()).update(facts)
-
-        # ---- net changesets, accumulated stratum by stratum
-        changes_add: Dict[str, Set[Tuple[int, ...]]] = {}
-        changes_rem: Dict[str, Set[Tuple[int, ...]]] = {}
-        for relation, facts in insert.items():
-            new: Set[Tuple[int, ...]] = set()
-            for fact in facts:
-                if database._add_interned(relation, fact):
-                    new.add(fact)
-                elif tracking:
-                    # The fact already existed as a derived fact; now that
-                    # it is explicitly added it is EDB, and a cold engine
-                    # would record no proof for it.
-                    self.provenance.pop(
-                        (relation, database.decode(fact)), None
-                    )
-            if new:
-                changes_add[relation] = new
-        # Retractions on relations no rule derives leave immediately; on
-        # head relations the owning stratum's overdeletion decides (the
-        # fact may have surviving derivations).
-        pending_retract: Dict[str, Set[Tuple[int, ...]]] = {}
-        for relation, facts in retract.items():
-            if relation in all_heads:
-                pending_retract[relation] = set(facts)
-            else:
-                removed = {
-                    fact for fact in facts
-                    if database.remove_interned(relation, fact)
-                }
-                if removed:
-                    changes_rem[relation] = removed
-                    stats.retracted_facts += len(removed)
-        if not changes_add and not changes_rem and not pending_retract:
-            return database
-
-        plans = self._incremental_plans(database)
-        for level, stratum_plans in enumerate(plans):
-            heads = program.stratum_heads[level]
-            reads_pos = program.stratum_pos[level]
-            reads_neg = program.stratum_neg[level]
-            stratum_pending = {
-                relation: pending_retract.pop(relation)
-                for relation in list(pending_retract)
-                if relation in heads
-            }
-            if any(
-                changes_add.get(relation) or changes_rem.get(relation)
-                for relation in reads_neg
-            ):
-                self._recompute_stratum(
-                    database, level, changes_add, changes_rem,
-                    max_iterations, deadline,
-                )
-                continue
-            touched = stratum_pending or any(
-                changes_add.get(relation) or changes_rem.get(relation)
-                for relation in (reads_pos | heads)
-            )
-            if not touched:
-                continue
-            self._dred_stratum(
-                database, stratum_plans, heads, reads_pos, stratum_pending,
-                changes_add, changes_rem, max_iterations, deadline,
-            )
-        return database
-
-    @staticmethod
-    def _intern_known(database: Database, fact: Iterable) -> Optional[Tuple[int, ...]]:
-        """Interned form of ``fact`` if every value is already known."""
-        intern = database._intern
-        out: List[int] = []
-        for value in fact:
-            ident = intern.get(value)
-            if ident is None:
-                return None
-            out.append(ident)
-        return tuple(out)
-
-    def _incremental_plans(self, database: Database) -> List[List[RulePlan]]:
-        """Repair plans: delta variants for *every* positive body position
-        (changes arrive in any relation), planned for the database's sizes
-        at the first repair and bound once to it; the hash indexes they
-        probe are maintained through insertions and removals alike."""
-        plans = self._inc_plans
-        if plans is None:
-            plans = self._inc_plans = [
-                [self._bind_plan(database, template) for template in templates]
-                for templates in self.program.plans(
-                    database.count, all_deltas=True
-                )
-            ]
-        return plans
-
-    def _dred_stratum(
-        self,
-        database: Database,
-        plans: List[RulePlan],
-        heads: Set[str],
-        reads_pos: Set[str],
-        pending_retract: Dict[str, Set[Tuple[int, ...]]],
-        changes_add: Dict[str, Set[Tuple[int, ...]]],
-        changes_rem: Dict[str, Set[Tuple[int, ...]]],
-        max_iterations: int,
-        deadline=None,
-    ) -> None:
-        stats = self.stats
-        tracking = self.track_provenance
-        edb = self._inc_edb
-
-        # ---- overdeletion fixpoint: mark everything derivable from a
-        #      deleted fact.  Joins must see the pre-deletion database, so
-        #      facts already removed by lower strata are resurrected for
-        #      the duration and marked facts stay in place until the end.
-        overdeleted: Dict[str, Set[Tuple[int, ...]]] = {}
-        round_delta: Dict[str, Set[Tuple[int, ...]]] = {}
-        resurrected: List[Tuple[str, Tuple[int, ...]]] = []
-        for relation in reads_pos:
-            if relation in heads:
-                continue
-            gone = changes_rem.get(relation)
-            if gone:
-                for fact in gone:
-                    if database._add_interned(relation, fact):
-                        resurrected.append((relation, fact))
-                round_delta[relation] = set(gone)
-        for relation, facts in pending_retract.items():
-            present = database._relations.get(relation, ())
-            marked = {fact for fact in facts if fact in present}
-            if marked:
-                overdeleted[relation] = set(marked)
-                round_delta.setdefault(relation, set()).update(marked)
-        iterations = 0
-        while round_delta:
-            iterations += 1
-            if iterations > max_iterations:
-                raise RuntimeError("overdeletion did not converge")
-            if deadline is not None:
-                deadline.check()
-            delta_index_cache: Dict = {}
-            new_round: Dict[str, Set[Tuple[int, ...]]] = {}
-            for plan in plans:
-                relation = plan.rule.head.relation
-                rel_view = database._relations.get(relation, ())
-                rel_edb = edb.get(relation, ())
-                for variant in plan.delta_variants.values():
-                    if not round_delta.get(variant.delta_relation):
-                        continue
-                    for head_fact, _support in self._run_variant(
-                        database, variant, round_delta, delta_index_cache
-                    ):
-                        if (
-                            head_fact not in rel_view
-                            or head_fact in rel_edb
-                        ):
-                            continue
-                        marked = overdeleted.get(relation)
-                        if marked is None:
-                            marked = overdeleted[relation] = set()
-                        if head_fact not in marked:
-                            marked.add(head_fact)
-                            new_round.setdefault(relation, set()).add(
-                                head_fact
-                            )
-            round_delta = new_round
-        for relation, facts in overdeleted.items():
-            stats.overdeleted_facts += len(facts)
-            for fact in facts:
-                database.remove_interned(relation, fact)
-                if tracking:
-                    self.provenance.pop(
-                        (relation, database.decode(fact)), None
-                    )
-        for relation, fact in resurrected:
-            database.remove_interned(relation, fact)
-
-        # ---- rederivation: one step over the repaired database restores
-        #      overdeleted facts that still have an alternative proof
-        #      (recursive consequences return via insertion propagation)
-        added_back: Dict[str, Set[Tuple[int, ...]]] = {}
-        if overdeleted:
-            for plan in plans:
-                relation = plan.rule.head.relation
-                candidates = overdeleted.get(relation)
-                if not candidates:
-                    continue
-                matches = self._run_variant(database, plan.seed, None, None)
-                derived = 0
-                for head_fact, support in matches:
-                    if database._add_interned(relation, head_fact):
-                        derived += 1
-                        if tracking:
-                            self._record_interned(
-                                database, plan.rule, head_fact, support
-                            )
-                        added_back.setdefault(relation, set()).add(head_fact)
-                        if head_fact in candidates:
-                            stats.rederived_facts += 1
-                if matches:
-                    stats.count_rule(plan.key, len(matches), derived)
-
-        # ---- insertion propagation: semi-naive over the delta variants,
-        #      seeded by upstream additions and rederived facts
-        ins_delta: Dict[str, Set[Tuple[int, ...]]] = {}
-        for relation in reads_pos | heads:
-            gained = changes_add.get(relation)
-            if gained:
-                ins_delta[relation] = set(gained)
-        added_net: Dict[str, Set[Tuple[int, ...]]] = {}
-        for relation, facts in added_back.items():
-            ins_delta.setdefault(relation, set()).update(facts)
-            added_net[relation] = set(facts)
-        iterations = 0
-        while ins_delta:
-            iterations += 1
-            if iterations > max_iterations:
-                raise RuntimeError("insertion propagation did not converge")
-            if deadline is not None:
-                deadline.check()
-            delta_index_cache = {}
-            new_delta: Dict[str, Set[Tuple[int, ...]]] = {}
-            for plan in plans:
-                relation = plan.rule.head.relation
-                for variant in plan.delta_variants.values():
-                    if not ins_delta.get(variant.delta_relation):
-                        continue
-                    matches = self._run_variant(
-                        database, variant, ins_delta, delta_index_cache
-                    )
-                    derived = 0
-                    for head_fact, support in matches:
-                        if database._add_interned(relation, head_fact):
-                            derived += 1
-                            if tracking:
-                                self._record_interned(
-                                    database, plan.rule, head_fact, support
-                                )
-                            new_delta.setdefault(relation, set()).add(
-                                head_fact
-                            )
-                            added_net.setdefault(relation, set()).add(
-                                head_fact
-                            )
-                    if matches:
-                        stats.count_rule(plan.key, len(matches), derived)
-                        if derived:
-                            stats.delta_derived_facts += derived
-                            stats.rule_delta_derivations[plan.key] = (
-                                stats.rule_delta_derivations.get(plan.key, 0)
-                                + derived
-                            )
-            ins_delta = new_delta
-
-        # ---- fold this stratum's net effect into the global changesets
-        for relation in heads:
-            over = overdeleted.get(relation, set())
-            added = added_net.get(relation, set())
-            present = database._relations.get(relation, ())
-            net_removed = {fact for fact in over if fact not in present}
-            net_added = added - over
-            if net_removed:
-                changes_rem.setdefault(relation, set()).update(net_removed)
-                stats.retracted_facts += len(net_removed)
-            if net_added:
-                changes_add.setdefault(relation, set()).update(net_added)
-
-    def _recompute_stratum(
-        self,
-        database: Database,
-        level: int,
-        changes_add: Dict[str, Set[Tuple[int, ...]]],
-        changes_rem: Dict[str, Set[Tuple[int, ...]]],
-        max_iterations: int,
-        deadline=None,
-    ) -> None:
-        """Fallback when a stratum's negated dependency changed: clear the
-        stratum's derived facts and rerun its fixpoint, then diff old vs
-        new into the global changesets."""
-        stats = self.stats
-        stats.strata_recomputed += 1
-        tracking = self.track_provenance
-        edb = self._inc_edb
-        heads = self.program.stratum_heads[level]
-        old: Dict[str, Set[Tuple[int, ...]]] = {}
-        for relation in heads:
-            current = database._relations.get(relation, set())
-            old[relation] = set(current)
-            keep = edb.get(relation, ())
-            for fact in list(current):
-                if fact not in keep:
-                    database.remove_interned(relation, fact)
-                    if tracking:
-                        self.provenance.pop(
-                            (relation, database.decode(fact)), None
-                        )
-        self._evaluate_stratum(
-            database, self._inc_plans[level], max_iterations, deadline
-        )
-        for relation in heads:
-            new = database._relations.get(relation, set())
-            before = old[relation]
-            net_added = new - before
-            net_removed = before - new
-            if net_added:
-                changes_add.setdefault(relation, set()).update(net_added)
-            if net_removed:
-                changes_rem.setdefault(relation, set()).update(net_removed)
-                stats.retracted_facts += len(net_removed)
 
     # ----------------------------------------------------------- provenance
 

@@ -18,12 +18,7 @@ it surfaces at evaluation time, after contracts have already been
 * **stratification preview** — the strata the engine would evaluate,
   reusing the stratifier's SCC machinery; negation inside a recursive
   component is reported per offending rule instead of one opaque
-  exception,
-* **DRed compatibility** — negation on a relation in the same recursive
-  stratum as the head breaks the engine's incremental delete-rederive
-  maintenance (``Engine.apply_changes``): rederivation would read the
-  negative subgoal mid-repair.  Reported as ``dred-negation`` alongside
-  the stratification error; negation on lower strata is DRed-safe.
+  exception.
 
 ``repro lint-rules`` runs this over the shipped rule programs
 (:mod:`repro.core.datalog_rules`, and every per-contract and merged
@@ -60,7 +55,6 @@ _ERROR_CODES = {
     "wildcard-head",
     "wildcard-negation",
     "negation-in-recursion",
-    "dred-negation",
     "cross-arity-mismatch",
 }
 
@@ -162,15 +156,7 @@ def _check_rules(
     successors: Dict[str, Set[str]] = {rel: set() for rel in relations}
     for edge_source, edge_target, _ in edges:
         successors[edge_source].add(edge_target)
-    components, component_of = strongly_connected_components(
-        relations, successors
-    )
-    recursive_components: Set[int] = set()
-    for position, component in enumerate(components):
-        if len(component) > 1:
-            recursive_components.add(position)
-        elif component[0] in successors.get(component[0], ()):
-            recursive_components.add(position)
+    _, component_of = strongly_connected_components(relations, successors)
     for rule in rules:
         head_component = component_of.get(rule.head.relation)
         for item in rule.body:
@@ -186,28 +172,6 @@ def _check_rules(
                         severity=ERROR,
                         message="negation of %s is recursive with %s in %r"
                         % (item.atom.relation, rule.head.relation, rule),
-                    )
-                )
-            # DRed compatibility: rederivation cannot run a rule whose
-            # negative subgoal changes while its own stratum is being
-            # repaired, so negation on a relation in the same recursive
-            # stratum as the head breaks incremental maintenance outright
-            # (on top of the stratification problem reported above).
-            # Negation on *lower* strata is DRed-safe: apply_changes()
-            # sees them fully settled (or falls back to recomputation).
-            if (
-                negated_component == head_component
-                and head_component in recursive_components
-            ):
-                findings.append(
-                    LintFinding(
-                        source=source,
-                        line=rule.line,
-                        code="dred-negation",
-                        severity=ERROR,
-                        message="DRed cannot rederive %s: %r negates %s "
-                        "inside the same recursive stratum"
-                        % (rule.head.relation, rule, item.atom.relation),
                     )
                 )
     return findings

@@ -55,27 +55,22 @@ class PlanningError(ValueError):
 class EngineStats:
     """Per-engine observability counters (the ``--profile`` payload).
 
-    Each counter has one meaning, summed over every evaluation and repair
-    the engine ran.  A *plan execution* runs one bound plan variant (a
-    rule's seed variant, or one of its delta variants) to completion; a
-    *step entry* starts one join step's candidate scan for the current
-    environment.
+    Each counter has one meaning, summed over every evaluation the engine
+    ran.  A *plan execution* runs one bound plan variant (a rule's seed
+    variant, or one of its delta variants) to completion; a *step entry*
+    starts one join step's candidate scan for the current environment.
 
     * ``evaluations`` — :meth:`~repro.datalog.engine.Engine.evaluate`
       calls.
-    * ``iterations`` — semi-naive rounds after a stratum's seed round,
-      whenever a stratum runs from scratch (in ``evaluate``, or when a
-      repair recomputes it): one per round that starts with a non-empty
-      delta, so a stratum whose seed round derives anything counts at
-      least one, recursive or not.  ``stratum_iterations`` lists them per
-      stratum run, in run order.  DRed's overdeletion and insertion
-      rounds count in neither.
+    * ``iterations`` — semi-naive rounds after a stratum's seed round: one
+      per round that starts with a non-empty delta, so a stratum whose
+      seed round derives anything counts at least one, recursive or not.
+      ``stratum_iterations`` lists them per stratum run, in run order.
     * ``derived_facts`` — facts a rule inserted that were not yet present
       (first derivations); ``rule_derivations`` splits them per rule.
     * ``matches`` — head tuples produced by plan executions, duplicates
       and already-known facts included; ``rule_matches`` splits them per
       rule.  ``matches - derived_facts`` is re-derivation overhead.
-      DRed's overdeletion pass counts neither.
     * ``join_probes`` — step entries: every candidate fetch, whether an
       index probe, a full-relation scan, a delta scan or a delta-index
       probe.
@@ -86,14 +81,6 @@ class EngineStats:
       plan copies (an index that already exists is reused, not counted).
     * ``delta_index_builds`` — per-round indexes built over a delta
       relation, one per (relation, bound positions) per round.
-
-    Incremental repair (:meth:`~repro.datalog.engine.Engine.apply_changes`)
-    fills ``incremental_applies``, ``overdeleted_facts``/``rederived_facts``
-    (the DRed delete/restore pair), ``delta_derived_facts`` and
-    ``rule_delta_derivations`` (facts added by delta propagation, per
-    rule), ``retracted_facts`` (net facts leaving the database), and
-    ``strata_recomputed`` (strata that fell back to a from-scratch rerun
-    because a negated dependency changed).
     """
 
     evaluations: int = 0
@@ -106,15 +93,8 @@ class EngineStats:
     index_hits: int = 0
     index_builds: int = 0
     delta_index_builds: int = 0
-    incremental_applies: int = 0
-    overdeleted_facts: int = 0
-    rederived_facts: int = 0
-    delta_derived_facts: int = 0
-    retracted_facts: int = 0
-    strata_recomputed: int = 0
     rule_derivations: Dict[str, int] = field(default_factory=dict)
     rule_matches: Dict[str, int] = field(default_factory=dict)
-    rule_delta_derivations: Dict[str, int] = field(default_factory=dict)
 
     def count_rule(self, rule_key: str, matches: int, derived: int) -> None:
         """Fold one plan execution's per-rule counters in."""
@@ -140,7 +120,6 @@ class EngineStats:
         payload["stratum_iterations"] = list(self.stratum_iterations)
         payload["rule_derivations"] = ranked(self.rule_derivations)
         payload["rule_matches"] = ranked(self.rule_matches)
-        payload["rule_delta_derivations"] = ranked(self.rule_delta_derivations)
         return payload
 
     def scalar_counters(self) -> Dict[str, int]:
@@ -155,12 +134,6 @@ class EngineStats:
             "index_hits": self.index_hits,
             "index_builds": self.index_builds,
             "delta_index_builds": self.delta_index_builds,
-            "incremental_applies": self.incremental_applies,
-            "overdeleted_facts": self.overdeleted_facts,
-            "rederived_facts": self.rederived_facts,
-            "delta_derived_facts": self.delta_derived_facts,
-            "retracted_facts": self.retracted_facts,
-            "strata_recomputed": self.strata_recomputed,
         }
 
 

@@ -10,9 +10,9 @@ nothing, but does every piece of work that depends only on the rules —
    is a :class:`StratificationError` (the program is not stratifiable).
    SCCs are evaluated in topological order, so a negated relation is
    always fully computed before it is read.
-2. **Relation roles** — per stratum, the relations its rules derive, read
-   positively and read under negation (DRed repair routes changes by
-   them).
+2. **Relation roles** — per stratum, the relations its rules derive (the
+   ones that get delta variants) and read positively (the sizes its join
+   orders depend on).
 3. **Plan templates** — each rule compiled into a
    :class:`~repro.datalog.planner.RulePlan`, cached per *size-rank
    signature* (see :meth:`CompiledProgram.plans`).  Every rule is compiled
@@ -193,8 +193,8 @@ class CompiledProgram:
     """One ruleset, stratified and planned once, evaluated on many
     databases.
 
-    Holds the rules, their strata, each stratum's head / positively read /
-    negatively read relation sets, and a bounded LRU cache of
+    Holds the rules, their strata, each stratum's head and positively read
+    relation sets, and a bounded LRU cache of
     :class:`~repro.datalog.planner.RulePlan` templates.  Build it once per
     ruleset and hand it to every :class:`~repro.datalog.engine.Engine`
     that evaluates those rules; ``Engine(rules)`` builds a private one.
@@ -209,7 +209,6 @@ class CompiledProgram:
         self.strata: List[List[Rule]] = stratify(self.rules)
         self.stratum_heads: List[Set[str]] = []
         self.stratum_pos: List[Set[str]] = []
-        self.stratum_neg: List[Set[str]] = []
         # Per stratum, per rule: the relations of its positive body
         # literals in body order — the sizes the join-order heuristic
         # compares.
@@ -217,22 +216,17 @@ class CompiledProgram:
         for stratum in self.strata:
             heads: Set[str] = set()
             reads_pos: Set[str] = set()
-            reads_neg: Set[str] = set()
             positive: List[Tuple[str, ...]] = []
             for rule in stratum:
                 heads.add(rule.head.relation)
                 relations = []
                 for item in rule.body:
-                    if isinstance(item, Literal):
-                        if item.negated:
-                            reads_neg.add(item.atom.relation)
-                        else:
-                            reads_pos.add(item.atom.relation)
-                            relations.append(item.atom.relation)
+                    if isinstance(item, Literal) and not item.negated:
+                        reads_pos.add(item.atom.relation)
+                        relations.append(item.atom.relation)
                 positive.append(tuple(relations))
             self.stratum_heads.append(heads)
             self.stratum_pos.append(reads_pos)
-            self.stratum_neg.append(reads_neg)
             self._positive.append(positive)
         # Every relation some rule reads positively: the sizes to read.
         self._sized = tuple(sorted(set().union(*self.stratum_pos)))
@@ -242,25 +236,19 @@ class CompiledProgram:
         # filter or head variables — now rather than at evaluation.
         self.plans(lambda relation: 0)
 
-    def plans(
-        self, size_of: Callable[[str], int], all_deltas: bool = False
-    ) -> List[List[RulePlan]]:
+    def plans(self, size_of: Callable[[str], int]) -> List[List[RulePlan]]:
         """Plan templates per stratum for a database whose relation sizes
         ``size_of`` reports.  Bind copies; never mutate them.
 
         Every size is read here, once, before any stratum runs.  A rule's
-        template is cached under ``(stratum, rule position, all_deltas,
-        dense ranks of its positive body literals' sizes)``: the join-order
-        heuristic scores a literal by ``(bound arguments, -size,
-        -position)``, bound counts do not depend on sizes and a delta
-        literal's size is pinned below every real one, so the plan depends
-        on sizes only through comparisons among the rule's own positive
-        literals — which dense ranks keep exactly, ties included.
-
-        ``all_deltas=True`` gives every positive body literal a delta
-        variant (the shape DRed repair needs, where changes arrive in any
-        body relation); otherwise only same-stratum recursive literals get
-        one.
+        template is cached under ``(stratum, rule position, dense ranks of
+        its positive body literals' sizes)``: the join-order heuristic
+        scores a literal by ``(bound arguments, -size, -position)``, bound
+        counts do not depend on sizes and a delta literal's size is pinned
+        below every real one, so the plan depends on sizes only through
+        comparisons among the rule's own positive literals — which dense
+        ranks keep exactly, ties included.  Each same-stratum (recursive)
+        body literal gets a delta variant.
         """
         sizes = {relation: size_of(relation) for relation in self._sized}
         template = self._template
@@ -269,7 +257,6 @@ class CompiledProgram:
                 template(
                     level,
                     position,
-                    all_deltas,
                     _dense_ranks([sizes[relation] for relation in relations]),
                 )
                 for position, relations in enumerate(stratum)
@@ -277,16 +264,14 @@ class CompiledProgram:
             for level, stratum in enumerate(self._positive)
         ]
 
-    def _compile(
-        self, level: int, position: int, all_deltas: bool, ranks: Tuple[int, ...]
-    ) -> RulePlan:
+    def _compile(self, level: int, position: int, ranks: Tuple[int, ...]) -> RulePlan:
         relations = self._positive[level][position]
         # Compiling against the ranks themselves yields the same plan as
         # the sizes they rank (only their comparisons matter).
         rank_of = dict(zip(relations, ranks))
         return compile_rule(
             self.strata[level][position],
-            set(relations) if all_deltas else self.stratum_heads[level],
+            self.stratum_heads[level],
             rank_of.__getitem__,
         )
 

@@ -27,7 +27,7 @@ from repro.minisol.ast_nodes import (
     StateVarDef,
     Type,
 )
-from repro.minisol.errors import MiniSolError
+from repro.minisol.errors import MiniSolError, NestingError
 from repro.minisol.lexer import LexError, Token, tokenize
 from repro.minisol.parser import ParseError, parse
 from repro.minisol.checker import CheckError, check
@@ -43,6 +43,7 @@ __all__ = [
     "Type",
     "MappingType",
     "MiniSolError",
+    "NestingError",
     "Token",
     "tokenize",
     "LexError",

@@ -14,6 +14,7 @@ from repro.minisol import ast_nodes as ast
 from repro.minisol.abi import encode_args, encode_call
 from repro.minisol.checker import BUILTINS, CheckError, check
 from repro.minisol.codegen import CodegenError, ContractCodegen
+from repro.minisol.errors import NestingError
 from repro.minisol.parser import parse
 
 
@@ -168,15 +169,19 @@ def compile_source(source: str, contract_name: Optional[str] = None):
 
     Returns a single :class:`CompiledContract` when ``contract_name`` is given
     (or when the source holds exactly one contract); otherwise a dict mapping
-    contract names to compiled contracts.
+    contract names to compiled contracts.  Source nested past the
+    interpreter's recursion limit is a :class:`NestingError`.
     """
-    program = check(parse(source))
-    if not program.contracts:
-        raise CheckError("no contracts in source")
-    compiled = {
-        contract.name: compile_contract(contract, source)
-        for contract in program.contracts
-    }
+    try:
+        program = check(parse(source))
+        if not program.contracts:
+            raise CheckError("no contracts in source")
+        compiled = {
+            contract.name: compile_contract(contract, source)
+            for contract in program.contracts
+        }
+    except RecursionError:
+        raise NestingError("source nested too deeply to compile") from None
     if contract_name is not None:
         try:
             return compiled[contract_name]

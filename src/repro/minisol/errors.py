@@ -9,3 +9,8 @@ class MiniSolError(ValueError):
     input: the HTTP daemon answers it with a 400 and the CLI with a usage
     error, never an internal error.
     """
+
+
+class NestingError(MiniSolError):
+    """Source nested deeper than the recursive-descent compiler can follow
+    (parse, check and codegen all recurse on the syntax tree)."""

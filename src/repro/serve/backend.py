@@ -20,8 +20,9 @@ its ``sha256(bytecode) + config fingerprint`` identity, the one
    and coalescing come first, so a duplicate is never rejected;
 4. **warm pool** — misses dispatch to the
    :class:`~repro.core.orchestrator.PersistentPool`, whose worker
-   processes hold :class:`~repro.core.bytecode_datalog.WarmEngineCache`
-   and :class:`~repro.core.pipeline.ArtifactCache` state across requests.
+   processes keep their :class:`~repro.core.pipeline.ArtifactCache`
+   across requests; every analysis evaluates its Datalog fixpoint from
+   scratch, so a reply never depends on what the worker served before.
 
 Thread-safe by a single lock: the asyncio handler threads submit, the
 pool's supervision thread resolves.

@@ -7,6 +7,9 @@ them together: identical relations on canonical contracts, on a corpus
 sample, and under every ablation configuration.
 """
 
+import contextlib
+import gc
+
 import pytest
 
 from repro.core.bytecode_datalog import analyze_with_datalog
@@ -120,8 +123,10 @@ class TestDatalogEntryPoints:
 def _memory_hop_chain(hops):
     """``CALLDATALOAD``, then ``hops`` ``PUSH2 a; MSTORE; PUSH2 a; MLOAD``
     round trips at distinct addresses, then ``SELFDESTRUCT``: every hop's
-    copy sources include every earlier hop, so the EDB's mapping-confinement
-    walk is quadratic, the way it was on a mutated mainnet-size contract."""
+    copy sources include every earlier hop, so the storage model's copy
+    closure is quadratic (~8M source pairs at 2000 hops), and the taint
+    fixpoint takes one semi-naive iteration per copy.  The chain has no
+    mapping access, so no variable is mapping-confined."""
     code = bytearray(b"\x60\x04\x35")
     for hop in range(hops):
         address = (0x100 + 0x20 * hop).to_bytes(2, "big")
@@ -129,15 +134,32 @@ def _memory_hop_chain(hops):
     return bytes(code + b"\xff")
 
 
+@pytest.fixture(scope="module")
+def chain_facts():
+    return extract_facts(lift(_memory_hop_chain(2000)))
+
+
+@contextlib.contextmanager
+def _without_collector():
+    """Keep the cyclic collector out of a timed call: the chain's copy sets
+    hold ~8M references, and one full collection over a test session's
+    heap can take longer than the budgets pinned here."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 class TestDeadlineBeforeFirstIteration:
     """The taint stage honors its budget while it builds and loads the EDB
     and seeds each stratum, not only between semi-naive iterations."""
 
     @pytest.fixture(scope="class")
-    def chain_models(self):
-        facts = extract_facts(lift(_memory_hop_chain(2000)))
-        storage = build_storage_model(facts)
-        return facts, storage, build_guard_model(facts, storage)
+    def chain_models(self, chain_facts):
+        storage = build_storage_model(chain_facts)
+        return chain_facts, storage, build_guard_model(chain_facts, storage)
 
     def test_large_edb_raises_within_budget(self, chain_models):
         import time
@@ -171,3 +193,75 @@ class TestDeadlineBeforeFirstIteration:
         with pytest.raises(DeadlineExceeded):
             engine.evaluate(_load_edb(edb), deadline=spent)
         assert engine.stats.iterations == 0
+
+    def test_edb_build_skips_the_mapping_walk(self, chain_models):
+        """No copy source is a mapping access, so the EDB build never walks
+        the chain's ~8M (variable, copy source) pairs."""
+        from repro.core.bytecode_datalog import _facts_to_edb
+        from repro.core.pipeline import Deadline
+
+        facts, storage, guards = chain_models
+        assert not storage.mapping_accesses
+        with _without_collector():
+            edb = _facts_to_edb(
+                facts, storage, guards, TaintOptions(deadline=Deadline(0.3))
+            )
+        assert "MappingConfined" not in edb
+
+
+class TestMappingConfined:
+    def test_rows_are_the_variables_with_a_mapping_copy_source(self):
+        from repro.core.bytecode_datalog import _facts_to_edb
+
+        confined_contracts = 0
+        for contract in generate_corpus(30, seed=7):
+            facts = extract_facts(lift(contract.runtime))
+            storage = build_storage_model(facts)
+            guards = build_guard_model(facts, storage)
+            edb = _facts_to_edb(facts, storage, guards, TaintOptions())
+            expected = {
+                (variable,)
+                for variable, sources in storage.copy_sources.items()
+                if any(source in storage.mapping_accesses for source in sources)
+            } | {(variable,) for variable in storage.mapping_accesses}
+            assert edb.get("MappingConfined", set()) == expected
+            confined_contracts += bool(expected)
+        assert confined_contracts > 0
+
+
+class TestStageDeadlines:
+    """The facts and storage stages stop at the budget, too."""
+
+    def test_copy_closure_raises_within_budget(self):
+        """One closure call builds a whole chain's copy sets, so the stage
+        must check its budget inside that call, not only between slices
+        (at the parent it raised 0.28-0.67 s after a 0.05 s budget)."""
+        from repro.core.pipeline import Deadline, DeadlineExceeded
+
+        facts = extract_facts(lift(_memory_hop_chain(2000)))
+        with _without_collector(), pytest.raises(DeadlineExceeded):
+            budget = Deadline(0.05)
+            build_storage_model(facts, deadline=budget)
+        assert budget.elapsed() < 0.25
+
+    def test_spent_budget_stops_fact_extraction(self):
+        from repro.core.analysis import AnalysisConfig
+        from repro.core.pipeline import (
+            Deadline,
+            DeadlineExceeded,
+            PipelineContext,
+            _run_facts,
+        )
+
+        program = lift(_memory_hop_chain(100))
+        spent = Deadline(1e-9, started=0.0)
+        with pytest.raises(DeadlineExceeded):
+            extract_facts(program, deadline=spent)
+        context = PipelineContext(
+            bytecode=b"",
+            config=AnalysisConfig(),
+            deadline=spent,
+            artifacts={"lift": program},
+        )
+        with pytest.raises(DeadlineExceeded):
+            _run_facts(context)

@@ -55,6 +55,18 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "compile error" in err and "line 1" in err
 
+    def test_deeply_nested_source_is_usage_error(self, tmp_path, capsys):
+        """Nesting past the recursion limit is a compile error, not a
+        traceback."""
+        deep = tmp_path / "deep.msol"
+        deep.write_text(
+            "contract C { function f() public { uint x = %s1%s; } }"
+            % ("(" * 3000, ")" * 3000)
+        )
+        assert main(["analyze", "--source", str(deep)]) == 2
+        err = capsys.readouterr().err
+        assert "compile error" in err and "nested too deeply" in err
+
     def test_profile_prints_stage_breakdown(self, victim_file, capsys):
         assert main(["analyze", "--source", victim_file, "--profile"]) == 1
         output = capsys.readouterr().out

@@ -3,14 +3,17 @@ compiled plans must reach the fixpoint of the naive reference evaluator
 (``tests/datalog_reference.py``) on generated stratified programs, with
 and without provenance tracking, and record a first derivation for
 exactly the derived facts; one compiled program evaluated over many
-databases must match a fresh engine per database; DRed incremental repair
-after random EDB add/retract batches must match a from-scratch fixpoint
-over the mutated EDB."""
+databases must match a fresh engine per database; and a Fig. 8 battery
+row's Datalog counters must equal those of a sweep under its
+configuration alone."""
 
+import dataclasses
 import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro import api
+from repro.corpus import generate_corpus
 from repro.datalog import (
     Atom,
     CompiledProgram,
@@ -207,25 +210,17 @@ class TestSharedProgram:
     def test_cached_plans_equal_plans_for_actual_sizes(self, drawn):
         """The cache key keeps only the ranks of relation sizes; the plan
         it serves must be the one the planner builds from the sizes
-        themselves, for every database and both delta shapes."""
+        themselves, for every database."""
         rules, databases = drawn
         program = CompiledProgram(rules)
         for facts, seed in databases:
             database = _load_shuffled(facts, seed)
-            for all_deltas in (False, True):
-                cached = program.plans(database.count, all_deltas=all_deltas)
-                for level, stratum in enumerate(program.strata):
-                    heads = program.stratum_heads[level]
-                    for position, rule in enumerate(stratum):
-                        deltas = heads
-                        if all_deltas:
-                            deltas = {
-                                item.atom.relation
-                                for item in rule.body
-                                if isinstance(item, Literal) and not item.negated
-                            }
-                        direct = compile_rule(rule, deltas, database.count)
-                        assert _shape(cached[level][position]) == _shape(direct)
+            cached = program.plans(database.count)
+            for level, stratum in enumerate(program.strata):
+                heads = program.stratum_heads[level]
+                for position, rule in enumerate(stratum):
+                    direct = compile_rule(rule, heads, database.count)
+                    assert _shape(cached[level][position]) == _shape(direct)
 
 
 def _shape(plan):
@@ -256,88 +251,19 @@ def _shape(plan):
     ]
 
 
-@st.composite
-def _program_with_changes(draw):
-    """A program plus 1-3 EDB change batches (additions and retraction
-    picks; picks index into the then-current EDB at apply time)."""
-    rules, facts = draw(_program())
-    batches = []
-    for _ in range(draw(st.integers(1, 3))):
-        additions = {}
-        for relation, arity in EDB_ARITY.items():
-            additions[relation] = draw(
-                st.lists(
-                    st.tuples(*[st.sampled_from(CONSTANTS)] * arity),
-                    max_size=4,
-                )
-            )
-        picks = draw(st.lists(st.integers(0, 10_000), max_size=5))
-        batches.append((additions, picks))
-    return rules, facts, batches
-
-
-class TestIncrementalEquivalence:
-    """DRed repair after random EDB mutation must match a from-scratch
-    fixpoint over the mutated EDB — fact-for-fact, and (when tracking)
-    provenance-coverage-for-coverage."""
-
-    def _run(self, program, track=False):
-        rules, facts, batches = program
-        edb = {
-            relation: set(rows)
-            for relation, rows in facts.items()
-        }
-        database = _load(facts)
-        engine = Engine(rules, track_provenance=track)
-        engine.evaluate(database)
-        for additions, picks in batches:
-            pool = sorted(
-                (
-                    (relation, fact)
-                    for relation, rows in edb.items()
-                    for fact in rows
-                ),
-                key=repr,
-            )
-            added = {
-                relation: set(rows) for relation, rows in additions.items()
-            }
-            retracted = {}
-            for pick in picks:
-                if not pool:
-                    break
-                relation, fact = pool[pick % len(pool)]
-                if fact in added.get(relation, ()):
-                    continue  # keep batches unambiguous: no add+retract
-                retracted.setdefault(relation, set()).add(fact)
-            engine.apply_changes(additions=added, retractions=retracted)
-            for relation, rows in added.items():
-                edb[relation] |= rows
-            for relation, rows in retracted.items():
-                edb[relation] -= rows
-        cold_db, cold = _semi_naive(
-            rules,
-            {relation: sorted(rows, key=repr) for relation, rows in edb.items()},
-            track=track,
-        )
-        return database, engine, cold_db, cold
-
-    @given(_program_with_changes())
-    @settings(max_examples=40, deadline=None)
-    def test_compiled_repair_matches_cold_fixpoint(self, program):
-        database, _, cold_db, _ = self._run(program)
-        assert _snapshot(database) == _snapshot(cold_db)
-
-    @given(_program_with_changes())
-    @settings(max_examples=25, deadline=None)
-    def test_repair_preserves_provenance_coverage(self, program):
-        """After repair the warm engine explains exactly the facts a cold
-        tracking engine derives — nothing stale, nothing missing."""
-        database, engine, cold_db, cold = self._run(program, track=True)
-        assert set(engine.provenance) == set(cold.provenance)
-        derived = {
-            (relation, fact)
-            for relation in IDB_ARITY
-            for fact in cold_db.facts(relation)
-        }
-        assert set(engine.provenance) == derived
+class TestBatteryCounters:
+    def test_battery_row_counters_equal_a_sweep_alone(self):
+        """Every analysis evaluates its fixpoint from scratch, so a battery
+        row's Datalog counters and warnings do not depend on the
+        configuration that ran before it in the same process: the second
+        configuration's summary equals a sweep under that configuration
+        alone, contract for contract."""
+        codes = [contract.runtime for contract in generate_corpus(40, seed=2020)]
+        datalog = api.AnalysisConfig(engine="datalog")
+        unguarded = dataclasses.replace(datalog, model_guards=False)
+        _, in_battery = api.battery(codes, [datalog, unguarded], jobs=1)
+        alone = api.sweep(codes, unguarded, jobs=1)
+        assert len(in_battery.entries) == len(alone.entries) == len(codes)
+        for ours, theirs in zip(in_battery.entries, alone.entries):
+            assert ours.datalog and ours.datalog == theirs.datalog
+            assert ours.warnings == theirs.warnings

@@ -55,6 +55,7 @@ class TestSeededDefects:
         recursion = [f for f in findings if f.code == "negation-in-recursion"]
         assert len(recursion) == 2
         assert {f.line for f in recursion} == {1, 2}
+        assert {f.severity for f in recursion} == {"error"}
 
     def test_direct_negative_self_recursion(self):
         findings = lint_text("P(x) :- Q(x), !P(x).", source="t")
@@ -102,40 +103,6 @@ Path(x, z) :- Path(x, y), Edge(y, z).
 Safe(x) :- Edge(x, _), !Path(x, x).
 """
         assert lint_text(text, source="t") == []
-
-
-class TestDredNegation:
-    def test_negation_in_recursive_stratum_is_flagged(self):
-        text = (
-            "P(x) :- Q(x).\n"
-            "Q(x) :- Edge(x, y), P(y).\n"
-            "P(x) :- Node(x), !Q(x)."
-        )
-        findings = lint_text(text, source="t")
-        dred = [f for f in findings if f.code == "dred-negation"]
-        assert len(dred) == 1
-        assert dred[0].severity == "error"
-        assert dred[0].line == 3
-        assert "rederive" in dred[0].message
-
-    def test_direct_negative_self_recursion_is_flagged(self):
-        findings = lint_text("P(x) :- Q(x), !P(x).", source="t")
-        assert "dred-negation" in codes(findings)
-
-    def test_negation_on_lower_stratum_is_dred_safe(self):
-        """Negating a recursive relation from a higher stratum is fine:
-        apply_changes() sees lower strata settled before the rule runs."""
-        text = (
-            "Path(x, z) :- Path(x, y), Edge(y, z).\n"
-            "Path(x, y) :- Edge(x, y).\n"
-            "Isolated(x) :- Node(x), !Path(x, x)."
-        )
-        findings = lint_text(text, source="t")
-        assert "dred-negation" not in codes(findings)
-
-    def test_negation_on_edb_is_dred_safe(self):
-        findings = lint_text("Out(x) :- In(x), !Blocked(x).", source="t")
-        assert "dred-negation" not in codes(findings)
 
 
 class TestStrictParser:

@@ -201,8 +201,6 @@ class TestInternedDatabase:
         assert db.contains("R", ("addr", 7))
         assert db.facts("R") == {("addr", 7)}
         assert not db.contains("R", ("addr", 8))
-        assert db.remove("R", ("addr", 7))
-        assert db.facts("R") == frozenset()
 
     def test_register_index_is_eager_and_incremental(self):
         db = Database()
@@ -216,8 +214,6 @@ class TestInternedDatabase:
         assert [db.decode(fact) for fact in index[key]] == [
             ("a", "b"), ("a", "z")
         ]
-        db.remove("E", ("a", "b"))  # ... and through removals
-        assert [db.decode(fact) for fact in index[key]] == [("a", "z")]
 
     def test_relation_view_is_live(self):
         db = Database()

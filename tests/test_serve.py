@@ -37,6 +37,12 @@ SRC_ROOT = os.path.join(
 
 VOLATILE_FIELDS = ("elapsed_seconds", "stage_seconds", "cache_hits", "cache_misses")
 
+# A source nested past the recursion limit: a compile error, not a crash.
+DEEP_SOURCE = (
+    "contract C { function f() public { uint x = %s1%s; } }"
+    % ("(" * 3000, ")" * 3000)
+)
+
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -179,6 +185,8 @@ class TestAnalyzeParity:
                 {"bundle": [{"address": 1, "bytecode": "00", "storage": [1, 2]}]},
                 {"bundle": [{"address": 1, "source": 5}]},
                 {"bundle": [{"address": 1, "bytecode": "00", "name": 5}]},
+                {"source": DEEP_SOURCE},
+                {"bundle": [{"address": 1, "source": DEEP_SOURCE}]},
             ):
                 status, body = request(port, "POST", "/analyze", payload)
                 assert status == 400, payload
