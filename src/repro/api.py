@@ -202,15 +202,16 @@ class AnalyzeRequest:
         )
         for name in _FLAG_FIELDS:
             expect(name, isinstance(getattr(self, name), bool), "a bool")
-        if self.deadline is not None:
-            expect(
-                "deadline",
-                isinstance(self.deadline, (int, float))
-                and not isinstance(self.deadline, bool)
-                and 0 < self.deadline <= sys.float_info.max,
-                "a positive number of seconds or None",
-            )
-            object.__setattr__(self, "deadline", float(self.deadline))
+        if self.deadline is None:
+            return
+        expect(
+            "deadline",
+            isinstance(self.deadline, (int, float))
+            and not isinstance(self.deadline, bool)
+            and 0 < self.deadline <= sys.float_info.max,
+            "a positive number of seconds or None",
+        )
+        object.__setattr__(self, "deadline", float(self.deadline))
 
     def config(self) -> AnalysisConfig:
         """The effective :class:`AnalysisConfig`, engine/kinds validated."""

@@ -260,6 +260,9 @@ def _analyze_bundle_cmd(args: argparse.Namespace) -> int:
                 else "slot=%s" % warning["slot"]
             )
             print("  [%s] %s — %s" % (warning["kind"], location, warning["detail"]))
+    if result.error:
+        print("analysis error: %s" % result.error)
+        return 2
     resolved = sum(1 for edge in result.call_edges if edge.callee is not None)
     print(
         "call graph: %d site(s), %d resolved within the bundle"

@@ -25,6 +25,7 @@ from repro.core.pipeline import ArtifactCache, StageTiming, run_pipeline
 from repro.core.storage_model import StorageModel
 from repro.core.taint import TaintOptions, TaintResult
 from repro.core.vulnerabilities import Finding, VULNERABILITY_KINDS
+from repro.deadline import Deadline
 from repro.ir.tac import TACProgram
 
 
@@ -195,9 +196,12 @@ class EthainterAnalysis:
         self.config = config or AnalysisConfig()
         self.cache = cache
 
-    def analyze(self, runtime_bytecode: bytes) -> AnalysisResult:
-        """Run the staged pipeline (lift, model, fixpoint, detect)."""
-        outcome = run_pipeline(runtime_bytecode, self.config, cache=self.cache)
+    def analyze(
+        self, runtime_bytecode: bytes, deadline: Optional[Deadline] = None
+    ) -> AnalysisResult:
+        """Run the staged pipeline (lift, model, fixpoint, detect) under
+        ``deadline`` (default: a fresh ``config.timeout_seconds`` budget)."""
+        outcome = run_pipeline(runtime_bytecode, self.config, self.cache, deadline)
         result = AnalysisResult(
             error=outcome.error,
             deadline_exceeded=outcome.deadline_exceeded,

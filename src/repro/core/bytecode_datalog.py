@@ -59,6 +59,7 @@ from repro.core.ordering import CallOrderModel, build_call_order_model
 from repro.core.storage_model import StorageModel, build_storage_model, memory_var
 from repro.core.taint import TaintOptions, TaintResult
 from repro.datalog import CompiledProgram, Database, Engine, parse_program
+from repro.deadline import Deadline
 from repro.decompiler import lift
 
 # --------------------------------------------------------------------- rules
@@ -168,86 +169,82 @@ def _facts_to_edb(
     guards: GuardModel,
     options: TaintOptions,
     ordering: Optional[CallOrderModel] = None,
+    deadline: Optional[Deadline] = None,
 ) -> Dict[str, Set[Tuple]]:
-    """The EDB as plain per-relation fact sets.
+    """The EDB as plain per-relation fact sets (a relation with no rows is
+    absent), ticking ``deadline`` once per block, slice or relation."""
+    deadline = deadline or Deadline()
+    relations: Dict[str, Set[Tuple]] = {}
 
-    ``options.deadline`` is checked every 256 rows.
-    """
-    database = _EdbBuilder(options.deadline)
+    def add(relation: str, fact: Tuple) -> None:
+        relations.setdefault(relation, set()).add(fact)
 
-    for stmt in facts.program.statements():
-        database.add("Stmt", (stmt.ident,))
+    for block in facts.program.blocks.values():
+        deadline.tick(len(block.statements))
+        for stmt in block.statements:
+            add("Stmt", (stmt.ident,))
 
     # One-step flows, including the constant-address memory model.
-    for source, dest, stmt in facts.flow_edges:
-        database.add("Infoflow", (source, dest, stmt.ident))
+    for chunk in deadline.chunks(facts.flow_edges):
+        for source, dest, stmt in chunk:
+            add("Infoflow", (source, dest, stmt.ident))
+    deadline.tick(len(facts.memory_writes) + len(facts.memory_reads))
     for write in facts.memory_writes:
-        database.add(
-            "Infoflow", (write.var, memory_var(write.address), write.statement.ident)
-        )
+        add("Infoflow", (write.var, memory_var(write.address), write.statement.ident))
     for read in facts.memory_reads:
-        database.add(
-            "Infoflow", (memory_var(read.address), read.var, read.statement.ident)
-        )
+        add("Infoflow", (memory_var(read.address), read.var, read.statement.ident))
 
+    deadline.tick(len(facts.calldata_defs))
     for variable, stmt in facts.calldata_defs:
-        database.add("CALLDATALOAD", (stmt.ident, variable))
+        add("CALLDATALOAD", (stmt.ident, variable))
 
     if options.model_guards:
+        deadline.tick(len(guards.guarded_statements) + len(guards.guards))
         for statement_id, guard_ids in guards.guarded_statements.items():
             for guard_id in guard_ids:
-                database.add("StaticallyGuardedStatement", (statement_id, guard_id))
+                add("StaticallyGuardedStatement", (statement_id, guard_id))
         for guard in guards.guards:
             if guard.kind == EQ_SENDER:
                 for slot in guard.compared_slots:
-                    database.add("GuardComparesSlot", (guard.ident, slot))
+                    add("GuardComparesSlot", (guard.ident, slot))
                 if guard.compared_var is not None:
-                    database.add("GuardComparesVar", (guard.ident, guard.compared_var))
+                    add("GuardComparesVar", (guard.ident, guard.compared_var))
             elif guard.kind == DS_LOOKUP:
-                database.add("GuardDsBase", (guard.ident, guard.base_var))
+                add("GuardDsBase", (guard.ident, guard.base_var))
                 if guard.mapping_slot is not None:
-                    database.add("GuardDsMapping", (guard.ident, guard.mapping_slot))
+                    add("GuardDsMapping", (guard.ident, guard.mapping_slot))
 
     if options.model_storage_taint:
         known_slots = facts.known_slots
+        deadline.tick(
+            len(known_slots) + len(facts.storage_stores) + len(facts.storage_loads)
+        )
         for slot in known_slots:
-            database.add("KnownSlot", (slot,))
+            add("KnownSlot", (slot,))
         for store in facts.storage_stores:
+            ident = store.statement.ident
             if store.const_slot is not None:
-                database.add(
-                    "SStoreConst",
-                    (store.statement.ident, store.const_slot, store.value_var),
-                )
+                add("SStoreConst", (ident, store.const_slot, store.value_var))
                 continue
-            database.add(
-                "SStoreUnknown",
-                (store.statement.ident, store.address_var, store.value_var),
-            )
-            resolved = storage.resolved_store_slots.get(store.statement.ident)
+            add("SStoreUnknown", (ident, store.address_var, store.value_var))
+            resolved = storage.resolved_store_slots.get(ident)
             if resolved is not None:
-                database.add("ResolvedStore", (store.statement.ident,))
+                add("ResolvedStore", (ident,))
                 for slot in resolved:
-                    database.add(
-                        "ResolvedStoreSlot", (store.statement.ident, slot)
-                    )
+                    add("ResolvedStoreSlot", (ident, slot))
             for address_source in storage.copy_sources.get(
                 store.address_var, {store.address_var}
             ):
                 access = storage.mapping_accesses.get(address_source)
                 if access is not None:
-                    database.add(
-                        "MappingStore",
-                        (store.statement.ident, access.base_slot, access.key_var),
-                    )
+                    add("MappingStore", (ident, access.base_slot, access.key_var))
         for load in facts.storage_loads:
             if load.def_var is None:
                 continue
             if load.const_slot is not None:
-                database.add(
-                    "SLoadConst", (load.statement.ident, load.const_slot, load.def_var)
-                )
+                add("SLoadConst", (load.statement.ident, load.const_slot, load.def_var))
             else:
-                database.add(
+                add(
                     "SLoadUnknown",
                     (load.statement.ident, load.address_var, load.def_var),
                 )
@@ -256,66 +253,43 @@ def _facts_to_edb(
         # walk over every copy source of every variable is skipped.
         mapping_vars = storage.mapping_accesses.keys()
         if mapping_vars:
-            for count, (variable, sources) in enumerate(
-                storage.copy_sources.items()
-            ):
-                if count & 255 == 0:
-                    database.check()
-                if not mapping_vars.isdisjoint(sources):
-                    database.add("MappingConfined", (variable,))
+            for chunk in deadline.chunks(list(storage.copy_sources.items())):
+                for variable, sources in chunk:
+                    if not mapping_vars.isdisjoint(sources):
+                        add("MappingConfined", (variable,))
         for variable in mapping_vars:
-            database.add("MappingConfined", (variable,))
+            add("MappingConfined", (variable,))
+        deadline.tick(len(storage.ds_vars))
         for variable in storage.ds_vars:
-            database.add("SenderKey", (variable,))
+            add("SenderKey", (variable,))
 
     # Reentrancy ordering stratum: emitted only for reentrancy-capable
     # calls, independent of the ablation flags, so call-free contracts
     # keep a byte-identical EDB.
     if ordering is not None:
+        deadline.tick(len(ordering.call_sites))
         for site in ordering.call_sites.values():
             if not site.reentrancy_capable:
                 continue
-            database.add("ReentrancyCall", (site.statement_id,))
+            add("ReentrancyCall", (site.statement_id,))
             if site.mutex_guarded:
-                database.add("MutexedCall", (site.statement_id,))
+                add("MutexedCall", (site.statement_id,))
             for path, store_ids in site.stores_after.items():
                 for store_id in store_ids:
-                    database.add(
-                        "CallBeforeStore", (site.statement_id, store_id, path)
-                    )
+                    add("CallBeforeStore", (site.statement_id, store_id, path))
             for path in site.paths_read_before:
-                database.add("CallPathRead", (site.statement_id, path))
-    return database.relations
+                add("CallPathRead", (site.statement_id, path))
+    return relations
 
 
-class _EdbBuilder:
-    """Minimal ``Database.add``-shaped collector used by ``_facts_to_edb``;
-    checks the deadline (if any) every 256 rows."""
-
-    __slots__ = ("relations", "deadline", "rows")
-
-    def __init__(self, deadline=None) -> None:
-        self.relations: Dict[str, Set[Tuple]] = {}
-        self.deadline = deadline
-        self.rows = 0
-
-    def add(self, relation: str, fact: Tuple) -> None:
-        self.relations.setdefault(relation, set()).add(fact)
-        self.rows += 1
-        if self.rows & 255 == 0:
-            self.check()
-
-    def check(self) -> None:
-        if self.deadline is not None:
-            self.deadline.check()
-
-
-def _load_edb(edb: Dict[str, Set[Tuple]], deadline=None) -> Database:
+def _load_edb(
+    edb: Dict[str, Set[Tuple]], deadline: Optional[Deadline] = None
+) -> Database:
+    deadline = deadline or Deadline()
     database = Database()
     for relation, rows in edb.items():
-        database.add_all(relation, rows)
-        if deadline is not None:
-            deadline.check()
+        for chunk in deadline.chunks(list(rows)):
+            database.add_all(relation, chunk)
     return database
 
 
@@ -382,6 +356,7 @@ def analyze_with_datalog(
     use_plans: bool = True,
     columnar: Optional[bool] = None,
     ordering: Optional[CallOrderModel] = None,
+    deadline: Optional[Deadline] = None,
 ) -> TaintResult:
     """Run the declarative bytecode analysis.
 
@@ -399,6 +374,7 @@ def analyze_with_datalog(
     anything else.
     Every call loads a fresh database and evaluates its fixpoint from
     scratch.  The engine's profiling counters land in ``result.engine_stats``.
+    ``deadline`` is the run's budget; every stage this call runs ticks it.
     """
     if use_plans is not True or not (columnar is None or columnar is False):
         raise ValueError(
@@ -406,25 +382,28 @@ def analyze_with_datalog(
             "use_plans=%r, columnar=%r" % (use_plans, columnar)
         )
     options = options or TaintOptions()
+    deadline = deadline or Deadline()
     if facts is None:
         if runtime_bytecode is None:
             raise ValueError("need runtime_bytecode or extracted facts")
-        program = lift(runtime_bytecode, deadline=options.deadline)
-        facts = extract_facts(program, deadline=options.deadline)
+        program = lift(runtime_bytecode, deadline=deadline)
+        facts = extract_facts(program, deadline=deadline)
     if storage is None:
-        storage = build_storage_model(facts, deadline=options.deadline)
+        storage = build_storage_model(facts, deadline=deadline)
     if guards is None:
-        guards = build_guard_model(facts, storage)
+        guards = build_guard_model(facts, storage, deadline=deadline)
     if ordering is None:
         ordering = build_call_order_model(facts, storage, guards)
 
-    edb = _facts_to_edb(facts, storage, guards, options, ordering=ordering)
-    database = _load_edb(edb, options.deadline)
+    edb = _facts_to_edb(
+        facts, storage, guards, options, ordering=ordering, deadline=deadline
+    )
+    database = _load_edb(edb, deadline)
     engine = Engine(
         _rules(options, reentrancy="ReentrancyCall" in edb),
         track_provenance=track_provenance,
     )
-    engine.evaluate(database, deadline=options.deadline)
+    engine.evaluate(database, deadline=deadline)
 
     result = TaintResult()
     result.input_tainted = {row[0] for row in database.facts("InputTaint")}

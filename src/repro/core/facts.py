@@ -14,6 +14,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.deadline import Deadline
 from repro.ir.tac import TACProgram, TACStatement
 
 # Opcodes whose result is a pure function of their *stack* operands; taint
@@ -143,28 +144,26 @@ def _resolve_memory_word(
     return last_write.get(address)
 
 
-def extract_facts(program: TACProgram, deadline=None) -> ContractFacts:
-    """Build :class:`ContractFacts` from a decompiled program.
-
-    ``deadline`` is an optional cooperative budget (duck-typed: ``check()``
-    raises when spent), consulted before the first block and then at the
-    first block boundary after every 256 statements (per block, not per
-    statement, to keep the check off the per-statement path)."""
+def extract_facts(
+    program: TACProgram, deadline: Optional[Deadline] = None
+) -> ContractFacts:
+    """Build :class:`ContractFacts` from a decompiled program in one pass
+    over its blocks, ticking ``deadline`` once per block by its statement
+    count."""
+    deadline = deadline or Deadline()
     facts = ContractFacts(program=program)
-    facts.def_stmt = program.defining_statement()
+    def_stmt = facts.def_stmt
     facts.const = dict(program.const_value)
 
-    unchecked = 0
     for block in program.blocks.values():
-        if unchecked <= 0 and deadline is not None:
-            deadline.check()
-            unchecked = 256
-        unchecked -= len(block.statements)
+        deadline.tick(len(block.statements))
         # Block-local memory model for SHA3 argument recovery: last constant
         # write per word address; cleared by unknown-address writes and calls
         # (which may write their output buffer).
         last_write: Dict[int, str] = {}
         for stmt in block.statements:
+            for var in stmt.defs:
+                def_stmt[var] = stmt
             op = stmt.opcode
             if op == "PHI":
                 for source in stmt.uses:

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.facts import ContractFacts
 from repro.core.storage_model import StorageModel
+from repro.deadline import Deadline
 from repro.ir.dominators import compute_dominators
 from repro.ir.tac import TACStatement
 
@@ -170,8 +171,12 @@ def _classify(
     return None
 
 
-def build_guard_model(facts: ContractFacts, model: StorageModel) -> GuardModel:
-    """Compute StaticallyGuardedStatement and the §4.5 sink slots."""
+def build_guard_model(
+    facts: ContractFacts, model: StorageModel, deadline: Optional[Deadline] = None
+) -> GuardModel:
+    """Compute StaticallyGuardedStatement and the §4.5 sink slots, ticking
+    ``deadline`` once for the dominators and per block a guard protects."""
+    deadline = deadline or Deadline()
     guard_model = GuardModel()
     program = facts.program
     if not program.blocks:
@@ -179,6 +184,7 @@ def build_guard_model(facts: ContractFacts, model: StorageModel) -> GuardModel:
 
     successors = {ident: block.successors for ident, block in program.blocks.items()}
     dominators = compute_dominators(program.entry, successors)
+    deadline.tick(len(dominators))
     # Invert: dominated_by[s] = set of blocks s dominates.
     dominated_by: Dict[str, Set[str]] = {}
     for block_id, doms in dominators.items():
@@ -219,7 +225,9 @@ def build_guard_model(facts: ContractFacts, model: StorageModel) -> GuardModel:
                     guard_model.guard_by_id[guard.ident] = guard
                     guard_model.guards.append(guard)
                 for block_id in protected_blocks:
-                    for protected in program.blocks[block_id].statements:
+                    statements = program.blocks[block_id].statements
+                    deadline.tick(len(statements))
+                    for protected in statements:
                         guard_model.guarded_statements.setdefault(
                             protected.ident, set()
                         ).add(guard.ident)

@@ -36,9 +36,11 @@ gap in three layers:
    (the exact :func:`~repro.core.bytecode_datalog._facts_to_edb` relations)
    is namespaced by address (``0xADDR::term``) and merged with the linkage
    relations into ONE Datalog database, evaluated under the per-contract
-   rules *plus* :data:`CROSS_CONTRACT_RULES` — on the compiled-plan engine
-   or the legacy interpreter, matching the requested ``engine``.  Two new
-   composite verdicts fall out:
+   rules *plus* :data:`CROSS_CONTRACT_RULES` on the Datalog engine, whatever
+   the requested ``engine`` (the Python fixpoint has no cross-contract
+   counterpart).  One :class:`~repro.deadline.Deadline` covers the whole
+   bundle: every member's pipeline and the merged pass.  Two new composite
+   verdicts fall out:
 
    * ``proxy-upgrade-hijack`` — the slot a delegatecall dispatches through
      is attacker-taintable (typically via the implementation contract's own
@@ -77,7 +79,8 @@ from repro.core.vulnerabilities import (
     CROSS_CONTRACT_ESCALATION,
     PROXY_UPGRADE_HIJACK,
 )
-from repro.datalog import CompiledProgram, Engine
+from repro.datalog import CompiledProgram, Database, Engine
+from repro.deadline import Deadline, DeadlineExceeded
 
 ADDRESS_MASK = (1 << 160) - 1
 
@@ -569,15 +572,25 @@ class CrossContractFinding:
 @dataclass
 class BundleResult:
     """Everything produced for one bundle: per-contract results plus the
-    cross-contract layer."""
+    cross-contract layer.
+
+    Terminal states follow :func:`~repro.core.pipeline.run_pipeline`'s
+    rule, over the one budget the whole bundle shares: a merged pass
+    *aborted* by it has ``error="timeout"`` (``deadline_exceeded`` too) and
+    no cross findings; a run that completes but crosses the budget is a
+    *late finish* (``error=None``, ``deadline_exceeded=True``) whose
+    verdicts stand.  A one-contract bundle carries its member's state.
+    """
 
     bundle: ContractBundle
     results: Dict[int, AnalysisResult] = field(default_factory=dict)
     call_edges: List[CallEdge] = field(default_factory=list)
     cross_findings: List[CrossContractFinding] = field(default_factory=list)
     # Merged-fixpoint engine counters (None for single-contract bundles,
-    # which skip the merged evaluation entirely).
+    # which skip the merged evaluation entirely, and for aborted ones).
     engine_stats: Optional[Dict] = None
+    error: Optional[str] = None  # "timeout" | member error (one contract)
+    deadline_exceeded: bool = False
 
     def result_for(self, address: int) -> AnalysisResult:
         return self.results[address]
@@ -688,6 +701,7 @@ def analyze_bundle(
     config: Optional[AnalysisConfig] = None,
     *,
     cache=None,
+    deadline: Optional[Deadline] = None,
 ) -> BundleResult:
     """Analyze a :class:`ContractBundle` end to end.
 
@@ -697,19 +711,58 @@ def analyze_bundle(
     byte-identical to today's output).  Multi-contract bundles then resolve
     the inter-contract call graph and evaluate the merged namespaced EDB
     plus linkage relations in one Datalog fixpoint with the cross-contract
-    strata; the resulting verdicts land in ``cross_findings``.
+    strata; the resulting verdicts land in ``cross_findings``.  Every step
+    spends one ``deadline``, by default a fresh budget of
+    ``config.timeout_seconds``.
     """
     config = config or AnalysisConfig()
+    if deadline is None:
+        deadline = Deadline(config.timeout_seconds)
     analyzer = EthainterAnalysis(config, cache=cache)
     results: Dict[int, AnalysisResult] = {}
     for contract in bundle.contracts:
-        results[contract.address] = analyzer.analyze(contract.runtime())
+        results[contract.address] = analyzer.analyze(contract.runtime(), deadline)
 
     if len(bundle) == 1:
-        return BundleResult(bundle=bundle, results=results)
+        (result,) = results.values()
+        return BundleResult(
+            bundle=bundle,
+            results=results,
+            error=result.error,
+            deadline_exceeded=result.deadline_exceeded,
+        )
 
     edges = resolve_call_edges(bundle, results)
+    try:
+        database, engine = _evaluate_merged(bundle, results, edges, config, deadline)
+    except DeadlineExceeded:
+        return BundleResult(
+            bundle=bundle,
+            results=results,
+            call_edges=edges,
+            error="timeout",
+            deadline_exceeded=True,
+        )
+    return BundleResult(
+        bundle=bundle,
+        results=results,
+        call_edges=edges,
+        cross_findings=_extract_cross_findings(database, bundle, results, edges),
+        engine_stats=engine.stats.as_dict(),
+        deadline_exceeded=deadline.expired(),
+    )
 
+
+def _evaluate_merged(
+    bundle: ContractBundle,
+    results: Dict[int, AnalysisResult],
+    edges: Sequence[CallEdge],
+    config: AnalysisConfig,
+    deadline: Deadline,
+) -> Tuple[Database, Engine]:
+    """Build, load and evaluate the merged namespaced EDB plus linkage
+    relations; raises :class:`~repro.deadline.DeadlineExceeded` if spent."""
+    deadline.check()
     merged: Dict[str, Set[Tuple]] = {}
     options = config.taint_options()
     reentrancy = False
@@ -723,6 +776,7 @@ def analyze_bundle(
             result.guards,
             options,
             ordering=result.ordering,
+            deadline=deadline,
         )
         reentrancy = reentrancy or "ReentrancyCall" in edb
         for relation, rows in _namespaced_edb(
@@ -734,14 +788,7 @@ def analyze_bundle(
 
     # The tuned Python engine has no cross-contract counterpart, so every
     # engine value runs the merged rules on the Datalog engine.
-    database = _load_edb(merged)
+    database = _load_edb(merged, deadline)
     engine = Engine(merged_rules(config, reentrancy=reentrancy))
-    engine.evaluate(database, deadline=options.deadline)
-
-    return BundleResult(
-        bundle=bundle,
-        results=results,
-        call_edges=edges,
-        cross_findings=_extract_cross_findings(database, bundle, results, edges),
-        engine_stats=engine.stats.as_dict(),
-    )
+    engine.evaluate(database, deadline=deadline)
+    return database, engine

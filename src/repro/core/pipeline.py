@@ -9,10 +9,9 @@ pipeline structure explicit so both workloads are cheap:
   taint -> detect``.  Each stage declares which :class:`AnalysisConfig`
   fields its output actually depends on, so ablation sweeps can tell that
   the expensive lift+extract prefix is configuration-independent.
-* :class:`Deadline` — a shared wall-clock budget checked *cooperatively*
-  inside the long-running fixpoints (the lifter worklist, the taint
-  fixpoint, the Datalog strata), not just between stages.  A runaway
-  fixpoint no longer blows through the budget.
+* :class:`~repro.deadline.Deadline` (re-exported here) — one wall-clock
+  budget per run, passed to every stage as ``deadline=``: loops tick it and
+  rounds check it, so a runaway stage cannot blow through the budget.
 * :class:`ArtifactCache` — a bounded, content-addressed store keyed by
   ``(sha256(bytecode), stage name, stage-relevant config fingerprint)``.
   Only *successful* stage outputs are cached, so budget settings never leak
@@ -41,13 +40,9 @@ from repro.core.guards import build_guard_model
 from repro.core.ordering import build_call_order_model
 from repro.core.storage_model import build_storage_model
 from repro.core.vulnerabilities import UnknownKindError, detect, validate_kinds
+from repro.deadline import Deadline, DeadlineExceeded
 from repro.decompiler import LiftError, lift
 from repro.ir.value_analysis import analyze_values
-
-
-class DeadlineExceeded(Exception):
-    """A cooperative deadline check fired inside a stage."""
-
 
 # Taint-stage engine registry: config value -> one-line description (the
 # CLI renders these into ``--engine`` help; ``run_pipeline`` validates
@@ -67,43 +62,6 @@ class UnknownEngineError(ValueError):
             "unknown engine %r: valid choices are %s"
             % (engine, ", ".join(sorted(ENGINE_CHOICES)))
         )
-
-
-class Deadline:
-    """A shared wall-clock budget, checked cooperatively by the stages.
-
-    ``seconds=None`` means unlimited.  The object is deliberately tiny and
-    duck-typed (``expired()`` / ``check()``) so low-level modules (the
-    lifter, the Datalog engine) can honor it without importing this module.
-    """
-
-    __slots__ = ("seconds", "started")
-
-    def __init__(self, seconds: Optional[float] = None, started: Optional[float] = None):
-        self.seconds = seconds
-        self.started = time.monotonic() if started is None else started
-
-    @classmethod
-    def unlimited(cls) -> "Deadline":
-        return cls(None)
-
-    def elapsed(self) -> float:
-        return time.monotonic() - self.started
-
-    def remaining(self) -> Optional[float]:
-        if self.seconds is None:
-            return None
-        return self.seconds - self.elapsed()
-
-    def expired(self) -> bool:
-        return self.seconds is not None and self.elapsed() > self.seconds
-
-    def check(self) -> None:
-        """Raise :class:`DeadlineExceeded` if the budget is spent."""
-        if self.expired():
-            raise DeadlineExceeded(
-                "deadline of %.3fs exceeded after %.3fs" % (self.seconds, self.elapsed())
-            )
 
 
 # ---------------------------------------------------------------------- cache
@@ -234,7 +192,9 @@ def _run_storage(ctx: PipelineContext):
 
 
 def _run_guards(ctx: PipelineContext):
-    return build_guard_model(ctx.artifacts["values"], ctx.artifacts["storage"])
+    return build_guard_model(
+        ctx.artifacts["values"], ctx.artifacts["storage"], deadline=ctx.deadline
+    )
 
 
 def _run_ordering(ctx: PipelineContext):
@@ -246,7 +206,6 @@ def _run_ordering(ctx: PipelineContext):
 
 def _run_taint(ctx: PipelineContext):
     options = ctx.config.taint_options()
-    options.deadline = ctx.deadline
     if ctx.config.engine == "datalog":
         from repro.core.bytecode_datalog import analyze_with_datalog
 
@@ -257,6 +216,7 @@ def _run_taint(ctx: PipelineContext):
             guards=ctx.artifacts["guards"],
             ordering=ctx.artifacts["ordering"],
             options=options,
+            deadline=ctx.deadline,
         )
     from repro.core.taint import TaintAnalysis
 
@@ -265,6 +225,7 @@ def _run_taint(ctx: PipelineContext):
         ctx.artifacts["storage"],
         ctx.artifacts["guards"],
         options,
+        deadline=ctx.deadline,
     ).run()
 
 

@@ -273,14 +273,18 @@ class BundleReport:
 
     Carries one :class:`ContractReport` per bundle contract (keyed by hex
     address) plus the cross-contract layer: the resolved call graph and the
-    merged-fixpoint verdicts.  A *single-contract* bundle renders as that
-    contract's plain :class:`ContractReport` JSON — byte-identical to
-    ``repro analyze --json`` on the same contract, with no cross block.
+    merged-fixpoint verdicts, and the bundle's terminal state (``error``,
+    ``deadline_exceeded``: see :class:`~repro.core.linkage.BundleResult`).
+    A *single-contract* bundle renders as that contract's plain
+    :class:`ContractReport` JSON — byte-identical to ``repro analyze
+    --json`` on the same contract, with no cross block.
     """
 
     schema_version: int = SCHEMA_VERSION
     contracts: List[ContractReport] = field(default_factory=list)
     addresses: List[str] = field(default_factory=list)
+    error: Optional[str] = None
+    deadline_exceeded: bool = False
     call_edges: List[Dict] = field(default_factory=list)
     cross_warnings: List[Dict] = field(default_factory=list)
     datalog: Optional[Dict] = None
@@ -301,6 +305,8 @@ class BundleReport:
         return cls(
             contracts=contracts,
             addresses=addresses,
+            error=result.error,
+            deadline_exceeded=result.deadline_exceeded,
             call_edges=[
                 {
                     "caller": "0x%x" % edge.caller,
@@ -364,6 +370,8 @@ class BundleReport:
         payload = {
             "schema_version": self.schema_version,
             "addresses": list(self.addresses),
+            "error": self.error,
+            "deadline_exceeded": self.deadline_exceeded,
             "contracts": [asdict(report) for report in self.contracts],
             "call_edges": list(self.call_edges),
             "cross_warnings": list(self.cross_warnings),

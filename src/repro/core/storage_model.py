@@ -24,9 +24,10 @@ the paper's "previous stratum" (Figure 2 caption).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.facts import ContractFacts
+from repro.deadline import Deadline
 
 
 @dataclass
@@ -77,30 +78,17 @@ def memory_var(address: int) -> str:
     return "m0x%x" % address
 
 
-# Variables processed between deadline checks.  The copy closure and the
-# alias extensions grow with variables x copy sources, and a mutated
-# bytecode can lift to 10^5 variables, so a long run must stop at the
-# caller's budget; ordinary contracts fit in one slice and pay one check.
-_CHECK_EVERY = 256
-
-
-def _in_slices(items: List[str], deadline) -> Iterator[List[str]]:
-    """``items`` in order, in slices of ``_CHECK_EVERY``, checking the
-    cooperative ``deadline`` (if any) before each slice."""
-    for start in range(0, len(items), _CHECK_EVERY):
-        if deadline is not None:
-            deadline.check()
-        yield items[start : start + _CHECK_EVERY]
-
-
-def build_storage_model(facts: ContractFacts, deadline=None) -> StorageModel:
+def build_storage_model(
+    facts: ContractFacts, deadline: Optional[Deadline] = None
+) -> StorageModel:
     """Compute the taint-independent static strata (copies, DS/DSA,
     aliases, mapping roots) for one contract.
 
-    ``deadline`` is an optional cooperative budget (duck-typed: ``check()``
-    raises when spent), consulted between slices of variables, every
-    ``_CHECK_EVERY`` stack pops of the copy closure, and once per DS/DSA
-    round."""
+    ``deadline`` is ticked per slice of copy edges and of variables, for
+    the memory accesses, and per copy-closure pop (a mutated bytecode can
+    lift to 10^5 variables), and checked once per DS/DSA and
+    mapping-attribution round."""
+    deadline = deadline or Deadline()
     model = StorageModel(facts=facts)
 
     # ------------------------------------------------------ copy closure
@@ -110,8 +98,10 @@ def build_storage_model(facts: ContractFacts, deadline=None) -> StorageModel:
     def add_copy(source: str, dest: str) -> None:
         direct.setdefault(dest, set()).add(source)
 
-    for source, dest in facts.copy_edges:
-        add_copy(source, dest)
+    for chunk in deadline.chunks(facts.copy_edges):
+        for source, dest in chunk:
+            add_copy(source, dest)
+    deadline.tick(len(facts.memory_writes) + len(facts.memory_reads))
     for write in facts.memory_writes:
         add_copy(write.var, memory_var(write.address))
         model.mem_var_of[write.address] = memory_var(write.address)
@@ -124,13 +114,12 @@ def build_storage_model(facts: ContractFacts, deadline=None) -> StorageModel:
     # set is registered before its sources are visited, so a PHI cycle back
     # to a variable still in progress copies that set as it stands then.
     # One call can build a whole chain's sets (the set unions at each pop
-    # are the quadratic part), so the deadline is also checked every
-    # ``_CHECK_EVERY`` pops, not only between slices.
+    # are the quadratic part), so each pop ticks the deadline by the size of
+    # the set it completed.
     closure_cache: Dict[str, Set[str]] = {}
-    pops = 0
+    tick = deadline.tick
 
     def closure(variable: str) -> Set[str]:
-        nonlocal pops
         result = closure_cache.get(variable)
         if result is not None:
             return result
@@ -149,18 +138,14 @@ def build_storage_model(facts: ContractFacts, deadline=None) -> StorageModel:
                 stack.pop()
                 if stack:
                     stack[-1][0].update(current)
-                pops += 1
-                if pops % _CHECK_EVERY == 0 and deadline is not None:
-                    deadline.check()
+                tick(len(current))
         return result
 
     all_vars: Set[str] = set(direct)
-    for sources in direct.values():
-        all_vars.update(sources)
+    all_vars.update(*direct.values())
     variables = list(all_vars)
-    for chunk in _in_slices(variables, deadline):
-        for variable in chunk:
-            model.copy_sources[variable] = closure(variable)
+    for variable in variables:  # ticked by the closure's pops
+        model.copy_sources[variable] = closure(variable)
 
     def sources_of(variable: str) -> Set[str]:
         return model.copy_sources.get(variable, {variable})
@@ -171,7 +156,7 @@ def build_storage_model(facts: ContractFacts, deadline=None) -> StorageModel:
             continue
         model.storage_alias.setdefault(load.def_var, set()).add(load.const_slot)
     # Extend through copies: any var copying a loaded var aliases its slot.
-    for chunk in _in_slices(variables, deadline):
+    for chunk in deadline.chunks(variables):
         for variable in chunk:
             for source in sources_of(variable):
                 slots = model.storage_alias.get(source)
@@ -211,7 +196,7 @@ def build_storage_model(facts: ContractFacts, deadline=None) -> StorageModel:
                 )
         # Extend value aliases through copies, mirroring storage_alias.
         if model.value_alias:
-            for chunk in _in_slices(variables, deadline):
+            for chunk in deadline.chunks(variables):
                 for variable in chunk:
                     for source in sources_of(variable):
                         slots = model.value_alias.get(source)
@@ -237,8 +222,7 @@ def build_storage_model(facts: ContractFacts, deadline=None) -> StorageModel:
 
     changed = True
     while changed:
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         changed = False
         # DS-Lookup / DSA-Lookup: hashing DS or DSA data yields a DSA.
         for hash_fact in facts.hashes:
@@ -276,6 +260,7 @@ def build_storage_model(facts: ContractFacts, deadline=None) -> StorageModel:
     pending = list(facts.hashes)
     progress = True
     while progress and pending:
+        deadline.check()
         progress = False
         remaining = []
         for hash_fact in pending:

@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.facts import ContractFacts
 from repro.core.guards import DS_LOOKUP, EQ_SENDER, GuardModel
 from repro.core.storage_model import StorageModel, memory_var
+from repro.deadline import Deadline
 
 
 @dataclass
@@ -51,10 +52,6 @@ class TaintOptions:
     model_storage_taint: bool = True
     conservative_storage: bool = False
     max_iterations: int = 10_000
-    # Cooperative wall-clock budget (duck-typed: ``check()`` raises when
-    # spent), checked once per fixpoint iteration so a slow-converging run
-    # respects the paper's 120 s decompile+analyze cutoff.
-    deadline: Optional[object] = None
 
 
 @dataclass
@@ -83,7 +80,9 @@ class TaintResult:
 
 
 class TaintAnalysis:
-    """Runs the fixpoint for one contract."""
+    """Runs the fixpoint for one contract, checking ``deadline`` once per
+    fixpoint iteration so a slow-converging run respects the paper's 120 s
+    decompile+analyze cutoff."""
 
     def __init__(
         self,
@@ -91,11 +90,13 @@ class TaintAnalysis:
         storage: StorageModel,
         guards: GuardModel,
         options: Optional[TaintOptions] = None,
+        deadline: Optional[Deadline] = None,
     ):
         self.facts = facts
         self.storage = storage
         self.guards = guards
         self.options = options or TaintOptions()
+        self.deadline = deadline or Deadline()
         self._edges = self._build_edges()
 
     # --------------------------------------------------------------- edges
@@ -169,8 +170,7 @@ class TaintAnalysis:
             result.iterations += 1
             if result.iterations > options.max_iterations:
                 raise RuntimeError("taint fixpoint did not converge")
-            if options.deadline is not None:
-                options.deadline.check()
+            self.deadline.check()
             changed = False
 
             # 1. Guard compromise (skipped entirely when guards are not

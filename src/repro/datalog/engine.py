@@ -54,6 +54,7 @@ from repro.datalog.planner import (
 )
 from repro.datalog.program import CompiledProgram
 from repro.datalog.terms import Rule
+from repro.deadline import Deadline
 
 
 class Database:
@@ -264,16 +265,16 @@ class Engine:
         self,
         database: Database,
         max_iterations: int = 1_000_000,
-        deadline=None,
+        deadline: Optional[Deadline] = None,
     ) -> Database:
         """Run all strata to fixpoint, mutating and returning ``database``.
 
-        ``deadline`` is an optional cooperative budget (duck-typed:
-        ``check()`` raises when spent), consulted before each plan is bound,
-        before each rule's seed round, and once per semi-naive iteration, so
-        neither a large EDB nor runaway recursion outlives the caller's
-        cutoff.
+        ``deadline`` (the run's budget) is checked before each plan is
+        bound, before each rule's seed round, and once per semi-naive
+        iteration, so neither a large EDB nor runaway recursion outlives
+        the caller's cutoff by more than one round.
         """
+        deadline = deadline or Deadline()
         self.stats.evaluations += 1
         # The program picks plan templates by the relation sizes read here,
         # before the first stratum runs; each stratum then binds fresh
@@ -282,8 +283,7 @@ class Engine:
         for templates in self.program.plans(database.count):
             plans = []
             for template in templates:
-                if deadline is not None:
-                    deadline.check()
+                deadline.check()
                 plans.append(self._bind_plan(database, template))
             self._evaluate_stratum(database, plans, max_iterations, deadline)
         return database
@@ -356,7 +356,7 @@ class Engine:
         database: Database,
         plans: List[RulePlan],
         max_iterations: int,
-        deadline=None,
+        deadline: Deadline,
     ) -> None:
         stats = self.stats
         tracking = self.track_provenance
@@ -378,8 +378,7 @@ class Engine:
         # Naive first round to seed deltas, then semi-naive iteration.
         delta: Dict[str, Set[Tuple]] = {rel: set() for rel in heads}
         for plan in plans:
-            if deadline is not None:
-                deadline.check()
+            deadline.check()
             flush(plan, self._run_variant(database, plan.seed, None, None), delta)
 
         iterations = 0
@@ -387,8 +386,7 @@ class Engine:
             iterations += 1
             if iterations > max_iterations:
                 raise RuntimeError("datalog evaluation did not converge")
-            if deadline is not None:
-                deadline.check()
+            deadline.check()
             stats.iterations += 1
             new_delta: Dict[str, Set[Tuple]] = {rel: set() for rel in heads}
             delta_index_cache: Dict = {}

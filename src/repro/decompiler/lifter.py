@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
+from repro.deadline import Deadline
 from repro.evm.disassembler import Instruction, disassemble
 from repro.evm.hashing import UINT_MAX
 from repro.evm.opcodes import TABLE, Opcode
@@ -63,9 +64,6 @@ def _action(opcode: Opcode) -> int:
 
 _ACTIONS: Tuple[int, ...] = tuple(_action(opcode) for opcode in TABLE)
 
-# Worklist instances finalized between deadline checks.
-_CHECK_EVERY = 256
-
 # A stack slot: a TAC variable name plus its constant value, if known.
 _Slot = Tuple[str, Optional[int]]
 
@@ -95,16 +93,17 @@ class _Instance:
     fallthrough_successor: Optional[str] = None
 
 
-def _split_blocks(code: bytes) -> Dict[int, _StaticBlock]:
+def _split_blocks(code: bytes, deadline: Deadline) -> Dict[int, _StaticBlock]:
     """Cut the disassembly into static blocks in one pass: a block ends
     before a ``JUMPDEST`` and after an instruction that alters control
     flow, and falls through to the next one unless it ends in a
-    terminator."""
+    terminator.  Ticks ``deadline`` once per block."""
     blocks: Dict[int, _StaticBlock] = {}
     body: List[Instruction] = []
     ended = False  # the last instruction of ``body`` ends its block
-    for ins in disassemble(code):
+    for ins in disassemble(code, deadline):
         if body and (ended or ins.opcode.name == "JUMPDEST"):
+            deadline.tick(len(body))
             start = body[0].offset
             falls = not body[-1].opcode.is_terminator
             blocks[start] = _StaticBlock(start, body, ins.offset if falls else None)
@@ -139,18 +138,17 @@ class _Lifter:
         max_stack: int = 128,
         max_clones: int = 64,
         max_states: int = 20_000,
-        deadline=None,
+        deadline: Optional[Deadline] = None,
     ):
+        # Ticked per byte slice of the sweep, per static block of the
+        # split, per instance executed (by its instruction count) and per
+        # instance finalized, so no pass over a large input outruns it.
+        self.deadline = deadline = deadline or Deadline()
         self.code = code
-        self.static_blocks = _split_blocks(code)
+        self.static_blocks = _split_blocks(code, deadline)
         self.max_stack = max_stack
         self.max_clones = max_clones
         self.max_states = max_states
-        # Duck-typed cooperative budget (``check()`` raises when spent) —
-        # see repro.core.pipeline.Deadline.  Checked per worklist item and
-        # every _CHECK_EVERY instances while finalizing, so a
-        # state-explosion-prone lift cannot blow through the budget.
-        self.deadline = deadline
         self.instances: Dict[Tuple[int, Tuple[Optional[int], ...]], _Instance] = {}
         self.clone_count: Dict[int, int] = {}
         self.worklist: List[_Instance] = []
@@ -227,13 +225,12 @@ class _Lifter:
         if entry is None:
             return TACProgram()
         while self.worklist:
-            if self.deadline is not None:
-                self.deadline.check()
             self._execute(self.worklist.pop())
         return self._finalize(entry)
 
     def _execute(self, instance: _Instance) -> None:
         block = self.static_blocks[instance.offset]
+        self.deadline.tick(len(block.instructions))
         ident = instance.ident
         prefix = ident + "_"  # statement idents are <block>_<seq>
         stack = list(instance.entry_stack)
@@ -333,10 +330,9 @@ class _Lifter:
         program = TACProgram(entry=entry.ident, const_value=self.const_value)
         program.unresolved_jumps = self.unresolved
         blocks = program.blocks
-        deadline = self.deadline
-        for index, instance in enumerate(self.instances.values()):
-            if deadline is not None and not index % _CHECK_EVERY:
-                deadline.check()
+        tick = self.deadline.tick
+        for instance in self.instances.values():
+            tick()
             ident = instance.ident
             # PHI statements for joined entry positions.
             phi_inputs = instance.phi_inputs
@@ -367,9 +363,10 @@ class _Lifter:
 def lift(code: bytes, **caps) -> TACProgram:
     """Decompile ``code`` into a :class:`TACProgram`.
 
-    Keyword caps: ``max_stack``, ``max_clones``, ``max_states``, plus an
-    optional cooperative ``deadline`` — see :class:`_Lifter`.  Raises
-    :class:`LiftError` on state explosion; a spent deadline raises the
-    deadline's own exception mid-lift.
+    Keyword caps: ``max_stack``, ``max_clones``, ``max_states``, plus the
+    run's :class:`~repro.deadline.Deadline` as ``deadline`` — see
+    :class:`_Lifter`.  Raises :class:`LiftError` on state explosion and
+    :class:`~repro.deadline.DeadlineExceeded` mid-lift once the budget is
+    spent.
     """
     return _Lifter(code, **caps).run()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional
 
+from repro.deadline import CHECK_INTERVAL, Deadline
 from repro.evm.opcodes import TABLE, Opcode
 
 
@@ -43,8 +44,11 @@ class Instruction(NamedTuple):
         return "0x%04x %s" % (self.offset, self.name)
 
 
-def disassemble(code: bytes) -> List[Instruction]:
-    """Disassemble ``code`` into instructions by linear sweep."""
+def disassemble(code: bytes, deadline: Optional[Deadline] = None) -> List[Instruction]:
+    """Disassemble ``code`` into instructions by linear sweep, ticking
+    ``deadline`` once per slice of :data:`~repro.deadline.CHECK_INTERVAL`
+    bytes."""
+    deadline = deadline or Deadline()
     instructions: List[Instruction] = []
     append = instructions.append
     # Building through tuple.__new__ skips the named tuple's Python-level
@@ -53,18 +57,21 @@ def disassemble(code: bytes) -> List[Instruction]:
     offset = 0
     length = len(code)
     while offset < length:
-        opcode = TABLE[code[offset]]
-        size = opcode.immediate_size
-        if size:
-            end = offset + 1 + size
-            # A PUSH whose immediate is truncated by end-of-code reads zeros,
-            # matching EVM semantics.
-            operand = int.from_bytes(code[offset + 1 : end].ljust(size, b"\x00"), "big")
-            append(new(Instruction, (offset, opcode, operand)))
-            offset = end
-        else:
-            append(new(Instruction, (offset, opcode, None)))
-            offset += 1
+        stop = min(offset + CHECK_INTERVAL, length)
+        deadline.tick(stop - offset)
+        while offset < stop:
+            opcode = TABLE[code[offset]]
+            size = opcode.immediate_size
+            if size:
+                end = offset + 1 + size
+                # A PUSH whose immediate is truncated by end-of-code reads
+                # zeros, matching EVM semantics.
+                operand = int.from_bytes(code[offset + 1 : end].ljust(size, b"\x00"), "big")
+                append(new(Instruction, (offset, opcode, operand)))
+                offset = end
+            else:
+                append(new(Instruction, (offset, opcode, None)))
+                offset += 1
     return instructions
 
 

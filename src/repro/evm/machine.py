@@ -1,8 +1,8 @@
 """A concrete EVM interpreter.
 
 The :class:`Machine` executes EVM bytecode against a pluggable state backend
-(duck-typed; :class:`repro.chain.state.WorldState` is the canonical
-implementation).  It supports the full instruction set emitted by the MiniSol
+(any object with :class:`repro.chain.state.WorldState`'s methods; that class
+is the canonical implementation).  It supports the full instruction set emitted by the MiniSol
 compiler plus the usual environment opcodes, nested ``CALL`` /
 ``DELEGATECALL`` / ``STATICCALL``, ``CREATE``, ``REVERT`` with state rollback,
 and ``SELFDESTRUCT`` — the last being the one Ethainter-Kill verifies in the

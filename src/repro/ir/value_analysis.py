@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
+from repro.deadline import Deadline
 from repro.ir.tac import TACProgram
 
 UINT_MAX = (1 << 256) - 1
@@ -144,14 +145,13 @@ def _eval_pairwise(
 
 def analyze_values(
     program: TACProgram,
-    deadline: Optional[object] = None,
+    deadline: Optional[Deadline] = None,
     max_set_size: int = MAX_SET_SIZE,
 ) -> ValueAnalysis:
-    """Run the bounded value-set fixpoint over ``program``.
-
-    ``deadline`` is the usual duck-typed cooperative budget (``check()``
-    raises when spent), consulted once per sweep.
+    """Run the bounded value-set fixpoint over ``program``, checking
+    ``deadline`` (the run's budget) once per sweep.
     """
+    deadline = deadline or Deadline()
     analysis = ValueAnalysis()
     const = program.const_value
 
@@ -233,8 +233,7 @@ def analyze_values(
     while changed:
         changed = False
         analysis.iterations += 1
-        if deadline is not None and hasattr(deadline, "check"):
-            deadline.check()
+        deadline.check()
         # Memory is recomputed from scratch each sweep: it depends on the
         # variable sets, which only grow, so this is monotone too.
         memory.clear()

@@ -1,5 +1,6 @@
 """The ``repro.api`` public surface: the one supported import point."""
 
+import random
 import time
 import warnings
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.corpus import generate_corpus
+from repro.deadline import Deadline, DeadlineExceeded
+from repro.decompiler import lift
 
 # Untrusted bytecode: every input must end in a structured result within
 # the analysis deadline (plus slack for a loaded host), never a crash or
@@ -107,6 +110,20 @@ class TestUntrustedBytecode:
         assert isinstance(result, api.AnalysisResult)
         assert result.error is None or isinstance(result.error, str)
         assert elapsed < UNTRUSTED_DEADLINE + 2.0
+
+    def test_four_megabytes_end_at_the_deadline(self):
+        """4 MB of random bytes under a 0.05 s budget: when the lifter
+        decoded and split its whole input before its first check, this took
+        2-3 s.  A spent budget stops the byte sweep in its first slice."""
+        code = random.Random(7).randbytes(4 << 20)
+        start = time.monotonic()
+        result = api.analyze(code, api.AnalysisConfig(timeout_seconds=0.05))
+        assert time.monotonic() - start < 0.5
+        assert result.error == "timeout"
+        start = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            lift(code, deadline=Deadline(1e-9, started=0.0))
+        assert time.monotonic() - start < 0.05
 
 
 class TestSweepAndBattery:

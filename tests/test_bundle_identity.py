@@ -5,8 +5,8 @@ in a :class:`ContractBundle` may not perturb its report in any way.  A
 Hypothesis property drives corpus contracts through both entry points —
 ``analyze(bytecode)`` rendered via :class:`ContractReport` and
 ``analyze_bundle(one-contract bundle)`` rendered via
-:class:`BundleReport` — for both the compiled-plan engine and the legacy
-interpreter, and demands byte identity modulo the run-varying timing
+:class:`BundleReport` — on both engines, the Python fixpoint and the
+Datalog engine, and demands byte identity modulo the run-varying timing
 fields (``elapsed_seconds`` / ``stage_seconds`` are wall-clock
 measurements and differ between any two runs, bundled or not)."""
 

@@ -9,16 +9,30 @@ sample, and under every ablation configuration.
 
 import contextlib
 import gc
+import time
+from types import SimpleNamespace
 
 import pytest
 
-from repro.core.bytecode_datalog import analyze_with_datalog
+from repro.core.analysis import AnalysisConfig
+from repro.core.bytecode_datalog import (
+    _facts_to_edb,
+    _load_edb,
+    _rules,
+    analyze_with_datalog,
+)
 from repro.core.facts import extract_facts
 from repro.core.guards import build_guard_model
+from repro.core.linkage import analyze_bundle
+from repro.core.pipeline import PipelineContext, _run_facts
 from repro.core.storage_model import build_storage_model
 from repro.core.taint import TaintAnalysis, TaintOptions
 from repro.corpus import generate_corpus
+from repro.corpus.bundles import proxy_pair
+from repro.datalog import Engine
+from repro.deadline import Deadline, DeadlineExceeded
 from repro.decompiler import lift
+from repro.ir.value_analysis import analyze_values
 
 COMPARED_FIELDS = (
     "input_tainted",
@@ -120,16 +134,17 @@ class TestDatalogEntryPoints:
         assert len(result.compromised_guards) == 4
 
 
-def _memory_hop_chain(hops):
+def _memory_hop_chain(hops, words=None):
     """``CALLDATALOAD``, then ``hops`` ``PUSH2 a; MSTORE; PUSH2 a; MLOAD``
-    round trips at distinct addresses, then ``SELFDESTRUCT``: every hop's
-    copy sources include every earlier hop, so the storage model's copy
-    closure is quadratic (~8M source pairs at 2000 hops), and the taint
-    fixpoint takes one semi-naive iteration per copy.  The chain has no
-    mapping access, so no variable is mapping-confined."""
+    round trips at distinct addresses (cycling over ``words`` memory words
+    when given), then ``SELFDESTRUCT``: every hop's copy sources include
+    every earlier hop, so the storage model's copy closure is quadratic
+    (~8M source pairs at 2000 hops), and the taint fixpoint takes one
+    semi-naive iteration per copy.  The chain has no mapping access, so no
+    variable is mapping-confined."""
     code = bytearray(b"\x60\x04\x35")
     for hop in range(hops):
-        address = (0x100 + 0x20 * hop).to_bytes(2, "big")
+        address = (0x100 + 0x20 * (hop % (words or hops))).to_bytes(2, "big")
         code += b"\x61" + address + b"\x52\x61" + address + b"\x51"
     return bytes(code + b"\xff")
 
@@ -162,30 +177,21 @@ class TestDeadlineBeforeFirstIteration:
         return chain_facts, storage, build_guard_model(chain_facts, storage)
 
     def test_large_edb_raises_within_budget(self, chain_models):
-        import time
-
-        from repro.core.pipeline import Deadline, DeadlineExceeded
-
         facts, storage, guards = chain_models
-        options = TaintOptions(deadline=Deadline(0.05))
         started = time.monotonic()
         with pytest.raises(DeadlineExceeded):
             analyze_with_datalog(
-                facts=facts, storage=storage, guards=guards, options=options
+                facts=facts, storage=storage, guards=guards, deadline=Deadline(0.05)
             )
         assert time.monotonic() - started < 0.5
 
     def test_spent_budget_stops_edb_load_and_seed_round(self):
-        from repro.core.bytecode_datalog import _facts_to_edb, _load_edb, _rules
-        from repro.core.pipeline import Deadline, DeadlineExceeded
-        from repro.datalog import Engine
-
         facts = extract_facts(lift(_memory_hop_chain(100)))
         storage = build_storage_model(facts)
         guards = build_guard_model(facts, storage)
         spent = Deadline(1e-9, started=0.0)
         with pytest.raises(DeadlineExceeded):
-            _facts_to_edb(facts, storage, guards, TaintOptions(deadline=spent))
+            _facts_to_edb(facts, storage, guards, TaintOptions(), deadline=spent)
         edb = _facts_to_edb(facts, storage, guards, TaintOptions())
         with pytest.raises(DeadlineExceeded):
             _load_edb(edb, spent)
@@ -197,22 +203,17 @@ class TestDeadlineBeforeFirstIteration:
     def test_edb_build_skips_the_mapping_walk(self, chain_models):
         """No copy source is a mapping access, so the EDB build never walks
         the chain's ~8M (variable, copy source) pairs."""
-        from repro.core.bytecode_datalog import _facts_to_edb
-        from repro.core.pipeline import Deadline
-
         facts, storage, guards = chain_models
         assert not storage.mapping_accesses
         with _without_collector():
             edb = _facts_to_edb(
-                facts, storage, guards, TaintOptions(deadline=Deadline(0.3))
+                facts, storage, guards, TaintOptions(), deadline=Deadline(0.3)
             )
         assert "MappingConfined" not in edb
 
 
 class TestMappingConfined:
     def test_rows_are_the_variables_with_a_mapping_copy_source(self):
-        from repro.core.bytecode_datalog import _facts_to_edb
-
         confined_contracts = 0
         for contract in generate_corpus(30, seed=7):
             facts = extract_facts(lift(contract.runtime))
@@ -230,38 +231,90 @@ class TestMappingConfined:
 
 
 class TestStageDeadlines:
-    """The facts and storage stages stop at the budget, too."""
+    """Every stage entry stops at a spent budget, and the facts and storage
+    stages tick before their first full pass over a large lift."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        code = _memory_hop_chain(100)
+        program = lift(code)
+        facts = extract_facts(program)
+        storage = build_storage_model(facts)
+        guards = build_guard_model(facts, storage)
+        edb = _facts_to_edb(facts, storage, guards, TaintOptions())
+        return SimpleNamespace(
+            code=code, program=program, facts=facts, storage=storage,
+            guards=guards, edb=edb,
+        )
+
+    # Each stage entry, called on ``models`` under a ``spent`` budget.
+    STAGES = {
+        "lift": lambda m, spent: lift(m.code, deadline=spent),
+        "extract_facts": lambda m, spent: extract_facts(m.program, deadline=spent),
+        "_run_facts": lambda m, spent: _run_facts(
+            PipelineContext(b"", AnalysisConfig(), spent, {"lift": m.program})
+        ),
+        "analyze_values": lambda m, spent: analyze_values(m.program, deadline=spent),
+        "build_storage_model": lambda m, spent: build_storage_model(
+            m.facts, deadline=spent
+        ),
+        "build_guard_model": lambda m, spent: build_guard_model(
+            m.facts, m.storage, deadline=spent
+        ),
+        "_facts_to_edb": lambda m, spent: _facts_to_edb(
+            m.facts, m.storage, m.guards, TaintOptions(), deadline=spent
+        ),
+        "_load_edb": lambda m, spent: _load_edb(m.edb, spent),
+        "TaintAnalysis.run": lambda m, spent: TaintAnalysis(
+            m.facts, m.storage, m.guards, TaintOptions(), deadline=spent
+        ).run(),
+        "analyze_with_datalog": lambda m, spent: analyze_with_datalog(
+            facts=m.facts, storage=m.storage, guards=m.guards, deadline=spent
+        ),
+        "Engine.evaluate": lambda m, spent: Engine(_rules(TaintOptions())).evaluate(
+            _load_edb(m.edb), deadline=spent
+        ),
+    }
+
+    @pytest.mark.parametrize("stage", sorted(STAGES) + ["analyze_bundle"])
+    def test_spent_budget_stops_the_stage(self, models, stage):
+        spent = Deadline(1e-9, started=0.0)
+        if stage == "analyze_bundle":
+            # A bundle reports its timeout as a result, not an exception.
+            result = analyze_bundle(proxy_pair().bundle, deadline=spent)
+            assert result.error == "timeout" and result.deadline_exceeded
+            assert result.cross_findings == []
+            return
+        with pytest.raises(DeadlineExceeded):
+            self.STAGES[stage](models, spent)
 
     def test_copy_closure_raises_within_budget(self):
         """One closure call builds a whole chain's copy sets, so the stage
         must check its budget inside that call, not only between slices
         (at the parent it raised 0.28-0.67 s after a 0.05 s budget)."""
-        from repro.core.pipeline import Deadline, DeadlineExceeded
-
         facts = extract_facts(lift(_memory_hop_chain(2000)))
         with _without_collector(), pytest.raises(DeadlineExceeded):
             budget = Deadline(0.05)
             build_storage_model(facts, deadline=budget)
         assert budget.elapsed() < 0.25
 
-    def test_spent_budget_stops_fact_extraction(self):
-        from repro.core.analysis import AnalysisConfig
-        from repro.core.pipeline import (
-            Deadline,
-            DeadlineExceeded,
-            PipelineContext,
-            _run_facts,
+    def test_large_lift_stops_facts_and_storage_before_a_full_pass(self):
+        """A 50,000-hop chain over 2000 memory words (200,003 statements).
+        Before these stages ticked ahead of their first full pass, a spent
+        budget stopped ``extract_facts`` after 0.12 s and
+        ``build_storage_model`` after 0.19 s.  The storage model is built
+        only under a spent budget: its copy closure is quadratic."""
+        program = lift(_memory_hop_chain(50_000, words=2000))
+        assert sum(len(block.statements) for block in program.blocks.values()) == (
+            200_003
         )
-
-        program = lift(_memory_hop_chain(100))
-        spent = Deadline(1e-9, started=0.0)
-        with pytest.raises(DeadlineExceeded):
-            extract_facts(program, deadline=spent)
-        context = PipelineContext(
-            bytecode=b"",
-            config=AnalysisConfig(),
-            deadline=spent,
-            artifacts={"lift": program},
-        )
-        with pytest.raises(DeadlineExceeded):
-            _run_facts(context)
+        with _without_collector():
+            started = time.monotonic()
+            with pytest.raises(DeadlineExceeded):
+                extract_facts(program, deadline=Deadline(1e-9, started=0.0))
+            assert time.monotonic() - started < 0.05
+            facts = extract_facts(program)
+            started = time.monotonic()
+            with pytest.raises(DeadlineExceeded):
+                build_storage_model(facts, deadline=Deadline(1e-9, started=0.0))
+            assert time.monotonic() - started < 0.05

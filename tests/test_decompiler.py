@@ -1,7 +1,10 @@
 """Decompiler: CFG recovery, jump resolution, TAC generation, selectors."""
 
+import sys
+
 import pytest
 
+from repro.deadline import Deadline, DeadlineExceeded
 from repro.decompiler import LiftError, find_public_functions, lift
 from repro.decompiler.functions import blocks_reachable_from, function_of_block
 from repro.evm.assembler import assemble, parse_asm
@@ -255,25 +258,27 @@ contract C {
         assert isinstance(program.blocks, dict)
 
     def test_finalize_checks_the_deadline(self, victim_contract):
-        """The worklist checks the deadline once per block instance; the
-        pass that builds the program after it checks it too, so a lift
-        whose worklist just fit the budget cannot overrun it there."""
+        """The pass that builds the program after the worklist ticks the
+        budget once per block instance, so a lift whose worklist just fit
+        the budget cannot overrun it there."""
 
-        class Spent(Exception):
-            pass
+        class SpentAtFinalize(Deadline):
+            """Records which function ticked; spent once finalize starts."""
 
-        class ChecksLeft:
-            def __init__(self, left):
-                self.left = left
+            def __init__(self, spent):
+                super().__init__()
+                self.spent = spent
+                self.tickers = []
 
-            def check(self):
-                if not self.left:
-                    raise Spent()
-                self.left -= 1
+            def tick(self, work=1):
+                self.tickers.append(sys._getframe(1).f_code.co_name)
+                if self.spent and self.tickers[-1] == "_finalize":
+                    raise DeadlineExceeded("budget spent in finalize")
+                super().tick(work)
 
         runtime = victim_contract.runtime
-        worklist_checks = len(lift(runtime).blocks)
-        with pytest.raises(Spent):
-            lift(runtime, deadline=ChecksLeft(worklist_checks))
-        program = lift(runtime, deadline=ChecksLeft(worklist_checks + 1))
-        assert len(program.blocks) == worklist_checks
+        recording = SpentAtFinalize(spent=False)
+        program = lift(runtime, deadline=recording)
+        assert recording.tickers.count("_finalize") == len(program.blocks)
+        with pytest.raises(DeadlineExceeded):
+            lift(runtime, deadline=SpentAtFinalize(spent=True))

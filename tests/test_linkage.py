@@ -2,6 +2,7 @@
 and the end-to-end exploit replay (repro.core.linkage / kill.bundle)."""
 
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -23,6 +24,7 @@ from repro.core.vulnerabilities import (
     PROXY_UPGRADE_HIJACK,
     VULNERABILITY_KINDS,
 )
+from repro.corpus import generate_corpus
 from repro.corpus.bundles import (
     BUNDLE_TEMPLATES,
     DEPLOYER,
@@ -37,6 +39,7 @@ from repro.corpus.bundles import (
     proxy_pair,
 )
 from repro.kill import BundleKill
+from tests.test_serve import request, running_server
 
 ENGINES = ["python", "datalog"]
 
@@ -466,6 +469,76 @@ class TestCliBundle:
         path.write_text(json.dumps({"contracts": [{"address": 1, "bytecode": "00"}]}))
         with pytest.raises(SystemExit, match="replaces"):
             main(["analyze", "--bundle", str(path), "--hex", "whatever.hex"])
+
+
+# ---------------------------------------------------------------- deadline
+
+
+def _bundle_specs(bundle):
+    """``bundle`` as the JSON contract specs a bundle file or request holds."""
+    return [
+        {
+            "address": "0x%x" % contract.address,
+            "name": contract.name,
+            "bytecode": contract.runtime().hex(),
+            "storage": {str(slot): "0x%x" % value for slot, value in contract.storage},
+        }
+        for contract in bundle.contracts
+    ]
+
+
+class TestBundleDeadline:
+    """One budget covers a bundle's members and its merged pass, and a
+    bundle that runs out of it reports ``error="timeout"``."""
+
+    def test_large_bundle_ends_near_its_budget(self):
+        """The 64 largest seed-7 corpus contracts as one bundle under 0.5 s:
+        when each member got a fresh budget and the merged fixpoint none,
+        it ran 2.7-3.4 s and ended with no error."""
+        codes = sorted(
+            (contract.runtime for contract in generate_corpus(300, seed=7)),
+            key=len,
+            reverse=True,
+        )[:64]
+        bundle = ContractBundle(
+            contracts=tuple(
+                bundle_contract(0x1000 + index, bytecode=code)
+                for index, code in enumerate(codes)
+            )
+        )
+        started = time.monotonic()
+        result = analyze_bundle(bundle, AnalysisConfig(timeout_seconds=0.5))
+        assert time.monotonic() - started < 1.0
+        assert result.error == "timeout" and result.deadline_exceeded
+        assert result.cross_findings == [] and result.engine_stats is None
+
+    def test_timeout_through_the_api(self):
+        out = proxy_pair()
+        result = api.analyze_bundle(out.bundle, AnalysisConfig(timeout_seconds=1e-9))
+        assert result.error == "timeout" and result.deadline_exceeded
+        assert result.cross_findings == []
+        payload = json.loads(BundleReport.from_result(result).to_json())
+        assert payload["error"] == "timeout" and payload["deadline_exceeded"]
+        assert payload["cross_warnings"] == []
+
+    def test_timeout_through_the_cli(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps({"contracts": _bundle_specs(proxy_pair().bundle)}))
+        code = main(["analyze", "--bundle", str(path), "--deadline", "1e-9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "analysis error: timeout" in captured.out
+        assert "no cross-contract vulnerabilities found" not in captured.out
+
+    def test_timeout_through_post_analyze(self):
+        payload = {"bundle": _bundle_specs(proxy_pair().bundle), "deadline": 1e-9}
+        with running_server() as (_server, port):
+            status, body = request(port, "POST", "/analyze", payload)
+        assert status == 200
+        report = json.loads(body)
+        assert report["error"] == "timeout" and report["cross_warnings"] == []
 
 
 # ------------------------------------------------------------- kill replay

@@ -14,14 +14,29 @@ from repro.core.pipeline import (
     run_pipeline,
     stage_fingerprints,
 )
+from repro.deadline import CHECK_INTERVAL
+
+
+class CountingDeadline(Deadline):
+    """A spent budget that records its clock reads instead of raising."""
+
+    def __init__(self):
+        super().__init__(1e-9, started=0.0)
+        self.checks = 0
+
+    def check(self):
+        self.checks += 1
 
 
 class TestDeadline:
     def test_unlimited_never_expires(self):
-        deadline = Deadline.unlimited()
+        deadline = Deadline()
         assert not deadline.expired()
-        assert deadline.remaining() is None
         deadline.check()  # must not raise
+        for _ in range(3 * CHECK_INTERVAL):
+            deadline.tick()
+        for _ in deadline.chunks(range(3 * CHECK_INTERVAL)):
+            pass
 
     def test_zero_budget_expires(self):
         deadline = Deadline(0.0)
@@ -29,11 +44,35 @@ class TestDeadline:
         with pytest.raises(DeadlineExceeded):
             deadline.check()
 
-    def test_remaining_counts_down(self):
-        deadline = Deadline(1000.0)
-        remaining = deadline.remaining()
-        assert 0 < remaining <= 1000.0
-        assert not deadline.expired()
+    def test_first_tick_checks_then_once_per_interval(self):
+        deadline = CountingDeadline()
+        deadline.tick()
+        assert deadline.checks == 1
+        for _ in range(CHECK_INTERVAL - 1):
+            deadline.tick()
+        assert deadline.checks == 1
+        deadline.tick()
+        assert deadline.checks == 2
+        deadline.tick(10 * CHECK_INTERVAL)  # one read however large the unit
+        assert deadline.checks == 3
+
+    def test_first_tick_raises_on_a_spent_budget(self):
+        with pytest.raises(DeadlineExceeded):
+            Deadline(1e-9, started=0.0).tick()
+
+    def test_chunks_tick_once_per_slice(self):
+        ticks = []
+
+        class Recording(Deadline):
+            def tick(self, work=1):
+                ticks.append(work)
+
+        items = list(range(2 * CHECK_INTERVAL + 1))
+        slices = list(Recording().chunks(items))
+        assert [item for chunk in slices for item in chunk] == items
+        assert ticks == [len(chunk) for chunk in slices] == [
+            CHECK_INTERVAL, CHECK_INTERVAL, 1,
+        ]
 
 
 class TestStageGraph:
