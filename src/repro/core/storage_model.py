@@ -85,9 +85,10 @@ def build_storage_model(
     aliases, mapping roots) for one contract.
 
     ``deadline`` is ticked per slice of copy edges and of variables, for
-    the memory accesses, and per copy-closure pop (a mutated bytecode can
-    lift to 10^5 variables), and checked once per DS/DSA and
-    mapping-attribution round."""
+    the memory accesses, per copy-closure pop (a mutated bytecode can
+    lift to 10^5 variables) and per slice of each DS/DSA round's hash,
+    operation-edge, copy-edge and load loops, and checked once per DS/DSA
+    and mapping-attribution round."""
     deadline = deadline or Deadline()
     model = StorageModel(facts=facts)
 
@@ -225,32 +226,36 @@ def build_storage_model(
         deadline.check()
         changed = False
         # DS-Lookup / DSA-Lookup: hashing DS or DSA data yields a DSA.
-        for hash_fact in facts.hashes:
-            if hash_fact.def_var in dsa:
-                continue
-            if any(arg in ds or arg in dsa for arg in hash_fact.args):
-                dsa.add(hash_fact.def_var)
-                changed = True
+        for chunk in deadline.chunks(facts.hashes):
+            for hash_fact in chunk:
+                if hash_fact.def_var in dsa:
+                    continue
+                if any(arg in ds or arg in dsa for arg in hash_fact.args):
+                    dsa.add(hash_fact.def_var)
+                    changed = True
         # DS-AddrOp: arithmetic over a DSA stays a DSA.
-        for source, dest in op_edges:
-            if source in dsa and dest not in dsa:
-                dsa.add(dest)
-                changed = True
+        for chunk in deadline.chunks(op_edges):
+            for source, dest in chunk:
+                if source in dsa and dest not in dsa:
+                    dsa.add(dest)
+                    changed = True
         # Copies preserve both relations.
-        for source, dest in copy_edges_all:
-            if source in ds and dest not in ds:
-                ds.add(dest)
-                changed = True
-            if source in dsa and dest not in dsa:
-                dsa.add(dest)
-                changed = True
+        for chunk in deadline.chunks(copy_edges_all):
+            for source, dest in chunk:
+                if source in ds and dest not in ds:
+                    ds.add(dest)
+                    changed = True
+                if source in dsa and dest not in dsa:
+                    dsa.add(dest)
+                    changed = True
         # DSA-Load: dereferencing a DSA address yields DS data.
-        for load in facts.storage_loads:
-            if load.def_var is None or load.def_var in ds:
-                continue
-            if load.address_var in dsa:
-                ds.add(load.def_var)
-                changed = True
+        for chunk in deadline.chunks(facts.storage_loads):
+            for load in chunk:
+                if load.def_var is None or load.def_var in ds:
+                    continue
+                if load.address_var in dsa:
+                    ds.add(load.def_var)
+                    changed = True
     model.ds_vars = ds
     model.dsa_vars = dsa
 

@@ -7,8 +7,9 @@ Ethainter rules in the paper.  Supports:
 * stratified negation (negative dependencies may not occur inside a
   recursive component — checked at stratification time),
 * compiled join plans (:mod:`repro.datalog.planner`): literals reordered
-  by a sideways-information-passing heuristic, constants and facts
-  interned to dense ints, indexes registered eagerly, per-rule
+  by a sideways-information-passing heuristic, each plan variant run as
+  generated nested join loops, constants and facts interned to dense
+  ints, indexes registered eagerly, per-rule
   :class:`~repro.datalog.planner.EngineStats` profiling,
 * compile-once programs (:class:`CompiledProgram`): a ruleset is
   stratified and planned once, its plan templates cached by the ranks of

@@ -9,14 +9,16 @@ Evaluation pipeline:
    caches join-plan templates (see :mod:`repro.datalog.planner`): body
    literals reordered by a sideways-information-passing heuristic,
    per-literal index signatures precomputed, and one delta-specialized
-   variant per recursive body position.  Templates are keyed by the ranks
-   of the relation sizes the heuristic compares, so every database whose
-   sizes rank alike shares one compiled plan.
-2. **Binding, once per evaluation** — each stratum's templates are copied
-   just before it runs; the copies get the database's interned constants
-   and eagerly registered indexes, and are executed by a flat,
-   non-recursive interpreter.  Templates are never mutated, so one
-   program serves any number of engines and threads.
+   variant per recursive body position, each with a generated join
+   function.  Templates are keyed by the ranks of the relation sizes the
+   heuristic compares, so every database whose sizes rank alike shares
+   one compiled plan.
+2. **Binding, once per evaluation** — just before a stratum runs, each
+   variant's join factory is called with the database's interned
+   constants, live relation sets and eagerly registered indexes; the
+   closure it returns runs the variant's nested join loops.  Templates
+   are never mutated, so one program serves any number of engines and
+   threads.
 3. **Semi-naive iteration** — within a recursive SCC, each round runs the
    delta variants whose delta relation gained facts in the previous round,
    probing per-round delta indexes so both sides of a recursive join are
@@ -32,6 +34,7 @@ evaluator.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -46,15 +49,25 @@ from typing import (
 )
 
 from repro.datalog.planner import (
+    CONST,
+    INDEX,
     EngineStats,
-    NegGuard,
     PlanVariant,
     RulePlan,
-    Spec,
+    traced_factory,
 )
 from repro.datalog.program import CompiledProgram
 from repro.datalog.terms import Rule
 from repro.deadline import Deadline
+
+
+def _key_getter(positions: Tuple[int, ...]) -> Callable[[Tuple], Tuple]:
+    """A C-level function from a fact to its values at ``positions``, as a
+    tuple (a slice when the positions are contiguous)."""
+    first, last = positions[0], positions[-1]
+    if positions == tuple(range(first, last + 1)):
+        return itemgetter(slice(first, last + 1))
+    return itemgetter(*positions)
 
 
 class Database:
@@ -77,10 +90,10 @@ class Database:
         self._symbols: List[Any] = []
         # relation -> set of interned tuples
         self._relations: Dict[str, Set[Tuple[int, ...]]] = {}
-        # relation -> {bound positions: {interned key: [interned facts]}} —
-        # nested by relation so inserts only touch the inserted relation's
-        # indexes (a flat map made every add() scan every index).
-        self._indexes: Dict[str, Dict[Tuple[int, ...], Dict[Tuple, List[Tuple]]]] = {}
+        # relation -> {bound positions: (key getter, {interned key:
+        # [interned facts]})} — nested by relation so inserts only touch
+        # the inserted relation's indexes.
+        self._indexes: Dict[str, Dict[Tuple[int, ...], Tuple[Callable, Dict]]] = {}
         # relation -> cached frozenset of decoded facts (facts() result),
         # invalidated on insert.
         self._decoded: Dict[str, frozenset] = {}
@@ -105,41 +118,46 @@ class Database:
 
     def add(self, relation: str, fact: Iterable) -> bool:
         """Insert one fact (raw values); returns True if it was new."""
+        return self.add_all(relation, (fact,)) == 1
+
+    def add_all(self, relation: str, facts: Iterable[Iterable]) -> int:
+        """Insert many facts (raw values); returns how many were new."""
         intern = self._intern
         symbols = self._symbols
-        interned: List[int] = []
-        for value in fact:
-            ident = intern.get(value)
-            if ident is None:
-                ident = len(symbols)
-                intern[value] = ident
-                symbols.append(value)
-            interned.append(ident)
-        return self._add_interned(relation, tuple(interned))
+        interned: List[Tuple[int, ...]] = []
+        for fact in facts:
+            row: List[int] = []
+            for value in fact:
+                ident = intern.get(value)
+                if ident is None:
+                    ident = len(symbols)
+                    intern[value] = ident
+                    symbols.append(value)
+                row.append(ident)
+            interned.append(tuple(row))
+        return len(self._insert(relation, interned))
 
-    def _add_interned(self, relation: str, fact: Tuple[int, ...]) -> bool:
-        """Insert an already-interned fact; returns True if it was new."""
-        rel = self._relations.get(relation)
-        if rel is None:
-            rel = self._relations[relation] = set()
-        if fact in rel:
-            return False
-        rel.add(fact)
+    def _insert(self, relation: str, facts: Iterable[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
+        """Insert already-interned facts; returns the new ones, in order."""
+        rel = self.relation_view(relation)
         indexes = self._indexes.get(relation)
-        if indexes:
-            for positions, index in indexes.items():
-                key = tuple(fact[position] for position in positions)
+        maintained = list(indexes.values()) if indexes else ()
+        new = []
+        for fact in facts:
+            if fact in rel:
+                continue
+            rel.add(fact)
+            new.append(fact)
+            for key_of, index in maintained:
+                key = key_of(fact)
                 bucket = index.get(key)
                 if bucket is None:
                     index[key] = [fact]
                 else:
                     bucket.append(fact)
-        self._decoded.pop(relation, None)
-        return True
-
-    def add_all(self, relation: str, facts: Iterable[Iterable]) -> int:
-        """Insert many facts; returns how many were new."""
-        return sum(1 for fact in facts if self.add(relation, fact))
+        if new:
+            self._decoded.pop(relation, None)
+        return new
 
     # -------------------------------------------------------------- reads
 
@@ -191,20 +209,20 @@ class Database:
         created it; the returned dict is live — inserts keep it fresh.
         """
         relation_indexes = self._indexes.setdefault(relation, {})
-        index = relation_indexes.get(positions)
-        if index is not None:
-            return index, False
-        return self._build_index(relation, positions), True
-
-    def _build_index(
-        self, relation: str, positions: Tuple[int, ...]
-    ) -> Dict[Tuple, List[Tuple]]:
+        entry = relation_indexes.get(positions)
+        if entry is not None:
+            return entry[1], False
+        key_of = _key_getter(positions)
         index: Dict[Tuple, List[Tuple]] = {}
-        for fact in self._relations.get(relation, ()):
-            key = tuple(fact[position] for position in positions)
-            index.setdefault(key, []).append(fact)
-        self._indexes.setdefault(relation, {})[positions] = index
-        return index
+        for fact in self.relation_view(relation):
+            key = key_of(fact)
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = [fact]
+            else:
+                bucket.append(fact)
+        relation_indexes[positions] = (key_of, index)
+        return index, True
 
     def relation_view(self, relation: str) -> Set[Tuple[int, ...]]:
         """The live *interned* fact set of ``relation``, created on demand
@@ -215,17 +233,6 @@ class Database:
         return rel
 
 
-def _intern_spec(spec: Spec, intern: Callable[[Any], int]) -> Spec:
-    """``spec`` with its constants interned (shared as-is when it has
-    none)."""
-    if all(from_slot for from_slot, _ in spec):
-        return spec
-    return tuple(
-        (True, value) if from_slot else (False, intern(value))
-        for from_slot, value in spec
-    )
-
-
 class Engine:
     """Evaluates a rule program over a database to fixpoint.
 
@@ -234,9 +241,9 @@ class Engine:
     Callers that evaluate one ruleset many times share one program, so
     parsing, stratification and join planning happen once per ruleset
     (and size-rank signature), not once per evaluation.  Each
-    :meth:`evaluate` binds fresh copies of the program's plan templates to
-    its database.  ``stats`` accumulates :class:`EngineStats` counters
-    across evaluations.
+    :meth:`evaluate` binds the join functions of the program's plan
+    templates to its database.  ``stats`` accumulates :class:`EngineStats`
+    counters across evaluations.
 
     With ``track_provenance=True`` the engine records, for each derived
     fact, the rule and body facts of its *first* derivation; ``explain``
@@ -269,117 +276,89 @@ class Engine:
     ) -> Database:
         """Run all strata to fixpoint, mutating and returning ``database``.
 
-        ``deadline`` (the run's budget) is checked before each plan is
-        bound, before each rule's seed round, and once per semi-naive
-        iteration, so neither a large EDB nor runaway recursion outlives
-        the caller's cutoff by more than one round.
+        ``deadline`` (the run's budget) is checked before each rule is
+        bound, before each rule's seed round and once per semi-naive
+        round, and the generated join loops tick it every
+        :data:`~repro.datalog.planner.TICK_PROBES` join probes, so the
+        clock is read inside a long round too, not only between rounds.
         """
         deadline = deadline or Deadline()
         self.stats.evaluations += 1
         # The program picks plan templates by the relation sizes read here,
-        # before the first stratum runs; each stratum then binds fresh
-        # copies (constants interned, indexes registered) just before it
-        # runs.
+        # before the first stratum runs; each stratum then binds its join
+        # functions (constants interned, indexes registered) just before
+        # it runs.
         for templates in self.program.plans(database.count):
-            plans = []
-            for template in templates:
+            bound = []
+            for plan in templates:
                 deadline.check()
-                plans.append(self._bind_plan(database, template))
-            self._evaluate_stratum(database, plans, max_iterations, deadline)
+                seed = self._bind(database, plan.seed, deadline)
+                deltas = [
+                    (variant.delta_relation, self._bind(database, variant, deadline))
+                    for variant in plan.delta_variants.values()
+                ]
+                bound.append((plan, seed, deltas))
+            self._evaluate_stratum(database, bound, max_iterations, deadline)
         return database
 
     # ------------------------------------------------------------- executor
 
-    def _bind_plan(self, database: Database, template: RulePlan) -> RulePlan:
-        """A copy of ``template`` bound to ``database``: constants interned,
-        live relation views captured, and the indexes its join steps
-        declared registered eagerly.  The template itself is untouched."""
-        seed = self._bind_variant(database, template.seed)
-        delta_variants = {
-            position: self._bind_variant(database, variant)
-            for position, variant in template.delta_variants.items()
-        }
-        return template.with_variants(seed, delta_variants)
-
-    def _bind_variant(
-        self, database: Database, template: PlanVariant
-    ) -> PlanVariant:
-        intern = database.intern_value
-        variant = template.copy()
-        variant.prelude = tuple(
-            self._bind_guard(database, guard) for guard in template.prelude
-        )
-        steps = []
-        for source in template.steps:
-            step = source.copy()
-            step.key_spec = _intern_spec(source.key_spec, intern)
-            if step.key_spec and all(
-                not from_slot for from_slot, _ in step.key_spec
-            ):
-                step.static_key = tuple(value for _, value in step.key_spec)
-            if step.delta:
-                pass  # candidates come from the per-round delta sets
-            elif step.positions:
-                index, built = database.register_index(
-                    step.relation, step.positions
-                )
-                step.index = index
+    def _bind(
+        self, database: Database, variant: PlanVariant, deadline: Deadline
+    ) -> Callable[[Optional[Dict], Optional[Dict]], list]:
+        """``variant``'s join function over ``database``: its factory
+        called with the variant's statics and its bindings resolved
+        (constants interned, live relation sets captured, and the indexes
+        its join steps probe registered eagerly).  The template is
+        untouched."""
+        stats = self.stats
+        args: List[Any] = [stats, deadline.tick, database._symbols, *variant.statics]
+        for kind, value in variant.bindings:
+            if kind == CONST:
+                args.append(database.intern_value(value))
+            elif kind == INDEX:
+                index, built = database.register_index(*value)
                 if built:
-                    self.stats.index_builds += 1
+                    stats.index_builds += 1
+                args.append(index)
             else:
-                step.rel_set = database.relation_view(step.relation)
-            step.guards = tuple(
-                self._bind_guard(database, guard) for guard in source.guards
-            )
-            steps.append(step)
-        variant.steps = tuple(steps)
-        variant.head_spec = _intern_spec(template.head_spec, intern)
-        if all(not from_slot for from_slot, _ in variant.head_spec):
-            variant.static_head = tuple(value for _, value in variant.head_spec)
-        return variant
-
-    @staticmethod
-    def _bind_guard(database: Database, guard):
-        if guard.__class__ is NegGuard:
-            bound = NegGuard(
-                guard.relation,
-                _intern_spec(guard.key_spec, database.intern_value),
-                guard.orig_index,
-            )
-            bound.rel_set = database.relation_view(guard.relation)
-            return bound
-        # FilterGuard constants stay raw: predicates see original values.
-        return guard
+                args.append(database.relation_view(value))
+        if self.track_provenance:
+            return traced_factory(variant)(*args)
+        return variant.factory(*args)
 
     def _evaluate_stratum(
         self,
         database: Database,
-        plans: List[RulePlan],
+        bound: List[Tuple[RulePlan, Callable, List[Tuple[str, Callable]]]],
         max_iterations: int,
         deadline: Deadline,
     ) -> None:
+        """Run one stratum's bound rules, ``(plan, seed run, [(delta
+        relation, delta run), ...])`` each, to fixpoint."""
         stats = self.stats
         tracking = self.track_provenance
-        heads = {plan.rule.head.relation for plan in plans}
+        heads = {plan.rule.head.relation for plan, _, _ in bound}
+        insert = database._insert
 
-        def flush(plan: RulePlan, matches, delta_out) -> None:
-            derived = 0
+        def flush(plan: RulePlan, matches: list, delta_out) -> None:
             relation = plan.rule.head.relation
-            for head_fact, support in matches:
-                if database._add_interned(relation, head_fact):
-                    derived += 1
-                    delta_out[relation].add(head_fact)
-                    if tracking:
-                        self._record_interned(
-                            database, plan.rule, head_fact, support
-                        )
-            stats.count_rule(plan.key, len(matches), derived)
+            if tracking:
+                new = []
+                for head, support in matches:
+                    if insert(relation, (head,)):
+                        new.append(head)
+                        self._record_interned(database, plan.rule, head, support)
+            else:
+                new = insert(relation, matches)
+            delta_out[relation].update(new)
+            stats.count_rule(plan.key, len(matches), len(new))
 
         # Naive first round to seed deltas, then semi-naive iteration.
         delta: Dict[str, Set[Tuple]] = {rel: set() for rel in heads}
-        for plan in plans:
+        for plan, seed, _ in bound:
             deadline.check()
-            flush(plan, self._run_variant(database, plan.seed, None, None), delta)
+            flush(plan, seed(None, None), delta)
 
         iterations = 0
         while any(delta.values()):
@@ -389,147 +368,13 @@ class Engine:
             deadline.check()
             stats.iterations += 1
             new_delta: Dict[str, Set[Tuple]] = {rel: set() for rel in heads}
-            delta_index_cache: Dict = {}
-            for plan in plans:
-                for variant in plan.delta_variants.values():
-                    if not delta.get(variant.delta_relation):
-                        continue
-                    flush(
-                        plan,
-                        self._run_variant(
-                            database, variant, delta, delta_index_cache
-                        ),
-                        new_delta,
-                    )
+            delta_indexes: Dict = {}
+            for plan, _, variants in bound:
+                for relation, run in variants:
+                    if delta.get(relation):
+                        flush(plan, run(delta, delta_indexes), new_delta)
             delta = new_delta
         stats.stratum_iterations.append(iterations)
-
-    def _run_variant(
-        self,
-        database: Database,
-        variant: PlanVariant,
-        delta: Optional[Dict[str, Set[Tuple]]],
-        delta_index_cache: Optional[Dict],
-    ) -> List[Tuple[Tuple, list]]:
-        """Execute one bound plan variant: a flat backtracking join over
-        resumable candidate iterators.  Returns ``(head fact, support)``
-        pairs (support is empty unless provenance tracking is on)."""
-        env: List[Any] = [None] * variant.n_slots
-        for guard in variant.prelude:
-            if not self._eval_guard(database, guard, env):
-                return []
-        steps = variant.steps
-        depth = len(steps)
-        if depth == 0:
-            return [(variant.static_head, [])]
-        tracking = self.track_provenance
-        results: List[Tuple[Tuple, list]] = []
-        iters: List[Any] = [None] * depth
-        trail: List[Any] = [None] * depth
-        head_spec = variant.head_spec
-        static_head = variant.static_head
-        level = 0
-        iters[0] = self._candidates(steps[0], env, delta, delta_index_cache)
-        while level >= 0:
-            step = steps[level]
-            descended = False
-            for fact in iters[level]:
-                ok = True
-                for position, slot in step.outs:
-                    env[slot] = fact[position]
-                for position, slot in step.checks:
-                    if fact[position] != env[slot]:
-                        ok = False
-                        break
-                if ok:
-                    for guard in step.guards:
-                        if not self._eval_guard(database, guard, env):
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                if tracking:
-                    trail[level] = (step.orig_index, step.relation, fact)
-                if level + 1 == depth:
-                    head = static_head
-                    if head is None:
-                        head = tuple(
-                            env[value] if from_slot else value
-                            for from_slot, value in head_spec
-                        )
-                    results.append((head, list(trail) if tracking else []))
-                    continue
-                level += 1
-                iters[level] = self._candidates(
-                    steps[level], env, delta, delta_index_cache
-                )
-                descended = True
-                break
-            if not descended:
-                level -= 1
-        return results
-
-    def _candidates(
-        self,
-        step,
-        env: List[Any],
-        delta: Optional[Dict[str, Set[Tuple]]],
-        delta_index_cache: Optional[Dict],
-    ):
-        """Iterator over a join step's candidate facts: delta set/index for
-        delta steps, registered index probe or full scan otherwise."""
-        stats = self.stats
-        stats.join_probes += 1
-        if step.delta:
-            facts = delta.get(step.relation, ())
-            if not step.positions:
-                return iter(facts)
-            cache_key = (step.relation, step.positions)
-            index = delta_index_cache.get(cache_key)
-            if index is None:
-                index = {}
-                for fact in facts:
-                    key = tuple(fact[position] for position in step.positions)
-                    index.setdefault(key, []).append(fact)
-                delta_index_cache[cache_key] = index
-                stats.delta_index_builds += 1
-            key = step.static_key
-            if key is None:
-                key = tuple(
-                    env[value] if from_slot else value
-                    for from_slot, value in step.key_spec
-                )
-            return iter(index.get(key, ()))
-        if not step.positions:
-            return iter(step.rel_set)
-        key = step.static_key
-        if key is None:
-            key = tuple(
-                env[value] if from_slot else value
-                for from_slot, value in step.key_spec
-            )
-        stats.index_probes += 1
-        bucket = step.index.get(key)
-        if bucket is None:
-            return iter(())
-        stats.index_hits += 1
-        return iter(bucket)
-
-    def _eval_guard(self, database: Database, guard, env: List[Any]) -> bool:
-        """Evaluate a bound negation or filter guard against the current
-        slot environment."""
-        if guard.__class__ is NegGuard:
-            probe = tuple(
-                env[value] if from_slot else value
-                for from_slot, value in guard.key_spec
-            )
-            return probe not in guard.rel_set
-        symbols = database._symbols
-        values = [
-            symbols[env[value]] if from_slot else value
-            for from_slot, value in guard.arg_spec
-        ]
-        return bool(guard.predicate(*values))
 
     # ----------------------------------------------------------- provenance
 

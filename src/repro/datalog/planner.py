@@ -21,20 +21,27 @@ module performs the equivalent ahead-of-time work for :class:`~repro.datalog.eng
   variant treats that literal as the semi-naive delta: it is preferred
   early in the join order (deltas are small), and when probed it uses a
   per-round delta index, so both sides of a recursive join are indexed.
+* **Join code** — each variant becomes Python source with one nested
+  ``for`` loop per join step over local variables (:func:`join_source`),
+  compiled once per distinct source (:func:`join_factory`).  The source
+  holds slot numbers, fact positions and parameter names only; relation
+  names, constants, predicates and database references are arguments of
+  the compiled factory, so no rule text reaches ``compile()``.
 
 Plans are *compiled* once per ruleset and size-rank signature (the
 templates :class:`~repro.datalog.program.CompiledProgram` caches) and
-*bound* per evaluation: the engine copies each template, interns the
-copy's constants against the database's symbol table and captures index
-and relation references on the copy, then executes it with a flat,
-non-recursive interpreter.  A template is never mutated.
-:class:`EngineStats` is the observability record the engine fills while
-executing plans.
+*bound* per evaluation: the engine interns each variant's constants
+against the database's symbol table, registers its indexes and calls its
+factory, whose closure runs the variant's joins.  A template is never
+mutated.  :class:`EngineStats` is the observability record the generated
+loops fill.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.datalog.terms import Filter, Literal, Rule, Variable
@@ -78,7 +85,7 @@ class EngineStats:
       index (a non-delta step with bound positions); ``index_hits`` —
       those that found at least one candidate.
     * ``index_builds`` — hash indexes built on the database while binding
-      plan copies (an index that already exists is reused, not counted).
+      plan variants (an index that already exists is reused, not counted).
     * ``delta_index_builds`` — per-round indexes built over a delta
       relation, one per (relation, bound positions) per round.
     """
@@ -140,8 +147,7 @@ class EngineStats:
 # ------------------------------------------------------------ plan structure
 #
 # A *spec* is a tuple of (from_slot, value) pairs: from_slot=True reads the
-# environment slot ``value``; from_slot=False is a constant (raw in the
-# template, interned in a copy bound to a database).
+# environment slot ``value``; from_slot=False is a raw constant.
 
 Spec = Tuple[Tuple[bool, Any], ...]
 
@@ -157,13 +163,10 @@ class JoinStep:
         "delta",
         "positions",
         "key_spec",
-        "static_key",
         "outs",
         "checks",
         "guards",
         "orig_index",
-        "rel_set",
-        "index",
     )
 
     def __init__(
@@ -180,31 +183,10 @@ class JoinStep:
         self.delta = delta
         self.positions = positions
         self.key_spec = key_spec
-        self.static_key: Optional[Tuple] = None
         self.outs = outs
         self.checks = checks
         self.guards: Tuple[Any, ...] = ()
         self.orig_index = orig_index
-        # Set on bound copies only: direct references into the database.
-        self.rel_set: Optional[Set[Tuple]] = None
-        self.index: Optional[Dict[Tuple, List[Tuple]]] = None
-
-    def copy(self) -> "JoinStep":
-        """A shallow copy, for binding (every field is immutable on a
-        template)."""
-        step = JoinStep.__new__(JoinStep)
-        step.relation = self.relation
-        step.delta = self.delta
-        step.positions = self.positions
-        step.key_spec = self.key_spec
-        step.static_key = self.static_key
-        step.outs = self.outs
-        step.checks = self.checks
-        step.guards = self.guards
-        step.orig_index = self.orig_index
-        step.rel_set = self.rel_set
-        step.index = self.index
-        return step
 
     def __repr__(self) -> str:
         source = "Δ" if self.delta else ""
@@ -214,13 +196,12 @@ class JoinStep:
 class NegGuard:
     """A negated literal, compiled to a full-tuple membership probe."""
 
-    __slots__ = ("relation", "key_spec", "orig_index", "rel_set")
+    __slots__ = ("relation", "key_spec", "orig_index")
 
     def __init__(self, relation: str, key_spec: Spec, orig_index: int):
         self.relation = relation
         self.key_spec = key_spec
         self.orig_index = orig_index
-        self.rel_set: Optional[Set[Tuple]] = None
 
     def __repr__(self) -> str:
         return "<neg %s>" % self.relation
@@ -248,7 +229,10 @@ class PlanVariant:
     ``delta_relation`` names the relation the variant's delta step scans
     (None for the seed/naive variant).  ``prelude`` holds guards whose
     variables are bound before any generator runs (constant-only filters
-    and negations)."""
+    and negations).  ``factory`` is the variant's generated join function,
+    compiled from ``source`` (see :func:`join_source`); ``statics`` and
+    ``bindings`` say what to pass it.  Its provenance-tracking twin is
+    compiled on first use (:func:`traced_factory`)."""
 
     __slots__ = (
         "rule",
@@ -259,8 +243,10 @@ class PlanVariant:
         "steps",
         "head_relation",
         "head_spec",
-        "static_head",
-        "n_slots",
+        "statics",
+        "bindings",
+        "source",
+        "factory",
     )
 
     def __init__(
@@ -270,7 +256,6 @@ class PlanVariant:
         prelude: Tuple[Any, ...],
         steps: Tuple[JoinStep, ...],
         head_spec: Spec,
-        n_slots: int,
     ):
         self.rule = rule
         self.key: Optional[str] = None  # set by RulePlan (shared repr)
@@ -282,23 +267,10 @@ class PlanVariant:
         self.steps = steps
         self.head_relation = rule.head.relation
         self.head_spec = head_spec
-        self.static_head: Optional[Tuple] = None
-        self.n_slots = n_slots
-
-    def copy(self) -> "PlanVariant":
-        """A shallow copy, for binding."""
-        variant = PlanVariant.__new__(PlanVariant)
-        variant.rule = self.rule
-        variant.key = self.key
-        variant.delta_position = self.delta_position
-        variant.delta_relation = self.delta_relation
-        variant.prelude = self.prelude
-        variant.steps = self.steps
-        variant.head_relation = self.head_relation
-        variant.head_spec = self.head_spec
-        variant.static_head = self.static_head
-        variant.n_slots = self.n_slots
-        return variant
+        self.statics, self.bindings, source = join_source(self, traced=False)
+        # Interned: templates of one shape share one copy of the source.
+        self.source = sys.intern(source)
+        self.factory = join_factory(self.source)
 
     def order(self) -> List[str]:
         """Relation names in execution order (tests / debugging)."""
@@ -335,22 +307,188 @@ class RulePlan:
         """Every variant (seed first)."""
         return [self.seed] + list(self.delta_variants.values())
 
-    def with_variants(
-        self, seed: PlanVariant, delta_variants: Dict[int, PlanVariant]
-    ) -> "RulePlan":
-        """This plan over other (bound) copies of its variants."""
-        plan = RulePlan.__new__(RulePlan)
-        plan.rule = self.rule
-        plan.key = self.key
-        plan.seed = seed
-        plan.delta_variants = delta_variants
-        return plan
-
     def __repr__(self) -> str:
         return "<rule-plan %s (%d delta variant(s))>" % (
             self.key,
             len(self.delta_variants),
         )
+
+
+# ------------------------------------------------------------- join code
+#
+# A plan variant runs as a generated function: one nested ``for`` loop per
+# join step over local variables (``v<slot>`` for slots, ``f<level>`` for
+# facts), with failed checks and guards as ``continue``.  The source holds
+# slot numbers, fact positions and parameter names only.  Everything taken
+# from the rule arrives as a factory parameter: ``s<n>`` for the variant's
+# ``statics`` (relation names, filter predicates, raw filter constants and
+# delta-index keys, passed as they are) and ``a<n>`` for its ``bindings``,
+# which the engine resolves against each database:
+#
+# * ``(CONST, value)`` — a rule constant, interned into the database;
+# * ``(INDEX, (relation, positions))`` — the database's live hash index;
+# * ``(RELATION, relation)`` — the database's live fact set.
+#
+# So no rule text reaches ``compile()``, and variants of one shape share
+# one compiled function.  Bindings are listed in the order the engine has
+# always interned a variant's constants (prelude guards, then each step's
+# key and guards, then the head): symbol ids, and with them the order the
+# interned sets iterate in and so the first derivation provenance keeps,
+# stay what they were.
+
+CONST, INDEX, RELATION = "const", "index", "relation"
+
+# Join probes between two ticks of the run's deadline (a power of two: the
+# generated loops test ``probes & (TICK_PROBES - 1)``).
+TICK_PROBES = 4096
+
+# Shapes kept compiled; a template holds its own function, so eviction
+# only costs a recompile for the next template of that shape.
+JOIN_CACHE_SIZE = 1024
+
+
+def _tuple_expr(items: List[str]) -> str:
+    return "(%s,)" % items[0] if len(items) == 1 else "(%s)" % ", ".join(items)
+
+
+def join_source(
+    variant: "PlanVariant", traced: bool
+) -> Tuple[Tuple[Any, ...], Tuple[Tuple[str, Any], ...], str]:
+    """``(statics, bindings, source)`` of ``variant``'s join function.
+
+    The source defines ``factory(stats, tick, symbols, s0, ..., a0, ...)``,
+    which returns ``run(delta, delta_indexes)``: one execution of the
+    variant, returning its head facts in derivation order (with
+    ``traced``, ``(head, support)`` pairs, support being ``(body index,
+    relation, fact)`` per step).  ``run`` counts its probes, index probes,
+    hits and delta-index builds in locals, adds them to ``stats`` once,
+    and calls ``tick`` every :data:`TICK_PROBES` join probes.
+    """
+    statics: List[Any] = []
+    bindings: List[Tuple[str, Any]] = []
+    # (indent, text) per line of ``run``'s body; ``counters`` maps each
+    # local counter used to the EngineStats field it is added to.
+    lines: List[Tuple[int, str]] = []
+    emit = lines.append
+    counters: Dict[str, str] = {}
+
+    def static(value: Any) -> str:
+        statics.append(value)
+        return "s%d" % (len(statics) - 1)
+
+    def param(kind: str, value: Any) -> str:
+        bindings.append((kind, value))
+        return "a%d" % (len(bindings) - 1)
+
+    def terms(spec: Spec) -> List[str]:
+        return ["v%d" % value if from_slot else param(CONST, value) for from_slot, value in spec]
+
+    def failed(guard: Any) -> str:
+        if guard.__class__ is NegGuard:
+            key = _tuple_expr(terms(guard.key_spec))
+            return "%s in %s" % (key, param(RELATION, guard.relation))
+        predicate = static(guard.predicate)
+        args = [
+            "symbols[v%d]" % value if from_slot else static(value)
+            for from_slot, value in guard.arg_spec
+        ]
+        return "not %s(%s)" % (predicate, ", ".join(args))
+
+    prologue = []
+    for guard in variant.prelude:
+        emit((0, "if %s:" % failed(guard)))
+        emit((1, "return []"))
+    emit((0, "out = []"))
+    emit((0, "append = out.append"))
+    depth = 0
+    trail = []
+    for level, step in enumerate(variant.steps):
+        key = _tuple_expr(terms(step.key_spec))
+        name = static(step.relation)
+        fact = "f%d" % level
+        counters["probes"] = "join_probes"
+        emit((depth, "probes += 1"))
+        emit((depth, "if not probes & %d:" % (TICK_PROBES - 1)))
+        emit((depth + 1, "tick(%d)" % TICK_PROBES))
+        if step.delta:
+            prologue.append("delta_facts = delta.get(%s, ())" % name)
+            if step.positions:
+                # Built at the step's first probe in a round, shared by
+                # every variant probing this relation on these positions.
+                delta_key = static((step.relation, step.positions))
+                prologue.append("delta_index = None")
+                counters["builds"] = "delta_index_builds"
+                index_key = _tuple_expr(["fact[%d]" % p for p in step.positions])
+                emit((depth, "if delta_index is None:"))
+                emit((depth + 1, "delta_index = delta_indexes.get(%s)" % delta_key))
+                emit((depth + 1, "if delta_index is None:"))
+                emit((depth + 2, "delta_index = delta_indexes[%s] = {}" % delta_key))
+                emit((depth + 2, "for fact in delta_facts:"))
+                emit((depth + 3, "index_key = %s" % index_key))
+                emit((depth + 3, "bucket = delta_index.get(index_key)"))
+                emit((depth + 3, "if bucket is None:"))
+                emit((depth + 4, "delta_index[index_key] = [fact]"))
+                emit((depth + 3, "else:"))
+                emit((depth + 4, "bucket.append(fact)"))
+                emit((depth + 2, "builds += 1"))
+                emit((depth, "for %s in delta_index.get(%s, ()):" % (fact, key)))
+            else:
+                emit((depth, "for %s in delta_facts:" % fact))
+        elif step.positions:
+            index = param(INDEX, (step.relation, step.positions))
+            counters["index_probes"] = "index_probes"
+            counters["hits"] = "index_hits"
+            emit((depth, "index_probes += 1"))
+            emit((depth, "bucket%d = %s.get(%s)" % (level, index, key)))
+            emit((depth, "if bucket%d is not None:" % level))
+            depth += 1
+            emit((depth, "hits += 1"))
+            emit((depth, "for %s in bucket%d:" % (fact, level)))
+        else:
+            emit((depth, "for %s in %s:" % (fact, param(RELATION, step.relation))))
+        depth += 1
+        for position, slot in step.outs:
+            emit((depth, "v%d = %s[%d]" % (slot, fact, position)))
+        for position, slot in step.checks:
+            emit((depth, "if %s[%d] != v%d:" % (fact, position, slot)))
+            emit((depth + 1, "continue"))
+        for guard in step.guards:
+            emit((depth, "if %s:" % failed(guard)))
+            emit((depth + 1, "continue"))
+        trail.append("(%d, %s, %s)" % (step.orig_index, name, fact))
+    head = _tuple_expr(terms(variant.head_spec))
+    if traced:
+        emit((depth, "append((%s, [%s]))" % (head, ", ".join(trail))))
+    else:
+        emit((depth, "append(%s)" % head))
+
+    parameters = ["stats", "tick", "symbols"]
+    parameters += ["s%d" % n for n in range(len(statics))]
+    parameters += ["a%d" % n for n in range(len(bindings))]
+    body = [(0, line) for line in prologue]
+    if counters:
+        body.append((0, "%s = 0" % " = ".join(counters)))
+    body += lines
+    body += [(0, "stats.%s += %s" % (stat, local)) for local, stat in counters.items()]
+    body.append((0, "return out"))
+    source = ["def factory(%s):" % ", ".join(parameters), "    def run(delta, delta_indexes):"]
+    source += ["        " + "    " * indent + text for indent, text in body]
+    source += ["    return run", ""]
+    return tuple(statics), tuple(bindings), "\n".join(source)
+
+
+@lru_cache(maxsize=JOIN_CACHE_SIZE)
+def join_factory(source: str) -> Callable[..., Callable]:
+    """The compiled ``factory`` of a :func:`join_source` source."""
+    namespace: Dict[str, Any] = {}
+    exec(compile(source, "<datalog join>", "exec"), namespace)
+    return namespace["factory"]
+
+
+def traced_factory(variant: "PlanVariant") -> Callable[..., Callable]:
+    """The compiled factory of ``variant``'s provenance-tracking twin: the
+    same arguments, with each head paired with its support."""
+    return join_factory(join_source(variant, traced=True)[2])
 
 
 # -------------------------------------------------------------- compilation
@@ -495,9 +633,23 @@ def compile_variant(
     size_of: Optional[Callable[[str], int]] = None,
 ) -> PlanVariant:
     """Compile one ordering of ``rule`` (seed, or delta-specialized on the
-    body literal at ``delta_position``)."""
+    body literal at ``delta_position``), join function included."""
     if size_of is None:
         size_of = lambda relation: 0  # noqa: E731 - trivial default
+    return PlanVariant(rule, delta_position, *_plan(rule, delta_position, size_of))
+
+
+def check_rule(rule: Rule) -> None:
+    """Raise :class:`PlanningError` if ``rule`` cannot be planned.  Plans
+    its seed ordering only, generating no join code: every error is a
+    property of the rule, not of an ordering."""
+    _plan(rule, None, lambda relation: 0)
+
+
+def _plan(
+    rule: Rule, delta_position: Optional[int], size_of: Callable[[str], int]
+) -> Tuple[Tuple[Any, ...], Tuple[JoinStep, ...], Spec]:
+    """``(prelude, steps, head_spec)`` of one ordering of ``rule``."""
     generators, prelude_items, guards_after = _order_body(
         rule, delta_position, size_of
     )
@@ -563,14 +715,7 @@ def compile_variant(
         else:
             head_spec.append((False, arg))
 
-    return PlanVariant(
-        rule=rule,
-        delta_position=delta_position,
-        prelude=prelude,
-        steps=tuple(steps),
-        head_spec=tuple(head_spec),
-        n_slots=len(slot_of),
-    )
+    return prelude, tuple(steps), tuple(head_spec)
 
 
 def compile_rule(

@@ -14,15 +14,16 @@ nothing, but does every piece of work that depends only on the rules —
    ones that get delta variants) and read positively (the sizes its join
    orders depend on).
 3. **Plan templates** — each rule compiled into a
-   :class:`~repro.datalog.planner.RulePlan`, cached per *size-rank
-   signature* (see :meth:`CompiledProgram.plans`).  Every rule is compiled
-   once when the program is built, so a
-   :class:`~repro.datalog.planner.PlanningError` surfaces there, not in
-   the middle of an analysis.
+   :class:`~repro.datalog.planner.RulePlan`, with a generated join
+   function per variant, cached per *size-rank signature* (see
+   :meth:`CompiledProgram.plans`).  Every rule is planned once when the
+   program is built, so a :class:`~repro.datalog.planner.PlanningError`
+   surfaces there, not in the middle of an analysis.
 
 Templates are shared by every engine (and thread) evaluating the program
-and are never mutated: an evaluation binds fresh copies of them to its own
-database (see :meth:`Engine._bind_plan`).
+and are never mutated: an evaluation calls each variant's join factory
+with its own database's constants, relation sets and indexes (see
+:meth:`Engine._bind`), and runs the closure that returns.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.datalog.planner import RulePlan, compile_rule
+from repro.datalog.planner import RulePlan, check_rule, compile_rule
 from repro.datalog.terms import Literal, Rule
 
 # Plan templates kept per program.  A constant, not an option: arbitrary
@@ -200,8 +201,8 @@ class CompiledProgram:
     that evaluates those rules; ``Engine(rules)`` builds a private one.
 
     The plan cache is safe to share across threads: a template is inserted
-    only once fully built, and two threads missing on the same key at once
-    both compile it, which is harmless.
+    only once fully built, its join function included, and two threads
+    missing on the same key at once both compile it, which is harmless.
     """
 
     def __init__(self, rules: Sequence[Rule]):
@@ -231,14 +232,17 @@ class CompiledProgram:
         # Every relation some rule reads positively: the sizes to read.
         self._sized = tuple(sorted(set().union(*self.stratum_pos)))
         self._template = lru_cache(maxsize=PLAN_CACHE_SIZE)(self._compile)
-        # The static plans (every relation the same size): compiling them
-        # surfaces PlanningErrors — wildcards in negation, unbindable
-        # filter or head variables — now rather than at evaluation.
-        self.plans(lambda relation: 0)
+        # Planning every rule surfaces PlanningErrors — wildcards in
+        # negation, unbindable filter or head variables — now rather than
+        # at evaluation; templates, join code included, are built when an
+        # evaluation first needs them.
+        for rule in self.rules:
+            check_rule(rule)
 
     def plans(self, size_of: Callable[[str], int]) -> List[List[RulePlan]]:
         """Plan templates per stratum for a database whose relation sizes
-        ``size_of`` reports.  Bind copies; never mutate them.
+        ``size_of`` reports.  Bind their join functions; never mutate
+        them.
 
         Every size is read here, once, before any stratum runs.  A rule's
         template is cached under ``(stratum, rule position, dense ranks of

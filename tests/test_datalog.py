@@ -1,5 +1,7 @@
 """Datalog engine: terms, safety, evaluation, stratification, parser."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,9 @@ from repro.datalog import (
     var,
 )
 from repro.datalog.parser import DatalogSyntaxError
+from repro.datalog.planner import TICK_PROBES
 from repro.datalog.terms import Filter, match, substitute
+from repro.deadline import Deadline
 from tests import datalog_reference
 
 
@@ -133,6 +137,58 @@ class TestDatabase:
         assert sorted(_probe(db, "E", (0,), ("a",))) == [("a", "b"), ("a", "c")]
         db.add("E", ("a", "d"))
         assert _probe(db, "E", (0, 1), ("a", "d")) == [("a", "d")]
+
+
+class TestDeadlineTicks:
+    def test_a_large_join_reads_the_clock_within_its_round(self):
+        """A non-recursive join of 10,001 probes runs in the stratum's seed
+        round, between two of the engine's own checks; its join loops
+        tick the budget every TICK_PROBES probes, so the clock is read
+        inside that round too."""
+
+        class ClockReads(Deadline):
+            """Records the engine's own checks, each clock read, and who
+            ticked."""
+
+            def __init__(self):
+                super().__init__(3600.0)
+                self.events = []
+                self.tickers = set()
+
+            def check(self):
+                caller = sys._getframe(1).f_code.co_name
+                if caller != "tick":
+                    self.events.append("check")
+                super().check()
+
+            def elapsed(self):
+                self.events.append("read")
+                return super().elapsed()
+
+            def tick(self, work=1):
+                self.tickers.add(sys._getframe(1).f_code.co_filename)
+                super().tick(work)
+
+        db = Database()
+        db.add_all("A", [(x,) for x in range(10_000)])
+        db.add_all("B", [(x,) for x in range(10_001)])
+        # A is the smaller relation, so the join scans it and probes B's
+        # index once per A fact.
+        engine = Engine(parse_program("Out(x) :- A(x), B(x).").rules)
+        deadline = ClockReads()
+        engine.evaluate(db, deadline=deadline)
+        assert db.count("Out") == 10_000
+        probes = engine.stats.join_probes
+        assert probes == 10_001
+        # Checks: before binding the rule, before its seed round, and at
+        # the one semi-naive round its new facts start.
+        assert deadline.events.count("check") == 3
+        rounds = "".join(
+            "|" if event == "check" else "r" for event in deadline.events
+        ).split("|")
+        seed_round = rounds[2]
+        assert seed_round.count("r") == 1 + probes // TICK_PROBES
+        assert deadline.tickers == {"<datalog join>"}
 
 
 class TestEvaluation:

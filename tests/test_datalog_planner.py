@@ -5,6 +5,7 @@ import pytest
 
 from repro.datalog import (
     Atom,
+    CompiledProgram,
     Database,
     Engine,
     EngineStats,
@@ -12,11 +13,20 @@ from repro.datalog import (
     PlanningError,
     Rule,
     Variable,
+    parse_program,
     parse_rule,
     var,
 )
-from repro.datalog.planner import compile_rule, compile_variant
+from repro.datalog import planner
+from repro.datalog.planner import (
+    compile_rule,
+    compile_variant,
+    join_factory,
+    join_source,
+    traced_factory,
+)
 from repro.datalog.terms import Filter
+from tests import datalog_reference
 
 
 class TestJoinOrdering:
@@ -72,25 +82,130 @@ class TestJoinOrdering:
         assert variant.steps[1].positions == (0,)
 
 
-class TestTemplateCopies:
-    def test_copies_carry_every_slot(self):
-        """Binding works on copies of cached templates: a slot the copy
-        dropped would leave bound plans half-built."""
-        plan = compile_rule(
-            parse_rule("P(x, z) :- P(x, y), E(y, z), !N(z)."),
-            recursive_relations={"P"},
-        )
-        for variant in plan.variants():
-            copy = variant.copy()
-            assert copy is not variant
-            for name in type(variant).__slots__:
-                assert getattr(copy, name) is getattr(variant, name), name
-            for step in variant.steps:
-                step_copy = step.copy()
-                for name in type(step).__slots__:
-                    assert getattr(step_copy, name) is getattr(step, name), name
-        rebuilt = plan.with_variants(plan.seed, plan.delta_variants)
-        assert (rebuilt.rule, rebuilt.key) == (plan.rule, plan.key)
+class TestSharedTemplates:
+    def test_evaluations_leave_templates_and_functions_untouched(self):
+        """Templates are shared by every evaluation, so binding one to a
+        database must leave each of its fields, and its cached join
+        functions, the very same objects, whatever the database holds and
+        interns."""
+        program = CompiledProgram(parse_program(
+            'P(x, z) :- P(x, y), E(y, z), !N(z).\n'
+            'P(x, y) :- E(x, y).\n'
+            'Q("k", x) :- P(x, "c").'
+        ).rules)
+        seen = {}
+        paths = [("p%d" % n, "c") for n in range(6)]
+        for edges, known in (([("a", "b"), ("b", "c")], []), ([(1, 2), ("c", 1)], paths)):
+            for track in (False, True):
+                database = Database()
+                database.add_all("E", edges)
+                database.add_all("P", known)
+                database.add("N", ("b",))
+                for stratum in program.plans(database.count):
+                    for plan in stratum:
+                        for variant in plan.variants():
+                            seen.setdefault(id(variant), (variant, [
+                                getattr(variant, name)
+                                for name in type(variant).__slots__
+                            ] + [traced_factory(variant)]))
+                Engine(program, track_provenance=track).evaluate(database)
+        # The recursive rule ranks E and P differently on the two databases:
+        # two templates of two variants each, plus one per other rule.
+        assert len(seen) == 6
+        for variant, before in seen.values():
+            after = [
+                getattr(variant, name) for name in type(variant).__slots__
+            ] + [traced_factory(variant)]
+            for name, old, new in zip(type(variant).__slots__ + ("traced",), before, after):
+                assert new is old, name
+            assert variant.factory is join_factory(variant.source)
+
+
+# Strings that would change the meaning of any source they were pasted
+# into: quotes, newlines and a call to ``__import__``.
+HOSTILE = {
+    "edge": 'Edge"); __import__(\'os\')\n#',
+    "reach": "Reach'\n__import__('os')",
+    "blocked": 'B"\'\n)',
+    "node": "__import__('os')",
+    "out": "Out\n\tpass",
+    "constant": 'k"\n__import__(\'os\').getcwd()',
+    "filter": "keep'\n__import__('os')",
+}
+
+
+class TestGeneratedSource:
+    def _rules(self):
+        x, y, z = var("x y z")
+        c = HOSTILE["constant"]
+
+        def keep(value, marker):
+            return value != marker
+
+        edge, reach = HOSTILE["edge"], HOSTILE["reach"]
+        return [
+            Rule(Atom(reach, c, y), [Literal(Atom(edge, c, y))]),
+            Rule(Atom(reach, c, z), [
+                Literal(Atom(reach, c, y)),
+                Literal(Atom(edge, y, z)),
+                Literal(Atom(HOSTILE["blocked"], z), negated=True),
+                Filter(keep, z, "d", name=HOSTILE["filter"]),
+            ]),
+            Rule(Atom(HOSTILE["out"], x, c), [
+                Literal(Atom(HOSTILE["node"], x)),
+                Literal(Atom(reach, c, x), negated=True),
+                Filter(keep, c, x, name=HOSTILE["filter"]),
+            ]),
+        ]
+
+    def _database(self):
+        c = HOSTILE["constant"]
+        db = Database()
+        db.add_all(HOSTILE["edge"], [(c, "a"), ("a", "b"), ("b", "c"), ("c", "d"),
+                                     ("d", "e"), ("b", c)])
+        db.add(HOSTILE["blocked"], ("c",))
+        db.add_all(HOSTILE["node"], [(n,) for n in "abcde"] + [(c,)])
+        return db
+
+    def test_no_rule_text_reaches_compile(self, monkeypatch):
+        """Relation names, constants and filter names full of quotes,
+        newlines and ``__import__`` calls: every source handed to
+        ``compile()`` holds none of them, and the fixpoint is the naive
+        reference evaluator's."""
+        compiled = []
+
+        def spy(source, *args, **kwargs):
+            compiled.append(source)
+            return compile(source, *args, **kwargs)
+
+        planner.join_factory.cache_clear()
+        monkeypatch.setattr(planner, "compile", spy, raising=False)
+        rules = self._rules()
+        program = CompiledProgram(rules)
+        for track in (False, True):
+            db = self._database()
+            Engine(program, track_provenance=track).evaluate(db)
+            expected = datalog_reference.evaluate(rules, self._database())
+            relations = sorted(set(db.relations()) | set(expected.relations()))
+            assert {r: db.facts(r) for r in relations} == {
+                r: expected.facts(r) for r in relations
+            }
+        assert db.count(HOSTILE["reach"]) == 3  # a, b and the constant
+        assert db.count(HOSTILE["out"]) == 3  # c, d and e
+        sources = compiled + [
+            source
+            for stratum in program.plans(db.count)
+            for plan in stratum
+            for variant in plan.variants()
+            for source in (variant.source, join_source(variant, traced=True)[2])
+        ]
+        assert len(compiled) >= 6  # both modes of every variant shape
+        for source in sources:
+            for text in HOSTILE.values():
+                assert text not in source
+            for word in ("__import__", "getcwd", "Edge", "Reach", "keep",
+                         "pass", "'", '"', "\t"):
+                assert word not in source
 
 
 class TestPlanningErrors:

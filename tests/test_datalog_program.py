@@ -31,7 +31,7 @@ from repro.core.ordering import build_call_order_model
 from repro.core.storage_model import build_storage_model
 from repro.core.taint import TaintOptions
 from repro.corpus import generate_corpus
-from repro.datalog import CompiledProgram, Database, Engine, parse_program
+from repro.datalog import CompiledProgram, Database, Engine, parse_program, planner
 from repro.datalog.lint import shipped_programs
 from repro.datalog.program import PLAN_CACHE_SIZE
 from repro.decompiler import lift
@@ -157,6 +157,58 @@ class TestPlanCache:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         assert program.cache_info().currsize > 0
+
+
+class TestJoinCodeThreads:
+    def test_threads_compiling_join_code_agree_with_cold_fixpoints(
+        self, corpus_edbs
+    ):
+        """The compiled join functions are shared by every program and
+        thread.  With that cache emptied, more threads than cores evaluate
+        the corpus on one cold program, half of them tracking provenance,
+        so plain and provenance-tracking functions are compiled while
+        other threads run them; every fixpoint and provenance map must
+        equal the single-threaded one."""
+        rules = bytecode_datalog._rules(TaintOptions()).rules
+        expected = []
+        for edb in corpus_edbs:
+            engine = Engine(rules, track_provenance=True)
+            database = engine.evaluate(_load_edb(edb))
+            expected.append((_snapshot(database), engine.provenance))
+        planner.join_factory.cache_clear()
+        program = CompiledProgram(rules)
+        failures = []
+
+        def work(offset):
+            try:
+                for turn in range(2 * len(corpus_edbs)):
+                    index = (offset + turn) % len(corpus_edbs)
+                    engine = Engine(program, track_provenance=bool(offset % 2))
+                    database = engine.evaluate(_load_edb(corpus_edbs[index]))
+                    snapshot, provenance = expected[index]
+                    if _snapshot(database) != snapshot or (
+                        offset % 2 and engine.provenance != provenance
+                    ):
+                        failures.append(index)
+            except Exception as error:  # surfaced below
+                failures.append(error)
+
+        threads = [
+            threading.Thread(target=work, args=(offset,))
+            for offset in range(max(4, 2 * _cores() + 2))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert planner.join_factory.cache_info().currsize > 0
 
 
 def _cores() -> int:

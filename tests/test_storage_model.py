@@ -1,6 +1,7 @@
 """Storage/data-structure modeling: DS/DSA, aliases, mapping attribution."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from repro import api
 from repro.core.facts import ContractFacts, extract_facts
 from repro.core.pipeline import Deadline, DeadlineExceeded
 from repro.core.storage_model import build_storage_model, memory_var
+from repro.deadline import CHECK_INTERVAL
 from repro.decompiler import lift
 from repro.minisol import compile_source
 
@@ -281,3 +283,42 @@ class TestDeadline:
         assert build_storage_model(facts, deadline=Deadline(None)).ds_vars == (
             model.ds_vars
         )
+
+    def test_ds_dsa_rounds_read_the_clock_per_slice(self):
+        """3000 copy edges from caller data: the DS/DSA fixpoint's first
+        round copies DS across all of them and the second finds nothing
+        new.  Each round walks its loops in slices that tick the budget,
+        so the clock is read inside a round, not only at its start."""
+
+        class ClockReads(Deadline):
+            """Records the storage model's round checks and each clock
+            read."""
+
+            def __init__(self):
+                super().__init__(3600.0)
+                self.events = []
+
+            def check(self):
+                if sys._getframe(1).f_code.co_name == "build_storage_model":
+                    self.events.append("round")
+                super().check()
+
+            def elapsed(self):
+                self.events.append("read")
+                return super().elapsed()
+
+        edges = [("a%d" % n, "b%d" % n) for n in range(3000)]
+        facts = ContractFacts(
+            program=None,
+            copy_edges=edges,
+            caller_defs={source for source, _ in edges},
+        )
+        deadline = ClockReads()
+        model = build_storage_model(facts, deadline=deadline)
+        assert {dest for _, dest in edges} <= model.ds_vars
+        rounds = "".join(
+            "|" if event == "round" else "r" for event in deadline.events
+        ).split("|")[1:]
+        # The round check reads the clock, and so does every full slice.
+        full_slices = len(edges) // CHECK_INTERVAL
+        assert [round.count("r") for round in rounds] == [1 + full_slices] * 2
