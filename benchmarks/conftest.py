@@ -16,7 +16,7 @@ from typing import Dict, List
 import pytest
 
 from repro import api
-from repro.core import AnalysisConfig, AnalysisResult, ArtifactCache
+from repro.core import AnalysisConfig, AnalysisResult
 from repro.corpus import CorpusContract, generate_corpus
 
 CORPUS_SIZE = 600
@@ -43,12 +43,10 @@ class AnalyzedCorpus:
         ]
 
 
-def _analyze_corpus(contracts, config=None, cache=None) -> AnalyzedCorpus:
+def _analyze_corpus(contracts, config=None) -> AnalyzedCorpus:
     analyzed = AnalyzedCorpus(contracts=contracts)
     for contract in contracts:
-        analyzed.results[contract.index] = api.analyze(
-            contract.runtime, config, cache=cache
-        )
+        analyzed.results[contract.index] = api.analyze(contract.runtime, config)
     return analyzed
 
 
@@ -58,39 +56,24 @@ def corpus():
 
 
 @pytest.fixture(scope="session")
-def prefix_cache():
-    """One artifact cache shared by all four Fig. 8 configurations: the
-    ablation flags only fingerprint the taint/detect stages, so the
-    lift/facts/storage/guards prefix is computed once per contract across
-    the whole battery."""
-    return ArtifactCache(max_entries=64 * CORPUS_SIZE)
-
-
-@pytest.fixture(scope="session")
-def analyzed(corpus, prefix_cache):
+def analyzed(corpus):
     """Default-configuration Ethainter results for the whole corpus."""
-    return _analyze_corpus(corpus, cache=prefix_cache)
+    return _analyze_corpus(corpus)
 
 
 @pytest.fixture(scope="session")
-def analyzed_no_guards(corpus, prefix_cache):
-    return _analyze_corpus(
-        corpus, AnalysisConfig(model_guards=False), cache=prefix_cache
-    )
+def analyzed_no_guards(corpus):
+    return _analyze_corpus(corpus, AnalysisConfig(model_guards=False))
 
 
 @pytest.fixture(scope="session")
-def analyzed_no_storage(corpus, prefix_cache):
-    return _analyze_corpus(
-        corpus, AnalysisConfig(model_storage_taint=False), cache=prefix_cache
-    )
+def analyzed_no_storage(corpus):
+    return _analyze_corpus(corpus, AnalysisConfig(model_storage_taint=False))
 
 
 @pytest.fixture(scope="session")
-def analyzed_conservative(corpus, prefix_cache):
-    return _analyze_corpus(
-        corpus, AnalysisConfig(conservative_storage=True), cache=prefix_cache
-    )
+def analyzed_conservative(corpus):
+    return _analyze_corpus(corpus, AnalysisConfig(conservative_storage=True))
 
 
 def print_table(title: str, headers, rows) -> None:

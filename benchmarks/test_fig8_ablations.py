@@ -135,10 +135,10 @@ def test_fig8c_conservative_storage(benchmark, analyzed, analyzed_conservative):
 
 
 def test_fig8_battery_shared_prefix_cache(corpus, benchmark):
-    """The four-config ablation battery through the shared-prefix cache:
-    byte-identical warning sets at a fraction of the cold cost (the
-    lift/facts/storage/guards prefix is configuration-independent and is
-    computed once per contract instead of once per config)."""
+    """The four-config ablation battery, whose configurations share each
+    contract's stage outputs: the same warning sets at a fraction of the
+    cold cost (the lift...ordering prefix is configuration-independent and
+    is computed once per contract instead of once per config)."""
     import time
 
     from benchmarks.conftest import print_table
@@ -173,18 +173,16 @@ def test_fig8_battery_shared_prefix_cache(corpus, benchmark):
         for result, entry in zip(cold_results, summary.entries):
             assert tuple(sorted({w.kind for w in result.warnings})) == entry.kinds
 
-    hits = sum(summary.cache_hits for summary in summaries)
     speedup = cold_time / max(shared_time, 1e-9)
     print_table(
-        "Fig. 8 battery: cold vs shared-prefix cache (%d contracts, 4 configs)"
+        "Fig. 8 battery: cold vs shared prefix (%d contracts, 4 configs)"
         % len(contracts),
-        ["mode", "seconds", "cache hits"],
+        ["mode", "seconds"],
         [
-            ("cold", "%.2f" % cold_time, 0),
-            ("shared-prefix", "%.2f (%.2fx)" % (shared_time, speedup), hits),
+            ("cold", "%.2f" % cold_time),
+            ("shared-prefix", "%.2f (%.2fx)" % (shared_time, speedup)),
         ],
     )
-    assert hits >= 3 * len(contracts)  # prefix re-used by the other configs
     assert speedup > 1.5
 
 

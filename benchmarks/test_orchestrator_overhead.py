@@ -7,9 +7,9 @@ wrong.  This benchmark pins that claim: on a clean corpus the orchestrator
 must finish within ``MAX_OVERHEAD`` of a bare
 ``multiprocessing.Pool.imap_unordered`` reference while producing
 entry-identical results.  The reference lives here, not in the library:
-one :class:`ArtifactCache` per pool worker and ``chunksize = tasks //
-(jobs * 4)``, the rule the orchestrator's auto-sized dispatch chunk
-follows.  Results are written to ``BENCH_orchestrator.json`` (path overridable via
+pool workers that, like the orchestrator's, keep nothing between tasks,
+and ``chunksize = tasks // (jobs * 4)``, the rule the orchestrator's
+auto-sized dispatch chunk follows.  Results are written to ``BENCH_orchestrator.json`` (path overridable via
 the ``BENCH_ORCHESTRATOR_JSON`` env var) so CI tracks the overhead
 trajectory from artifact to artifact.
 """
@@ -49,20 +49,9 @@ def _write_report():
     print("\norchestrator overhead benchmark written to %s" % path)
 
 
-# The reference pool's per-process state, set by its initializer.
-_POOL_CACHE = None
-
-
-def _init_pool_worker(cache_entries: int) -> None:
-    global _POOL_CACHE
-    _POOL_CACHE = api.ArtifactCache(cache_entries) if cache_entries > 0 else None
-
-
 def _pool_analyze(task):
     index, runtime = task
-    return _entry_from_result(
-        index, api.EthainterAnalysis(cache=_POOL_CACHE).analyze(runtime)
-    )
+    return _entry_from_result(index, api.EthainterAnalysis().analyze(runtime))
 
 
 def _pool_sweep(bytecodes):
@@ -70,11 +59,7 @@ def _pool_sweep(bytecodes):
     no watchdog, retries, result cache or dedup; entries in input order."""
     tasks = list(enumerate(bytecodes))
     chunksize = max(1, len(tasks) // (JOBS * 4))
-    with resolve_mp_context().Pool(
-        processes=JOBS,
-        initializer=_init_pool_worker,
-        initargs=(api.OrchestratorOptions().cache_entries,),
-    ) as pool:
+    with resolve_mp_context().Pool(processes=JOBS) as pool:
         entries = list(pool.imap_unordered(_pool_analyze, tasks, chunksize=chunksize))
     return sorted(entries, key=lambda entry: entry.index)
 

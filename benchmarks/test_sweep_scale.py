@@ -10,13 +10,11 @@ corpus, >=80% duplicate rate) must beat the naive per-submission path by
 per-submission entries (modulo timing fields).
 
 Measurement discipline: both sides run the supervised orchestrator with
-``jobs=JOBS`` and per-worker artifact caches *disabled*
-(``cache_entries=0``).  At real blockchain scale the unique set (~240K)
-dwarfs any in-memory stage cache, so the naive path pays full analysis per
-submission; at this benchmark's toy scale a 256-entry LRU would hold the
-whole unique set and silently hand the naive side most of the dedup win,
-pinning nothing.  The default-cache and serial numbers are still measured
-and recorded in the JSON as informational context.
+``jobs=JOBS``.  Workers keep nothing of one task for the next, so the
+naive path pays full analysis per submission, as it would at real
+blockchain scale, where the unique set (~240K) dwarfs any in-memory store.
+The serial number is still measured and recorded in the JSON as
+informational context.
 
 Results are written to ``BENCH_sweep_scale.json`` (path overridable via
 ``BENCH_SWEEP_SCALE_JSON``; scale via ``BENCH_SWEEP_SCALE_TOTAL`` /
@@ -47,7 +45,7 @@ JOBS = 2
 
 # Fields that vary run to run without changing the verdict (same set the
 # orchestrator equivalence tests ignore).
-VOLATILE_FIELDS = {"elapsed_seconds", "stage_seconds", "cache_hits", "cache_misses"}
+VOLATILE_FIELDS = {"elapsed_seconds", "stage_seconds"}
 
 _RESULTS: Dict[str, Dict] = {}
 
@@ -94,13 +92,9 @@ class TestSweepScale:
         bytecodes = mainnet.bytecodes()
         total = len(bytecodes)
 
-        # Controlled comparison: orchestrator on both sides, stage caches
-        # off (see module docstring for why).
-        no_cache = api.OrchestratorOptions(cache_entries=0)
-        naive, naive_s = _timed_sweep(
-            bytecodes, jobs=JOBS, dedup=False, options=no_cache
-        )
-        deduped, dedup_s = _timed_sweep(bytecodes, jobs=JOBS, options=no_cache)
+        # Controlled comparison: the orchestrator on both sides.
+        naive, naive_s = _timed_sweep(bytecodes, jobs=JOBS, dedup=False)
+        deduped, dedup_s = _timed_sweep(bytecodes, jobs=JOBS)
 
         assert _stable_entries(naive) == _stable_entries(deduped)
         assert deduped.tasks_total == total
@@ -112,9 +106,7 @@ class TestSweepScale:
         dedup_cps = total / dedup_s
         speedup = dedup_cps / naive_cps
 
-        # Informational context: the same sweep with default per-worker
-        # caches (which mask the dedup win at toy scale) and serially.
-        _, cached_s = _timed_sweep(bytecodes, jobs=JOBS)
+        # Informational context: the same sweep, serially.
         _, serial_s = _timed_sweep(bytecodes, jobs=1)
 
         orchestrator = dict(deduped.orchestrator)
@@ -144,10 +136,7 @@ class TestSweepScale:
                 2,
             ),
             "entries_identical": True,
-            "informational": {
-                "dedup_default_cache_seconds": round(cached_s, 4),
-                "serial_default_cache_seconds": round(serial_s, 4),
-            },
+            "informational": {"serial_seconds": round(serial_s, 4)},
         }
         print_table(
             "Sweep scale: %d submissions / %d unique (dup rate %.0f%%), %d workers"
@@ -159,8 +148,8 @@ class TestSweepScale:
             ),
             ["path", "seconds", "contracts/s"],
             [
-                ["naive (no cache)", "%.3f" % naive_s, "%.1f" % naive_cps],
-                ["dedup (no cache)", "%.3f" % dedup_s, "%.1f" % dedup_cps],
+                ["naive", "%.3f" % naive_s, "%.1f" % naive_cps],
+                ["dedup", "%.3f" % dedup_s, "%.1f" % dedup_cps],
                 ["speedup", "", "%.2fx" % speedup],
             ],
         )

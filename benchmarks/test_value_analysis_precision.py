@@ -15,13 +15,11 @@ from repro.core import AnalysisConfig
 
 
 @pytest.fixture(scope="session")
-def analyzed_value(corpus, prefix_cache):
+def analyzed_value(corpus):
     """Value-analysis-configuration results for the whole corpus."""
     from benchmarks.conftest import _analyze_corpus
 
-    return _analyze_corpus(
-        corpus, AnalysisConfig(value_analysis=True), cache=prefix_cache
-    )
+    return _analyze_corpus(corpus, AnalysisConfig(value_analysis=True))
 
 
 def _warning_keys(result):
@@ -66,17 +64,16 @@ def test_computed_index_template_fully_resolved(corpus, analyzed_value):
 
 def test_flag_off_is_identical_to_default(corpus, analyzed):
     """AnalysisConfig(value_analysis=False) is the default — re-running a
-    sample fresh (no shared cache) must reproduce the default warnings
-    exactly, byte for byte."""
+    sample must reproduce the default warnings exactly, byte for byte."""
     for contract in corpus[:40]:
         fresh = api.analyze(
             contract.runtime, AnalysisConfig(value_analysis=False)
         )
-        cached = analyzed.results[contract.index]
+        default = analyzed.results[contract.index]
         assert [
             (w.kind, w.pc, w.statement, w.slot, w.detail) for w in fresh.warnings
         ] == [
-            (w.kind, w.pc, w.statement, w.slot, w.detail) for w in cached.warnings
+            (w.kind, w.pc, w.statement, w.slot, w.detail) for w in default.warnings
         ], contract.template
 
 

@@ -8,7 +8,8 @@ Everything downstream tooling needs lives here.  Three call shapes:
   :mod:`repro.core.orchestrator`), reusing finished work through
   :mod:`repro.core.reuse`;
 * :func:`battery` — a corpus under several configurations at once (the
-  Fig. 8 ablation shape), sharing per-worker artifact caches.
+  Fig. 8 ablation shape), sharing each contract's configuration-independent
+  stage outputs between its configurations.
 
 Quickstart::
 
@@ -54,7 +55,6 @@ from repro.core.linkage import (
     load_bundle_file,
 )
 from repro.core.linkage import analyze_bundle as _analyze_bundle
-from repro.core.pipeline import ArtifactCache
 from repro.core.report import BundleReport, ContractReport, SweepReport
 from repro.core.vulnerabilities import (
     CROSS_CONTRACT_KINDS,
@@ -73,7 +73,6 @@ __all__ = [
     "RequestFieldError",
     "AnalysisConfig",
     "AnalysisResult",
-    "ArtifactCache",
     "BatchEntry",
     "BatchSummary",
     "BundleContract",
@@ -263,7 +262,7 @@ class AnalyzeRequest:
 
     def fingerprint(self) -> str:
         """The configuration fingerprint (config half of the identity)."""
-        from repro.core.pipeline import analysis_fingerprint
+        from repro.core.reuse import analysis_fingerprint
 
         return analysis_fingerprint(self.config())
 
@@ -297,8 +296,6 @@ def _coerce_config(
 def analyze(
     bytecode: "Union[bytes, AnalyzeRequest]",
     config: Optional[AnalysisConfig] = None,
-    *,
-    cache: Optional[ArtifactCache] = None,
 ) -> AnalysisResult:
     """Analyze one contract's runtime bytecode.
 
@@ -319,17 +316,15 @@ def analyze(
                     "AnalyzeRequest takes a bundle or bytecode/source, "
                     "not both"
                 )
-            return _analyze_bundle(request.bundle, request.config(), cache=cache)
+            return _analyze_bundle(request.bundle, request.config())
         bytecode = request.runtime()
         config = request.config()
-    return EthainterAnalysis(config, cache=cache).analyze(bytecode)
+    return EthainterAnalysis(config).analyze(bytecode)
 
 
 def analyze_bundle(
     bundle: "Union[ContractBundle, AnalyzeRequest]",
     config: "Union[AnalysisConfig, AnalyzeRequest, None]" = None,
-    *,
-    cache: Optional[ArtifactCache] = None,
 ) -> BundleResult:
     """Analyze a multi-contract :class:`ContractBundle` as one deployment.
 
@@ -339,7 +334,9 @@ def analyze_bundle(
     cross-contract strata (``proxy-upgrade-hijack``,
     ``cross-contract-escalation``) — see :mod:`repro.core.linkage`.  A
     one-contract bundle stops after the per-contract pass, so its report
-    is byte-identical to :func:`analyze` on that contract.
+    is byte-identical to :func:`analyze` on that contract.  The members
+    and the merged pass spend one budget and share nothing else: each
+    member, a repeated one included, is analyzed from its bytecode.
     """
     if isinstance(bundle, AnalyzeRequest):
         if config is not None:
@@ -351,7 +348,7 @@ def analyze_bundle(
             raise ValueError("AnalyzeRequest has no bundle")
         config = bundle.config()
         bundle = bundle.bundle
-    return _analyze_bundle(bundle, _coerce_config(config), cache=cache)
+    return _analyze_bundle(bundle, _coerce_config(config))
 
 
 def _options(
@@ -383,7 +380,6 @@ def sweep(
     config: "Union[AnalysisConfig, AnalyzeRequest, None]" = None,
     *,
     jobs: int = 1,
-    cache: Optional[ArtifactCache] = None,
     mp_context: Optional[str] = None,
     max_retries: Optional[int] = None,
     dedup: Optional[bool] = None,
@@ -396,8 +392,7 @@ def sweep(
     ``jobs > 1`` fans out over the supervised orchestrator's worker
     processes; ``jobs=1`` (or a single submission) runs in process.
     Entries come back ordered by input index regardless of completion
-    order; a shared ``cache`` is honored in-process, while workers build
-    per-process caches (caches do not cross process boundaries).
+    order.
 
     Duplicate submissions (same bytecode digest + config fingerprint) are
     coalesced: one leader is analyzed per unique identity and its entry
@@ -415,7 +410,7 @@ def sweep(
     resolved = _options(
         mp_context, max_retries, dedup, result_cache, on_event, options,
     )
-    return run_sweep(bytecodes, (config,), jobs=jobs, cache=cache, options=resolved)[0]
+    return run_sweep(bytecodes, (config,), jobs=jobs, options=resolved)[0]
 
 
 def battery(
@@ -423,7 +418,6 @@ def battery(
     configs: "Sequence[Union[AnalysisConfig, AnalyzeRequest]]",
     *,
     jobs: int = 1,
-    cache: Optional[ArtifactCache] = None,
     mp_context: Optional[str] = None,
     max_retries: Optional[int] = None,
     dedup: Optional[bool] = None,
@@ -434,9 +428,8 @@ def battery(
     """Analyze ``bytecodes`` under every configuration in ``configs``.
 
     Returns one :class:`BatchSummary` per configuration, index-aligned
-    with ``configs``.  All configurations of one contract run in the same
-    worker against a shared :class:`ArtifactCache`, so stages whose
-    configuration fingerprints agree (the lift/facts/storage/guards prefix
+    with ``configs``.  All configurations of one contract run as one task,
+    so stages whose configuration fields agree (the lift...ordering prefix
     for the Fig. 8 ablations) are computed once per contract.  Duplicate
     submissions coalesce exactly as in :func:`sweep` (the identity spans
     every battery configuration's fingerprint).
@@ -447,4 +440,4 @@ def battery(
     resolved = _options(
         mp_context, max_retries, dedup, result_cache, on_event, options,
     )
-    return run_sweep(bytecodes, configs, jobs=jobs, cache=cache, options=resolved)
+    return run_sweep(bytecodes, configs, jobs=jobs, options=resolved)

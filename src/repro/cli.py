@@ -69,9 +69,7 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--hex", help="hex-encoded runtime bytecode file")
 
 
-def _print_stage_profile(
-    stage_seconds, cache_hits: int, cache_misses: int, stream=None
-) -> None:
+def _print_stage_profile(stage_seconds, stream=None) -> None:
     """Per-stage wall-clock breakdown (the ``--profile`` view)."""
     from repro.core.pipeline import STAGE_NAMES
 
@@ -90,7 +88,6 @@ def _print_stage_profile(
     for name in stage_seconds:
         if name not in STAGE_NAMES:
             print("  %-8s %9.3f ms" % (name, 1000 * stage_seconds[name]), file=stream)
-    print("  cache    %d hit(s) / %d miss(es)" % (cache_hits, cache_misses), file=stream)
 
 
 def _print_precision(precision: dict, stream=None) -> None:
@@ -156,10 +153,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         # With --json on stdout, stdout must stay machine-parseable; the
         # human breakdown goes to stderr (stage_seconds is in the JSON).
         stream = sys.stderr if args.json == "-" else sys.stdout
-        _print_stage_profile(
-            result.stage_seconds(), result.cache_hits, result.cache_misses,
-            stream=stream,
-        )
+        _print_stage_profile(result.stage_seconds(), stream=stream)
         if result.deadline_exceeded:
             print("  (deadline exceeded)", file=stream)
         _print_precision(result.precision.as_dict(), stream=stream)
@@ -486,12 +480,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             file=out,
         )
     if args.profile:
-        _print_stage_profile(
-            stats["stage_seconds"],
-            stats["cache"]["hits"],
-            stats["cache"]["misses"],
-            stream=out,
-        )
+        _print_stage_profile(stats["stage_seconds"], stream=out)
         if stats["deadline_exceeded"]:
             print(
                 "  deadline exceeded on %d contract(s)"
@@ -673,7 +662,7 @@ def _analysis_parent() -> argparse.ArgumentParser:
     parent.add_argument(
         "--profile",
         action="store_true",
-        help="print wall-clock, cache, and precision breakdowns",
+        help="print wall-clock and precision breakdowns",
     )
     parent.add_argument(
         "--json",

@@ -24,7 +24,6 @@ from repro.core.analysis import (
     Warning,
 )
 from repro.core.pipeline import (
-    ArtifactCache,
     Deadline,
     DeadlineExceeded,
     Stage,
@@ -39,7 +38,6 @@ __all__ = [
     "AnalysisConfig",
     "AnalysisResult",
     "Warning",
-    "ArtifactCache",
     "Deadline",
     "DeadlineExceeded",
     "Stage",

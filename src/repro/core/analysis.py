@@ -7,21 +7,21 @@
     models --fixpoint--> taint --detect--> findings
 
 with a per-contract wall-clock budget (the paper uses a combined 120 s
-decompile+analyze cutoff; §6) enforced cooperatively inside the fixpoints,
-the Figure 8 ablation switches on :class:`AnalysisConfig`, and an optional
-shared :class:`~repro.core.pipeline.ArtifactCache` that lets ablation
-sweeps re-use the configuration-independent lift+extract prefix.
+decompile+analyze cutoff; §6) enforced cooperatively inside the fixpoints
+and the Figure 8 ablation switches on :class:`AnalysisConfig`.
+:func:`analyze_configs` runs one contract under several configurations,
+which share the configuration-independent lift+extract prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.facts import ContractFacts
 from repro.core.guards import GuardModel
 from repro.core.ordering import CallOrderModel
-from repro.core.pipeline import ArtifactCache, StageTiming, run_pipeline
+from repro.core.pipeline import PipelineOutcome, StageTiming, run_pipeline
 from repro.core.storage_model import StorageModel
 from repro.core.taint import TaintOptions, TaintResult
 from repro.core.vulnerabilities import Finding, VULNERABILITY_KINDS
@@ -143,8 +143,6 @@ class AnalysisResult:
     block_count: int = 0
     statement_count: int = 0
     stage_timings: List[StageTiming] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
     precision: PrecisionCounters = field(default_factory=PrecisionCounters)
     # Datalog EngineStats.as_dict() when a datalog engine ran the taint
     # stage (per-rule derivation counts, join/index probes, iterations).
@@ -181,57 +179,60 @@ class AnalysisResult:
 
 
 class EthainterAnalysis:
-    """Analyzes one contract's runtime bytecode.
+    """Analyzes one contract's runtime bytecode under one configuration."""
 
-    Passing a shared :class:`ArtifactCache` makes repeated analyses of the
-    same bytecode (and ablation sweeps over it) re-use every stage output
-    whose configuration fingerprint matches.
-    """
-
-    def __init__(
-        self,
-        config: Optional[AnalysisConfig] = None,
-        cache: Optional[ArtifactCache] = None,
-    ):
+    def __init__(self, config: Optional[AnalysisConfig] = None):
         self.config = config or AnalysisConfig()
-        self.cache = cache
 
     def analyze(
         self, runtime_bytecode: bytes, deadline: Optional[Deadline] = None
     ) -> AnalysisResult:
         """Run the staged pipeline (lift, model, fixpoint, detect) under
         ``deadline`` (default: a fresh ``config.timeout_seconds`` budget)."""
-        outcome = run_pipeline(runtime_bytecode, self.config, self.cache, deadline)
-        result = AnalysisResult(
-            error=outcome.error,
-            deadline_exceeded=outcome.deadline_exceeded,
-            elapsed_seconds=outcome.elapsed_seconds,
-            stage_timings=outcome.timings,
-            cache_hits=outcome.cache_hits,
-            cache_misses=outcome.cache_misses,
+        (outcome,) = run_pipeline(runtime_bytecode, (self.config,), deadline)
+        return _result_from_outcome(outcome)
+
+
+def analyze_configs(
+    runtime_bytecode: bytes, configs: Sequence[AnalysisConfig]
+) -> List[AnalysisResult]:
+    """One contract under each configuration of a task (the Fig. 8
+    battery shape), in order, each under its own budget; the
+    configurations share stage outputs as
+    :func:`~repro.core.pipeline.run_pipeline` allows."""
+    return [
+        _result_from_outcome(outcome)
+        for outcome in run_pipeline(runtime_bytecode, configs)
+    ]
+
+
+def _result_from_outcome(outcome: PipelineOutcome) -> AnalysisResult:
+    result = AnalysisResult(
+        error=outcome.error,
+        deadline_exceeded=outcome.deadline_exceeded,
+        elapsed_seconds=outcome.elapsed_seconds,
+        stage_timings=outcome.timings,
+    )
+    artifacts = outcome.artifacts
+    program = artifacts.get("lift")
+    if program is not None:
+        result.program = program
+        result.block_count = len(program.blocks)
+        result.statement_count = sum(
+            len(block.statements) for block in program.blocks.values()
         )
-        artifacts = outcome.artifacts
-        program = artifacts.get("lift")
-        if program is not None:
-            result.program = program
-            result.block_count = len(program.blocks)
-            result.statement_count = sum(
-                len(block.statements) for block in program.blocks.values()
-            )
-        # Downstream consumers see the (possibly) value-enriched facts.
-        result.facts = artifacts.get("values", artifacts.get("facts"))
-        result.storage = artifacts.get("storage")
-        result.guards = artifacts.get("guards")
-        result.ordering = artifacts.get("ordering")
-        result.taint = artifacts.get("taint")
-        result.datalog_stats = getattr(result.taint, "engine_stats", None)
-        findings = artifacts.get("detect")
-        if findings is not None:
-            result.warnings = [
-                Warning.from_finding(finding) for finding in findings
-            ]
-        _fill_precision(result)
-        return result
+    # Downstream consumers see the (possibly) value-enriched facts.
+    result.facts = artifacts.get("values", artifacts.get("facts"))
+    result.storage = artifacts.get("storage")
+    result.guards = artifacts.get("guards")
+    result.ordering = artifacts.get("ordering")
+    result.taint = artifacts.get("taint")
+    result.datalog_stats = getattr(result.taint, "engine_stats", None)
+    findings = artifacts.get("detect")
+    if findings is not None:
+        result.warnings = [Warning.from_finding(finding) for finding in findings]
+    _fill_precision(result)
+    return result
 
 
 def _fill_precision(result: AnalysisResult) -> None:

@@ -39,8 +39,6 @@ class BatchEntry:
     statement_count: int
     deadline_exceeded: bool = False
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
     # Datalog engine counters (derived_facts, join_probes, iterations, ...)
     # when a datalog engine ran the taint stage — the full
     # ``EngineStats.as_dict()`` payload, non-scalar members (per-rule
@@ -96,14 +94,6 @@ class BatchSummary:
     def deadline_exceeded(self) -> int:
         """Runs that crossed the budget (aborted *or* late-finished)."""
         return sum(1 for entry in self.entries if entry.deadline_exceeded)
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(entry.cache_hits for entry in self.entries)
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(entry.cache_misses for entry in self.entries)
 
     def _orchestrator_count(self, name: str) -> int:
         value = self.orchestrator.get(name, 0)
@@ -183,8 +173,6 @@ def _entry_from_result(index: int, result: AnalysisResult) -> BatchEntry:
         statement_count=result.statement_count,
         deadline_exceeded=result.deadline_exceeded,
         stage_seconds=result.stage_seconds(),
-        cache_hits=result.cache_hits,
-        cache_misses=result.cache_misses,
         datalog=dict(stats),
         block_count=result.block_count,
         warnings=[

@@ -122,8 +122,8 @@ class ContractFacts:
         """A copy of these facts carrying ``values`` as ``VariableValues``.
 
         A *copy*, not a mutation: the bare facts artifact may be shared
-        through the :class:`~repro.core.pipeline.ArtifactCache` with
-        configurations that have the value-analysis stratum disabled.
+        with the task's configurations that have the value-analysis
+        stratum disabled (see :func:`repro.core.pipeline.run_pipeline`).
         """
         return dataclasses.replace(self, variable_values=dict(values))
 

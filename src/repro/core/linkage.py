@@ -700,14 +700,13 @@ def analyze_bundle(
     bundle: ContractBundle,
     config: Optional[AnalysisConfig] = None,
     *,
-    cache=None,
     deadline: Optional[Deadline] = None,
 ) -> BundleResult:
     """Analyze a :class:`ContractBundle` end to end.
 
     Each contract first runs the standard single-contract pipeline under
-    ``config`` (so per-contract warnings, reports, and caches behave exactly
-    as ``repro analyze`` — a one-contract bundle stops here and is
+    ``config`` (so per-contract warnings and reports behave exactly as
+    ``repro analyze`` — a one-contract bundle stops here and is
     byte-identical to today's output).  Multi-contract bundles then resolve
     the inter-contract call graph and evaluate the merged namespaced EDB
     plus linkage relations in one Datalog fixpoint with the cross-contract
@@ -718,7 +717,7 @@ def analyze_bundle(
     config = config or AnalysisConfig()
     if deadline is None:
         deadline = Deadline(config.timeout_seconds)
-    analyzer = EthainterAnalysis(config, cache=cache)
+    analyzer = EthainterAnalysis(config)
     results: Dict[int, AnalysisResult] = {}
     for contract in bundle.contracts:
         results[contract.address] = analyzer.analyze(contract.runtime(), deadline)

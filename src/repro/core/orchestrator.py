@@ -23,7 +23,7 @@ locks a dying worker could leave held) and adds, over a bare
   ``lift-error``) come back inside successful entries and are never
   retried;
 * **worker recycling** — workers exit cleanly after ``recycle_after`` tasks
-  (the ``maxtasksperchild`` analog) to bound allocator/cache growth on
+  (the ``maxtasksperchild`` analog) to bound allocator growth on
   blockchain-scale corpora; the supervisor never dispatches past a
   worker's remaining budget, so no chunk is sent to a worker that will
   exit without reading it;
@@ -78,9 +78,8 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.analysis import AnalysisConfig, EthainterAnalysis
+from repro.core.analysis import AnalysisConfig, analyze_configs
 from repro.core.batch import BatchEntry, BatchSummary, _entry_from_result
-from repro.core.pipeline import ArtifactCache
 from repro.core.reuse import (
     ReuseFunnel,
     Row,
@@ -165,7 +164,6 @@ class OrchestratorOptions:
     watchdog_seconds: Optional[float] = None
     recycle_after: Optional[int] = 64
     heartbeat_seconds: float = 5.0
-    cache_entries: int = 256
     # Coalesce submissions sharing a sweep identity (sha256(bytecode) +
     # config fingerprint): one leader analysis per unique identity, fanned
     # out to every duplicate.  False is the naive reference, one task per
@@ -220,21 +218,15 @@ class OrchestratorStats:
 # ------------------------------------------------------------------- runner
 
 
-def _analyze_task(
-    index: int,
-    task: Task,
-    cache: Optional[ArtifactCache],
-) -> Tuple[BatchEntry, ...]:
+def _analyze_task(index: int, task: Task) -> Tuple[BatchEntry, ...]:
     """One entry per configuration, in order: the Fig. 8 battery shape for
     sweeps, a single entry for a daemon request (each request carries its
-    own configuration, so one warm pool serves mixed traffic)."""
+    own configuration, so one warm pool serves mixed traffic).  The
+    configurations share stage outputs within the task only."""
     runtime, configs = task
     return tuple(
-        _entry_from_result(
-            index,
-            EthainterAnalysis(config, cache=cache).analyze(runtime),
-        )
-        for config in configs
+        _entry_from_result(index, result)
+        for result in analyze_configs(runtime, configs)
     )
 
 
@@ -269,8 +261,8 @@ def _send_event(
 
 
 class _InProcess:
-    """Analysis on the calling thread, with what a worker holds: one
-    :class:`ArtifactCache`.
+    """Analysis on the calling thread; like a worker, it keeps nothing
+    from one task for the next.
 
     Serves ``jobs <= 1`` and tiny sweeps, ``repro serve --jobs 0``, and
     both drivers' fallback when workers cannot be spawned.  Rows go to
@@ -280,12 +272,10 @@ class _InProcess:
 
     def __init__(
         self,
-        cache: Optional[ArtifactCache],
         stats: "OrchestratorStats",
         on_row: Callable[[int, Tuple[BatchEntry, ...]], None],
         on_event: Optional[Callable[[Dict], None]],
     ):
-        self.cache = cache
         self.stats = stats
         self.on_row = on_row
         self.on_event = on_event
@@ -293,7 +283,7 @@ class _InProcess:
     def run(self, index: int, task: Task) -> None:
         error = None
         try:
-            row = _analyze_task(index, task, self.cache)
+            row = _analyze_task(index, task)
         except Exception as failure:  # same surface as an exhausted retry
             error = "%s: %s" % (type(failure).__name__, failure)
             row = _fault_row(
@@ -318,7 +308,6 @@ class _InProcess:
 def _worker_main(
     worker_id: int,
     conn,
-    cache_entries: int,
     recycle_after: Optional[int],
     fault_plan: Optional[FaultPlan],
 ) -> None:
@@ -334,18 +323,17 @@ def _worker_main(
     channel, which the supervisor treats as the crash it is.
 
     Spawn-safe by construction: a top-level function whose arguments are
-    all picklable; per-worker state (the artifact cache) is built here,
-    never inherited.  Each message is a *chunk* — a list of ``(index,
-    (runtime, configs), attempt)`` tasks, processed strictly in order so
-    the supervisor always knows which task is in flight (the head of the
-    chunk's unacknowledged remainder).  Replies stay per-task —
+    all picklable, keeping nothing from one task for the next.  Each
+    message is a *chunk* — a list of ``(index, (runtime, configs),
+    attempt)`` tasks, processed strictly in order so the supervisor always
+    knows which task is in flight (the head of the chunk's unacknowledged
+    remainder).  Replies stay per-task —
     ``("done", wid, index, attempt, row)`` or ``("fail", wid, index,
     attempt, message)`` — so crash isolation still costs one contract;
     only the dispatch direction is batched.  ``("recycle", wid)`` precedes
     a clean exit after ``recycle_after`` tasks; the supervisor never sends
     more than that, so the exit falls between chunks.
     """
-    cache = ArtifactCache(cache_entries) if cache_entries > 0 else None
     done = 0
     while True:
         message = conn.recv()
@@ -355,7 +343,7 @@ def _worker_main(
             try:
                 if fault_plan is not None:
                     fault_plan.apply(index, attempt)
-                row = _analyze_task(index, task, cache)
+                row = _analyze_task(index, task)
                 conn.send(("done", worker_id, index, attempt, row))
             except Exception as error:  # reported; the supervisor decides retry
                 conn.send(
@@ -465,7 +453,6 @@ class Orchestrator:
                 args=(
                     worker_id,
                     child_conn,
-                    self.options.cache_entries,
                     self.options.recycle_after,
                     self.options.fault_plan,
                 ),
@@ -817,8 +804,9 @@ class PersistentPool:
     (:class:`_PoolBroken`) degrades to the same inline mode mid-flight:
     open requests are re-run in-process, recorded in ``stats.mode``,
     never dropped.  Inline mode is the sweep's in-process path
-    (:class:`_InProcess`): it holds an :class:`ArtifactCache` across
-    requests, mirroring what warm workers hold.
+    (:class:`_InProcess`).  Neither a worker nor inline mode keeps
+    anything of one request for the next: finished work is reused by the
+    serving backend's :class:`~repro.core.reuse.ReuseFunnel`, by identity.
 
     ``task_hook`` is a test seam: called (inline mode only) with
     ``(index, runtime, configs)`` before each analysis, letting tests
@@ -996,12 +984,8 @@ class PersistentPool:
 
     def _run_inline(self, index: int, task: Task) -> None:
         if self._inline is None:
-            cache_entries = self.options.cache_entries
             self._inline = _InProcess(
-                ArtifactCache(cache_entries) if cache_entries > 0 else None,
-                self.stats,
-                self._finish,
-                self.options.on_event,
+                self.stats, self._finish, self.options.on_event
             )
             if self.stats.workers == 0:
                 self.stats.workers = 1
@@ -1036,7 +1020,6 @@ def run_sweep(
     bytecodes: Sequence[bytes],
     configs: Sequence[AnalysisConfig],
     jobs: int = 1,
-    cache: Optional[ArtifactCache] = None,
     options: Optional[OrchestratorOptions] = None,
 ) -> List[BatchSummary]:
     """Analyze ``bytecodes`` under every configuration in ``configs``.
@@ -1104,11 +1087,7 @@ def run_sweep(
             task for task in run_list if task[0] in supervisor.tasks_by_index
         ]
     if run_list:
-        if cache is None:
-            cache = ArtifactCache(
-                max_entries=max(4096, 8 * len(bytecodes) * width)
-            )
-        in_process = _InProcess(cache, stats, on_row, options.on_event)
+        in_process = _InProcess(stats, on_row, options.on_event)
         for index, runtime in run_list:
             in_process.run(index, (runtime, configs))
 

@@ -1,4 +1,5 @@
-"""Staged analysis pipeline with artifact caching and per-stage profiling.
+"""Staged analysis pipeline with within-task prefix sharing and per-stage
+profiling.
 
 The paper's deployment (§6) analyzes the whole chain under a combined 120 s
 decompile+analyze budget per contract, and the evaluation re-runs the same
@@ -12,28 +13,24 @@ pipeline structure explicit so both workloads are cheap:
 * :class:`~repro.deadline.Deadline` (re-exported here) — one wall-clock
   budget per run, passed to every stage as ``deadline=``: loops tick it and
   rounds check it, so a runaway stage cannot blow through the budget.
-* :class:`ArtifactCache` — a bounded, content-addressed store keyed by
-  ``(sha256(bytecode), stage name, stage-relevant config fingerprint)``.
-  Only *successful* stage outputs are cached, so budget settings never leak
-  into cached artifacts.  Running the Fig. 8 four-config battery against
-  one corpus re-uses the lift/facts/storage/guards prefix and re-runs only
-  taint+detect per configuration.
-* :func:`run_pipeline` — drives the stages, recording wall-clock time,
-  cache hits, and error state per stage in :class:`StageTiming` entries.
+* :func:`run_pipeline` — drives the stages over one contract under each
+  configuration of a task, recording wall-clock time, reuse and error
+  state per stage in :class:`StageTiming` entries.  A later configuration
+  reuses an earlier one's successful stage outputs while their values of
+  the stages' cumulative ``config_fields`` agree, so the Fig. 8 battery
+  runs the lift...ordering prefix once per contract and only taint+detect
+  per configuration.  Nothing outlives the call: reuse across contracts
+  and across calls is :mod:`repro.core.reuse`'s, by identity.
 
 :class:`~repro.core.analysis.EthainterAnalysis` is a thin facade over
-:func:`run_pipeline`; batch drivers share one :class:`ArtifactCache` across
-configurations.
+:func:`run_pipeline` for one configuration.
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.facts import extract_facts
 from repro.core.guards import build_guard_model
@@ -62,89 +59,6 @@ class UnknownEngineError(ValueError):
             "unknown engine %r: valid choices are %s"
             % (engine, ", ".join(sorted(ENGINE_CHOICES)))
         )
-
-
-# ---------------------------------------------------------------------- cache
-
-
-def bytecode_digest(runtime_bytecode: bytes) -> str:
-    """Content address of a contract: sha256 over the runtime bytecode."""
-    return hashlib.sha256(runtime_bytecode).hexdigest()
-
-
-def config_fingerprint(config, fields: Tuple[str, ...]) -> str:
-    """Stable fingerprint of the given :class:`AnalysisConfig` fields.
-
-    Two configs with equal values on ``fields`` produce equal fingerprints,
-    so stages that do not read the ablation switches share cache entries
-    across ablation configurations.
-    """
-    if not fields:
-        return "-"
-    payload = repr([(name, getattr(config, name)) for name in sorted(fields)])
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def analysis_fingerprint(config) -> str:
-    """Fingerprint over *every* config field, budgets included.
-
-    The per-stage cache fingerprints deliberately exclude budget fields
-    (only successful outputs are cached); the result cache must not — a
-    stored ``timeout`` entry is only reusable under the same budget.
-    """
-    import dataclasses
-
-    return config_fingerprint(
-        config, tuple(field.name for field in dataclasses.fields(config))
-    )
-
-
-class ArtifactCache:
-    """Bounded LRU cache of stage outputs, content-addressed by bytecode.
-
-    Keys are ``(bytecode sha256, stage name, config fingerprint)``.  The
-    cache stores references to the (immutable-by-convention) analysis
-    artifacts; hit/miss counters feed batch summaries and ``--profile``
-    output.  Thread-safe: batch drivers share one instance.
-    """
-
-    def __init__(self, max_entries: int = 4096):
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[Tuple[str, str, str], object]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Tuple[str, str, str]):
-        """The cached artifact for ``key``, or None (counts hit/miss)."""
-        with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key: Tuple[str, str, str], value) -> None:
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = value
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
 
 # --------------------------------------------------------------------- stages
@@ -177,7 +91,7 @@ def _run_values(ctx: PipelineContext):
 
     With the flag off this passes the bare facts through unchanged, so
     downstream stages can uniformly consume ``artifacts["values"]``.  The
-    enriched facts are a separate cache artifact (the stage fingerprints on
+    enriched facts are a separate artifact (the stage's config field is
     ``value_analysis``), never a mutation of the shared facts artifact.
     """
     facts = ctx.artifacts["facts"]
@@ -245,12 +159,12 @@ class Stage:
     """One pipeline step.
 
     ``config_fields`` names the :class:`AnalysisConfig` fields this stage's
-    *output* depends on; the cache fingerprint of a stage is computed over
-    the union of its own fields and every upstream stage's (so a change to
-    an early stage's knob invalidates everything downstream).  Budget-only
-    fields (``timeout_seconds``, iteration caps that merely abort) are
-    excluded: only successful outputs are cached, and a successful output
-    is identical under any budget.
+    *output* depends on.  Two configurations of one task share a stage's
+    output while they agree on its fields and on every upstream stage's
+    (so a change to an early stage's knob re-runs everything downstream).
+    Budget-only fields (``timeout_seconds``, iteration caps that merely
+    abort) are excluded: only successful outputs are shared, and a
+    successful output is identical under any budget.
     """
 
     name: str
@@ -275,30 +189,14 @@ STAGES: Tuple[Stage, ...] = (
 
 STAGE_NAMES: Tuple[str, ...] = tuple(stage.name for stage in STAGES)
 
-# The longest prefix of stages whose fingerprints agree across the Fig. 8
-# ablation configurations (everything before the taint fixpoint; the
-# ablations all leave ``value_analysis`` at its default).
-PREFIX_STAGES: Tuple[str, ...] = (
-    "lift", "facts", "values", "storage", "guards", "ordering",
-)
-
-
-def stage_fingerprints(config) -> Dict[str, str]:
-    """Cumulative per-stage config fingerprints for ``config``."""
-    fingerprints: Dict[str, str] = {}
-    cumulative: Tuple[str, ...] = ()
-    for stage in STAGES:
-        cumulative = cumulative + stage.config_fields
-        fingerprints[stage.name] = config_fingerprint(config, cumulative)
-    return fingerprints
-
 
 # -------------------------------------------------------------------- driving
 
 
 @dataclass
 class StageTiming:
-    """Wall-clock and outcome record for one stage of one run."""
+    """Wall-clock and outcome record for one stage of one run; ``cached``
+    marks an output reused from an earlier configuration of the task."""
 
     name: str
     seconds: float = 0.0
@@ -308,27 +206,51 @@ class StageTiming:
 
 @dataclass
 class PipelineOutcome:
-    """Everything :func:`run_pipeline` produces for one contract."""
+    """Everything :func:`run_pipeline` produces for one configuration."""
 
     artifacts: Dict[str, object] = field(default_factory=dict)
     timings: List[StageTiming] = field(default_factory=list)
     error: Optional[str] = None  # "timeout" | "lift-error: ..." | None
     deadline_exceeded: bool = False
-    cache_hits: int = 0
-    cache_misses: int = 0
     elapsed_seconds: float = 0.0
 
     def stage_seconds(self) -> Dict[str, float]:
         return {timing.name: timing.seconds for timing in self.timings}
 
 
+def _shared_prefix(config, earlier) -> Dict[str, object]:
+    """The longest run of leading stage outputs that one earlier
+    ``(config, outcome)`` pair of the task produced and ``config`` may
+    reuse: both agree on each of those stages' ``config_fields``."""
+    best: Dict[str, object] = {}
+    for other, outcome in earlier:
+        shared: Dict[str, object] = {}
+        for stage in STAGES:
+            if stage.name not in outcome.artifacts or any(
+                getattr(other, name) != getattr(config, name)
+                for name in stage.config_fields
+            ):
+                break
+            shared[stage.name] = outcome.artifacts[stage.name]
+        if len(shared) > len(best):
+            best = shared
+    return best
+
+
 def run_pipeline(
     runtime_bytecode: bytes,
-    config,
-    cache: Optional[ArtifactCache] = None,
+    configs: Sequence,
     deadline: Optional[Deadline] = None,
-) -> PipelineOutcome:
-    """Run the staged analysis over one contract.
+) -> List[PipelineOutcome]:
+    """Run the staged analysis over one contract under each of a task's
+    configurations; returns one outcome per configuration, in order.
+
+    Each configuration runs under ``deadline``, by default a fresh budget
+    of its own ``timeout_seconds``.  A later configuration reuses the
+    longest prefix of stage outputs an earlier one produced and shares
+    with it (see :class:`Stage`), each timed as ``StageTiming(name, 0.0,
+    cached=True)``, and runs the rest itself: a stage that timed out or
+    failed to lift before re-runs under the later configuration's budget.
 
     Terminal states are explicit:
 
@@ -340,19 +262,31 @@ def run_pipeline(
       double-counted as both flagged and errored);
     * a lift failure sets ``error="lift-error: ..."``.
     """
-    engine = getattr(config, "engine", "python")
-    if engine not in ENGINE_CHOICES:
-        raise UnknownEngineError(engine)
-    # Fail fast on a bad kinds filter too (before any stage runs), so the
-    # caller sees UnknownKindError instead of a mid-pipeline stage error.
-    validate_kinds(getattr(config, "kinds", None))
+    for config in configs:
+        engine = getattr(config, "engine", "python")
+        if engine not in ENGINE_CHOICES:
+            raise UnknownEngineError(engine)
+        # Fail fast on a bad kinds filter too (before any stage runs), so
+        # the caller sees UnknownKindError instead of a mid-pipeline error.
+        validate_kinds(getattr(config, "kinds", None))
+    outcomes: List[PipelineOutcome] = []
+    for position, config in enumerate(configs):
+        shared = _shared_prefix(config, zip(configs, outcomes)) if position else {}
+        outcomes.append(_run_stages(runtime_bytecode, config, deadline, shared))
+    return outcomes
+
+
+def _run_stages(
+    runtime_bytecode: bytes,
+    config,
+    deadline: Optional[Deadline],
+    shared: Dict[str, object],
+) -> PipelineOutcome:
+    """One configuration's run, taking the ``shared`` outputs as given."""
     started = time.monotonic()
     outcome = PipelineOutcome()
     if deadline is None:
         deadline = Deadline(config.timeout_seconds)
-
-    digest = bytecode_digest(runtime_bytecode) if cache is not None else None
-    fingerprints = stage_fingerprints(config) if cache is not None else {}
     context = PipelineContext(
         bytecode=runtime_bytecode, config=config, deadline=deadline
     )
@@ -362,38 +296,26 @@ def run_pipeline(
             outcome.error = "timeout"
             outcome.deadline_exceeded = True
             break
+        if stage.name in shared:
+            outcome.timings.append(StageTiming(stage.name, 0.0, cached=True))
+            context.artifacts[stage.name] = shared[stage.name]
+            continue
         timing = StageTiming(name=stage.name)
         outcome.timings.append(timing)
-        key = None
-        if cache is not None:
-            key = (digest, stage.name, fingerprints[stage.name])
-            stage_started = time.monotonic()
-            artifact = cache.get(key)
-            if artifact is not None:
-                timing.seconds = time.monotonic() - stage_started
-                timing.cached = True
-                outcome.cache_hits += 1
-                context.artifacts[stage.name] = artifact
-                continue
-            outcome.cache_misses += 1
         stage_started = time.monotonic()
         try:
-            artifact = stage.run(context)
+            context.artifacts[stage.name] = stage.run(context)
         except DeadlineExceeded:
-            timing.seconds = time.monotonic() - stage_started
             timing.error = "timeout"
             outcome.error = "timeout"
             outcome.deadline_exceeded = True
             break
         except LiftError as error:
-            timing.seconds = time.monotonic() - stage_started
             timing.error = str(error)
             outcome.error = "lift-error: %s" % error
             break
-        timing.seconds = time.monotonic() - stage_started
-        context.artifacts[stage.name] = artifact
-        if cache is not None and artifact is not None:
-            cache.put(key, artifact)
+        finally:
+            timing.seconds = time.monotonic() - stage_started
     else:
         # All stages completed; a crossed deadline is a *late finish*, not
         # an abort — artifacts (and warnings) are kept.

@@ -65,8 +65,6 @@ class ContractReport:
     deadline_exceeded: bool = False
     warnings: List[Dict] = field(default_factory=list)
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
     precision: Dict[str, int] = field(default_factory=dict)
     # Datalog engine counters when a datalog engine ran the taint stage;
     # None for the tuned Python fixpoint.  Reports built from a full
@@ -102,8 +100,6 @@ class ContractReport:
                 name: round(seconds, 6)
                 for name, seconds in entry.stage_seconds.items()
             },
-            cache_hits=entry.cache_hits,
-            cache_misses=entry.cache_misses,
             precision=dict(entry.precision),
             datalog=dict(entry.datalog) if entry.datalog else None,
         )
@@ -137,8 +133,6 @@ class SweepReport:
     )
     total_elapsed_seconds: float = 0.0
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
     precision: Dict[str, int] = field(default_factory=dict)
     # Summed Datalog engine counters over contracts that ran a datalog
     # engine (derived_facts, join_probes, iterations, ...).
@@ -159,8 +153,6 @@ class SweepReport:
         self.total_elapsed_seconds += report.elapsed_seconds
         for name, seconds in report.stage_seconds.items():
             self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + seconds
-        self.cache_hits += report.cache_hits
-        self.cache_misses += report.cache_misses
         for name, count in report.precision.items():
             self.precision[name] = self.precision.get(name, 0) + count
         if report.datalog:
@@ -222,7 +214,6 @@ class SweepReport:
                 name: round(seconds, 6)
                 for name, seconds in sorted(self.stage_seconds.items())
             },
-            "cache": {"hits": self.cache_hits, "misses": self.cache_misses},
             "precision": {
                 name: count for name, count in sorted(self.precision.items())
             },
@@ -237,7 +228,6 @@ class SweepReport:
         """Reconstruct a sweep report from :meth:`to_json` output
         (round-trip lossless when contracts were included)."""
         payload = _parse_payload(data, "SweepReport")
-        cache = payload.get("cache") or {}
         report = cls(
             total_contracts=payload.get("total_contracts", 0),
             analyzed=payload.get("analyzed", 0),
@@ -247,8 +237,6 @@ class SweepReport:
             kind_counts=dict(payload.get("kind_counts") or {}),
             total_elapsed_seconds=payload.get("total_elapsed_seconds", 0.0),
             stage_seconds=dict(payload.get("stage_seconds") or {}),
-            cache_hits=cache.get("hits", 0),
-            cache_misses=cache.get("misses", 0),
             precision=dict(payload.get("precision") or {}),
             datalog=dict(payload.get("datalog") or {}),
             orchestrator=dict(payload.get("orchestrator") or {}),

@@ -30,6 +30,7 @@ backend calls it under its own.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -40,7 +41,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.analysis import AnalysisConfig
 from repro.core.batch import BatchEntry
-from repro.core.pipeline import analysis_fingerprint, bytecode_digest
 
 # One analysis's entries, one per configuration.
 Row = Tuple[BatchEntry, ...]
@@ -59,6 +59,28 @@ JOINED = "joined"
 
 
 # ----------------------------------------------------------------- identity
+
+
+def bytecode_digest(runtime_bytecode: bytes) -> str:
+    """Content address of a contract: sha256 over the runtime bytecode."""
+    return hashlib.sha256(runtime_bytecode).hexdigest()
+
+
+def config_fingerprint(config: AnalysisConfig, fields: Tuple[str, ...]) -> str:
+    """Stable fingerprint of the given :class:`AnalysisConfig` fields:
+    configurations with equal values on ``fields`` fingerprint equally."""
+    if not fields:
+        return "-"
+    payload = repr([(name, getattr(config, name)) for name in sorted(fields)])
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def analysis_fingerprint(config: AnalysisConfig) -> str:
+    """Fingerprint over *every* config field, budgets included: a stored
+    ``timeout`` row is only reusable under the same budget."""
+    return config_fingerprint(
+        config, tuple(field.name for field in dataclasses.fields(config))
+    )
 
 
 def sweep_fingerprint(configs: Sequence[AnalysisConfig]) -> str:
@@ -95,8 +117,6 @@ def copy_row(row: Row, index: int) -> Row:
             statement_count=entry.statement_count,
             deadline_exceeded=entry.deadline_exceeded,
             stage_seconds=dict(entry.stage_seconds),
-            cache_hits=entry.cache_hits,
-            cache_misses=entry.cache_misses,
             datalog=dict(entry.datalog),
             block_count=entry.block_count,
             warnings=[dict(warning) for warning in entry.warnings],
@@ -131,8 +151,6 @@ _ENTRY_FIELD_CHECKS: Dict[str, Callable[[object], bool]] = {
     "deadline_exceeded": lambda value: type(value) is bool,
     "stage_seconds": lambda value: type(value) is dict
     and all(map(_is_number, value.values())),
-    "cache_hits": _is_int,
-    "cache_misses": _is_int,
     "datalog": lambda value: type(value) is dict,
     "block_count": _is_int,
     "warnings": lambda value: type(value) is list
@@ -188,7 +206,8 @@ class ResultCache:
 
     # 3: rows no longer carry the incremental-repair Datalog counters, so
     # a row stored before that change would report differently from a
-    # fresh analysis.
+    # fresh analysis.  Rows that still carry the per-stage cache counters
+    # need no bump: the entry codec ignores keys it does not know.
     VERSION = 3
 
     def __init__(self, root: str):

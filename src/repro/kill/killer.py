@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.chain import Blockchain
-from repro.core.analysis import AnalysisResult
+from repro.core.analysis import AnalysisResult, EthainterAnalysis
 from repro.core.guards import DS_LOOKUP, EQ_SENDER, Guard
 from repro.core.vulnerabilities import ACCESSIBLE_SELFDESTRUCT, TAINTED_SELFDESTRUCT
 from repro.decompiler.functions import blocks_reachable_from, find_public_functions
@@ -381,24 +381,18 @@ class EthainterKill:
         self,
         targets: Sequence[Tuple[int, bytes]],
         config=None,
-        cache=None,
     ) -> KillReport:
         """Analyze and attack every (address, runtime bytecode) pair.
 
-        Runs the staged analysis itself, sharing one
-        :class:`~repro.core.pipeline.ArtifactCache` across the batch so
+        Runs the staged analysis itself, once per distinct runtime, so
         re-deployments of identical bytecode (common on-chain, common in
         kill sweeps) are analyzed once.
         """
-        from repro.core.analysis import EthainterAnalysis
-        from repro.core.pipeline import ArtifactCache
-
-        analyzer = EthainterAnalysis(
-            config, cache=cache if cache is not None else ArtifactCache()
-        )
+        analyzer = EthainterAnalysis(config)
+        results: Dict[bytes, AnalysisResult] = {}
+        for _address, runtime in targets:
+            if runtime not in results:
+                results[runtime] = analyzer.analyze(runtime)
         return self.attack_many(
-            [
-                (address, analyzer.analyze(runtime))
-                for address, runtime in targets
-            ]
+            [(address, results[runtime]) for address, runtime in targets]
         )

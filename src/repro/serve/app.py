@@ -219,18 +219,22 @@ class AnalysisServer:
         except (UnicodeDecodeError, ValueError):
             await self._respond(writer, 400, error_body("malformed request line"))
             return
-        headers: Dict[str, str] = {}
+        lengths = set()  # every Content-Length value sent
         while True:
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _sep, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        try:
-            content_length = int(headers.get("content-length", "0"))
-        except ValueError:
+            if name.strip().lower() == "content-length":
+                lengths.add(value.strip())
+        # One value of plain ASCII digits: int() would also take "-5",
+        # "+5" and "1_0", and conflicting values leave the body unframed.
+        if len(lengths) > 1 or not all(
+            value.isascii() and value.isdigit() for value in lengths
+        ):
             await self._respond(writer, 400, error_body("bad Content-Length"))
             return
+        content_length = int(lengths.pop()) if lengths else 0
         if content_length > _MAX_BODY_BYTES:
             await self._respond(
                 writer, 413, error_body("request body too large")

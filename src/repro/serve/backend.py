@@ -20,9 +20,9 @@ its ``sha256(bytecode) + config fingerprint`` identity, the one
    and coalescing come first, so a duplicate is never rejected;
 4. **warm pool** — misses dispatch to the
    :class:`~repro.core.orchestrator.PersistentPool`, whose worker
-   processes keep their :class:`~repro.core.pipeline.ArtifactCache`
-   across requests; every analysis evaluates its Datalog fixpoint from
-   scratch, so a reply never depends on what the worker served before.
+   processes stay up across requests but keep nothing of one request for
+   the next: every analysis runs from its bytecode, so a reply never
+   depends on what the worker served before.
 
 Thread-safe by a single lock: the asyncio handler threads submit, the
 pool's supervision thread resolves.
@@ -37,8 +37,14 @@ from typing import Optional
 
 from repro.core.analysis import AnalysisConfig
 from repro.core.orchestrator import PersistentPool
-from repro.core.pipeline import analysis_fingerprint
-from repro.core.reuse import DISK, MEMORY, ReuseFunnel, Row, identity_key
+from repro.core.reuse import (
+    DISK,
+    MEMORY,
+    ReuseFunnel,
+    Row,
+    analysis_fingerprint,
+    identity_key,
+)
 
 __all__ = ["QueueFull", "ServingBackend", "BackendStats"]
 

@@ -56,7 +56,6 @@ class TestSurface:
             "battery",
             "AnalysisConfig",
             "AnalysisResult",
-            "ArtifactCache",
             "BatchEntry",
             "BatchSummary",
             "ContractReport",
@@ -88,12 +87,6 @@ class TestAnalyze:
         loose = api.analyze(bytecodes[0], api.AnalysisConfig(model_guards=False))
         strict = api.analyze(bytecodes[0])
         assert len(loose.warnings) >= len(strict.warnings)
-
-    def test_analyze_shares_cache(self, bytecodes):
-        cache = api.ArtifactCache(64)
-        api.analyze(bytecodes[0], cache=cache)
-        again = api.analyze(bytecodes[0], cache=cache)
-        assert again.cache_hits > 0
 
 
 class TestUntrustedBytecode:

@@ -56,8 +56,6 @@ class TestProfiling:
             assert [e.kinds for e in summary.entries] == [
                 e.kinds for e in direct.entries
             ]
-        # Second config re-used the first one's prefix artifacts.
-        assert summaries[1].cache_hits >= 4 * len(bytecodes)
 
     def test_battery_parallel_matches_sequential(self, small_corpus):
         bytecodes = [c.runtime for c in small_corpus]

@@ -1,9 +1,10 @@
-"""Cache correctness: cached and cold runs must be indistinguishable.
+"""Shared-prefix correctness: a battery must be indistinguishable from
+per-configuration runs.
 
 Property tests over randomly generated corpora: for every Fig. 8
-configuration and both fixpoint engines, an analysis served (partially or
-fully) from a shared :class:`ArtifactCache` produces warning sets identical
-to a cold run — including when the cache is small enough to evict.
+configuration and both fixpoint engines, a battery, whose configurations
+share each contract's lift...ordering prefix, reports warnings identical to
+analyzing the contract under each configuration alone.
 """
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.core import AnalysisConfig, ArtifactCache
+from repro.core import AnalysisConfig
+from repro.core.pipeline import STAGE_NAMES
 from repro.corpus import generate_corpus
 
 FIG8_CONFIGS = (
@@ -21,51 +23,36 @@ FIG8_CONFIGS = (
     {"conservative_storage": True},
 )
 
+WARNING_FIELDS = ("kind", "pc", "statement", "slot", "detail")
+
 
 def _signature(result):
-    return [
-        (w.kind, w.pc, w.statement, w.slot, w.detail) for w in result.warnings
-    ]
+    return [tuple(getattr(w, name) for name in WARNING_FIELDS) for w in result.warnings]
+
+
+def _entry_signature(entry):
+    return [tuple(w[name] for name in WARNING_FIELDS) for w in entry.warnings]
 
 
 @pytest.mark.parametrize("engine", ["python", "datalog"])
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=6, deadline=None)
 def test_cached_equals_cold_all_configs(engine, seed):
-    """Prefix-shared and fully-cached runs match cold runs byte for byte,
-    across all four Fig. 8 configs, on arbitrary corpus seeds."""
+    """A battery over all four Fig. 8 configs matches per-config
+    ``api.analyze`` runs warning for warning, on arbitrary corpus seeds."""
     contracts = generate_corpus(4, seed=seed)
-    cache = ArtifactCache()
-    for overrides in FIG8_CONFIGS:
-        config = AnalysisConfig(engine=engine, **overrides)
-        for contract in contracts:
+    configs = [AnalysisConfig(engine=engine, **overrides) for overrides in FIG8_CONFIGS]
+    summaries = api.battery([contract.runtime for contract in contracts], configs)
+    for config, summary in zip(configs, summaries):
+        for contract, entry in zip(contracts, summary.entries):
             cold = api.analyze(contract.runtime, config)
-            shared = api.analyze(contract.runtime, config, cache=cache)
-            fully_cached = api.analyze(contract.runtime, config, cache=cache)
-            assert _signature(shared) == _signature(cold)
-            assert _signature(fully_cached) == _signature(cold)
-            assert fully_cached.cache_misses == 0
-
-
-@given(seed=st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=6, deadline=None)
-def test_tiny_cache_evicts_but_stays_correct(seed):
-    """A cache bound far below the working set evicts aggressively yet
-    never changes any verdict."""
-    contracts = generate_corpus(6, seed=seed)
-    cache = ArtifactCache(max_entries=4)
-    for _ in range(2):  # second sweep exercises the eviction/refill churn
-        for contract in contracts:
-            cold = api.analyze(contract.runtime)
-            cached = api.analyze(contract.runtime, cache=cache)
-            assert _signature(cached) == _signature(cold)
-    assert len(cache) <= 4
-    assert cache.evictions > 0
+            assert entry.error == cold.error
+            assert _entry_signature(entry) == _signature(cold)
 
 
 def test_battery_shares_prefix_across_configs():
-    """Running the four-config battery against one cache recomputes only
-    taint+detect per ablation; warnings match per-config cold runs."""
+    """Running the four-config battery recomputes only taint+detect per
+    ablation; warnings match per-config cold runs."""
     contracts = generate_corpus(10, seed=99)
     bytecodes = [contract.runtime for contract in contracts]
     configs = [AnalysisConfig(**overrides) for overrides in FIG8_CONFIGS]
@@ -76,6 +63,9 @@ def test_battery_shares_prefix_across_configs():
         for contract, entry in zip(contracts, summary.entries):
             cold = api.analyze(contract.runtime, config)
             assert entry.kinds == tuple(sorted({w.kind for w in cold.warnings}))
-    # Configs beyond the first re-use the 4-stage prefix per contract.
-    total_hits = sum(summary.cache_hits for summary in summaries)
-    assert total_hits >= 3 * len(bytecodes) * 4
+    # Configs beyond the first reuse the prefix, timed as zero seconds.
+    prefix = STAGE_NAMES[: STAGE_NAMES.index("taint")]
+    for summary in summaries[1:]:
+        for entry in summary.entries:
+            assert [entry.stage_seconds[name] for name in prefix] == [0.0] * len(prefix)
+            assert entry.stage_seconds["taint"] > 0.0

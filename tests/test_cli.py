@@ -73,7 +73,7 @@ class TestAnalyze:
         assert "pipeline profile:" in output
         for stage in ("lift", "facts", "values", "storage", "guards", "ordering", "taint", "detect"):
             assert stage in output
-        assert "cache" in output
+        assert "cache" not in output
 
     def test_sweep_profile_prints_aggregate(self, capsys):
         assert main(["sweep", "--size", "6", "--seed", "3", "--profile"]) == 0

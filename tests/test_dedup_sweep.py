@@ -25,7 +25,7 @@ from repro.core.orchestrator import FaultPlan, OrchestratorOptions, run_sweep
 from repro.core.reuse import ResultCache, identity_key, sweep_fingerprint
 from repro.corpus import generate_corpus, generate_mainnet
 
-VOLATILE_FIELDS = {"elapsed_seconds", "stage_seconds", "cache_hits", "cache_misses"}
+VOLATILE_FIELDS = {"elapsed_seconds", "stage_seconds"}
 
 
 @pytest.fixture(scope="module")

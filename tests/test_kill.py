@@ -153,19 +153,26 @@ class TestBatchReport:
         assert 0 < report.kill_rate < 1
 
     def test_attack_bytecodes_analyzes_with_shared_cache(
-        self, chain, open_kill_contract, safe_contract
+        self, chain, open_kill_contract, safe_contract, monkeypatch
     ):
-        from repro.core import ArtifactCache
+        from repro.core import pipeline
 
+        lifted = []
+        real_lift = pipeline.lift
+
+        def counting_lift(runtime, **kwargs):
+            lifted.append(runtime)
+            return real_lift(runtime, **kwargs)
+
+        monkeypatch.setattr(pipeline, "lift", counting_lift)
         targets = []
-        # Deploy the open-kill contract twice: identical bytecode, so the
-        # shared cache analyzes it once.
+        # Deploy the open-kill contract twice: identical bytecode, so it
+        # is analyzed once and both deployments are attacked.
         for contract in (open_kill_contract, open_kill_contract, safe_contract):
             receipt = chain.deploy(DEPLOYER, contract.init_with_args())
             targets.append((receipt.contract_address, contract.runtime))
         killer = EthainterKill(chain)
-        cache = ArtifactCache()
-        report = killer.attack_bytecodes(targets, cache=cache)
+        report = killer.attack_bytecodes(targets)
         assert report.flagged == 3
         assert report.destroyed == 2
-        assert cache.hits >= 6  # the duplicate deployment hit every stage
+        assert lifted == [open_kill_contract.runtime, safe_contract.runtime]

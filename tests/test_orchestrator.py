@@ -10,8 +10,10 @@ the result cache — including the byte-identical report guarantee for a
 sweep replayed from it.
 """
 
+import gc
 import json
 import os
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,10 +58,10 @@ def _cache_path(cache_dir, bytecode, config=None):
 
 
 def _stable_fields(report_json: str):
-    """Per-contract fields that must survive a resume (timings and
-    per-process cache counters legitimately differ across runs)."""
+    """Per-contract fields that must survive a resume (timings
+    legitimately differ across runs)."""
     payload = json.loads(report_json)
-    volatile = {"elapsed_seconds", "stage_seconds", "cache_hits", "cache_misses"}
+    volatile = {"elapsed_seconds", "stage_seconds"}
     return [
         {key: value for key, value in contract.items() if key not in volatile}
         for contract in payload["contracts"]
@@ -273,14 +275,14 @@ class TestExecutors:
         from repro.core import orchestrator
 
         clean = api.sweep(bytecodes)
-        analyze = orchestrator.EthainterAnalysis.analyze
+        analyze = orchestrator.analyze_configs
 
-        def flaky(self, runtime):
+        def flaky(runtime, configs):
             if runtime == bytecodes[4]:
                 raise RuntimeError("injected analysis bug")
-            return analyze(self, runtime)
+            return analyze(runtime, configs)
 
-        monkeypatch.setattr(orchestrator.EthainterAnalysis, "analyze", flaky)
+        monkeypatch.setattr(orchestrator, "analyze_configs", flaky)
         cache_dir = str(tmp_path / "results")
         events = []
         summary = api.sweep(
@@ -305,6 +307,32 @@ class TestExecutors:
         assert resumed.orchestrator["result_cache_hits"] == len(bytecodes) - 1
         assert resumed.orchestrator["dispatched"] == 1
         assert resumed.errors == 0
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_in_process_sweep_keeps_no_earlier_program(
+        self, bytecodes, monkeypatch, width
+    ):
+        """Stage outputs live for one task: when the next contract is
+        lifted, no earlier contract's lifted program is still reachable."""
+        from repro.core import pipeline
+
+        real_lift = pipeline.lift
+        programs = []
+        alive_at_lift = []
+
+        def tracked_lift(*args, **kwargs):
+            gc.collect()
+            alive_at_lift.append(sum(ref() is not None for ref in programs))
+            program = real_lift(*args, **kwargs)
+            programs.append(weakref.ref(program))
+            return program
+
+        monkeypatch.setattr(pipeline, "lift", tracked_lift)
+        configs = [api.AnalysisConfig(), api.AnalysisConfig(model_guards=False)]
+        summaries = api.battery(bytecodes, configs[:width], jobs=1)
+        assert all(summary.errors == 0 for summary in summaries)
+        assert len(programs) == len(bytecodes)  # one lift per contract
+        assert alive_at_lift == [0] * len(bytecodes)
 
     def test_heartbeat_events(self, bytecodes):
         events = []

@@ -1,20 +1,54 @@
-"""The staged pipeline: stages, deadlines, timings, terminal states."""
+"""The staged pipeline: stages, deadlines, timings, terminal states, and
+the stage outputs the configurations of one task share."""
+
+import dataclasses
+import time
+from collections import Counter
 
 import pytest
 
 from repro import api
 from repro.core import AnalysisConfig
+from repro.core import pipeline
 from repro.core.pipeline import (
-    ArtifactCache,
     Deadline,
     DeadlineExceeded,
-    PREFIX_STAGES,
     STAGE_NAMES,
     STAGES,
     run_pipeline,
-    stage_fingerprints,
 )
+from repro.corpus import generate_corpus
 from repro.deadline import CHECK_INTERVAL
+
+# The stages every Fig. 8 ablation shares: everything before taint.
+PREFIX_STAGES = STAGE_NAMES[: STAGE_NAMES.index("taint")]
+
+FIG8_CONFIGS = (
+    {},
+    {"model_storage_taint": False},
+    {"model_guards": False},
+    {"conservative_storage": True},
+)
+
+
+def _reused(outcome):
+    return {timing.name for timing in outcome.timings if timing.cached}
+
+
+@pytest.fixture
+def stage_runs(monkeypatch):
+    """Counts every stage run: a Counter of stage name -> calls."""
+    runs = Counter()
+
+    def counted(stage):
+        def run(context):
+            runs[stage.name] += 1
+            return stage.run(context)
+
+        return dataclasses.replace(stage, run=run)
+
+    monkeypatch.setattr(pipeline, "STAGES", tuple(map(counted, STAGES)))
+    return runs
 
 
 class CountingDeadline(Deadline):
@@ -79,37 +113,40 @@ class TestStageGraph:
     def test_stage_order(self):
         assert STAGE_NAMES == ("lift", "facts", "values", "storage", "guards", "ordering", "taint", "detect")
 
-    def test_prefix_is_ablation_independent(self):
-        """The Fig. 8 ablation flags must not fingerprint the prefix —
-        that is the property the shared battery cache relies on."""
-        default = stage_fingerprints(AnalysisConfig())
+    def test_prefix_is_ablation_independent(self, victim_contract):
+        """The Fig. 8 ablation flags and the engine must not key the
+        prefix: that is the property the battery's sharing relies on."""
         for ablation in (
             AnalysisConfig(model_guards=False),
             AnalysisConfig(model_storage_taint=False),
             AnalysisConfig(conservative_storage=True),
             AnalysisConfig(engine="datalog"),
         ):
-            fingerprints = stage_fingerprints(ablation)
-            for name in PREFIX_STAGES:
-                assert fingerprints[name] == default[name]
-            assert fingerprints["taint"] != default["taint"]
-            assert fingerprints["detect"] != default["detect"]
+            _, later = run_pipeline(
+                victim_contract.runtime, [AnalysisConfig(), ablation]
+            )
+            assert _reused(later) == set(PREFIX_STAGES)
 
-    def test_lift_cap_fingerprints_every_stage(self):
-        default = stage_fingerprints(AnalysisConfig())
-        changed = stage_fingerprints(AnalysisConfig(max_lift_states=7))
-        for name in STAGE_NAMES:
-            assert changed[name] != default[name]
+    def test_lift_cap_fingerprints_every_stage(self, victim_contract):
+        _, changed = run_pipeline(
+            victim_contract.runtime,
+            [AnalysisConfig(), AnalysisConfig(max_lift_states=19_999)],
+        )
+        assert changed.error is None
+        assert _reused(changed) == set()
 
-    def test_budget_fields_do_not_fingerprint(self):
-        default = stage_fingerprints(AnalysisConfig())
-        budget = stage_fingerprints(AnalysisConfig(timeout_seconds=1.0))
-        assert budget == default
+    def test_budget_fields_do_not_fingerprint(self, victim_contract):
+        default, budget = run_pipeline(
+            victim_contract.runtime,
+            [AnalysisConfig(), AnalysisConfig(timeout_seconds=60.0)],
+        )
+        assert _reused(budget) == set(STAGE_NAMES)
+        assert budget.artifacts == default.artifacts
 
 
 class TestRunPipeline:
     def test_all_stages_timed_in_order(self, victim_contract):
-        outcome = run_pipeline(victim_contract.runtime, AnalysisConfig())
+        (outcome,) = run_pipeline(victim_contract.runtime, [AnalysisConfig()])
         assert [timing.name for timing in outcome.timings] == list(STAGE_NAMES)
         assert all(timing.seconds >= 0 for timing in outcome.timings)
         assert all(timing.error is None for timing in outcome.timings)
@@ -117,8 +154,8 @@ class TestRunPipeline:
         assert set(outcome.artifacts) == set(STAGE_NAMES)
 
     def test_lift_error_stops_pipeline(self, victim_contract):
-        outcome = run_pipeline(
-            victim_contract.runtime, AnalysisConfig(max_lift_states=2)
+        (outcome,) = run_pipeline(
+            victim_contract.runtime, [AnalysisConfig(max_lift_states=2)]
         )
         assert outcome.error.startswith("lift-error")
         assert [timing.name for timing in outcome.timings] == ["lift"]
@@ -126,8 +163,8 @@ class TestRunPipeline:
         assert "detect" not in outcome.artifacts
 
     def test_pre_stage_abort_is_timeout(self, victim_contract):
-        outcome = run_pipeline(
-            victim_contract.runtime, AnalysisConfig(), deadline=Deadline(0.0)
+        (outcome,) = run_pipeline(
+            victim_contract.runtime, [AnalysisConfig()], deadline=Deadline(0.0)
         )
         assert outcome.error == "timeout"
         assert outcome.deadline_exceeded
@@ -148,8 +185,8 @@ class TestRunPipeline:
             def check(self):
                 raise DeadlineExceeded("budget spent mid-stage")
 
-        outcome = run_pipeline(
-            victim_contract.runtime, AnalysisConfig(), deadline=MidFlight()
+        (outcome,) = run_pipeline(
+            victim_contract.runtime, [AnalysisConfig()], deadline=MidFlight()
         )
         assert outcome.error == "timeout"
         assert outcome.deadline_exceeded
@@ -176,68 +213,76 @@ class TestRunPipeline:
                 self.polls += 1
                 return self.polls > len(STAGES)
 
-        outcome = run_pipeline(
-            victim_contract.runtime, AnalysisConfig(), deadline=LateFinish()
+        (outcome,) = run_pipeline(
+            victim_contract.runtime, [AnalysisConfig()], deadline=LateFinish()
         )
         assert outcome.error is None
         assert outcome.deadline_exceeded
         assert outcome.artifacts["detect"]  # findings kept
 
 
-class TestArtifactCache:
-    def test_lru_eviction_bound(self):
-        cache = ArtifactCache(max_entries=2)
-        cache.put(("a", "lift", "-"), 1)
-        cache.put(("b", "lift", "-"), 2)
-        cache.put(("c", "lift", "-"), 3)
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        assert cache.get(("a", "lift", "-")) is None  # evicted (oldest)
-        assert cache.get(("c", "lift", "-")) == 3
+class TestTaskShare:
+    """Stage outputs are shared between the configurations of one task,
+    and only there."""
 
-    def test_get_refreshes_recency(self):
-        cache = ArtifactCache(max_entries=2)
-        cache.put(("a", "lift", "-"), 1)
-        cache.put(("b", "lift", "-"), 2)
-        assert cache.get(("a", "lift", "-")) == 1  # refresh "a"
-        cache.put(("c", "lift", "-"), 3)  # evicts "b", not "a"
-        assert cache.get(("a", "lift", "-")) == 1
-        assert cache.get(("b", "lift", "-")) is None
-
-    def test_counters(self):
-        cache = ArtifactCache()
-        assert cache.get(("x", "lift", "-")) is None
-        cache.put(("x", "lift", "-"), object())
-        assert cache.get(("x", "lift", "-")) is not None
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            ArtifactCache(max_entries=0)
-
-    def test_second_run_hits_every_stage(self, victim_contract):
-        cache = ArtifactCache()
-        cold = api.analyze(victim_contract.runtime, cache=cache)
-        assert cold.cache_hits == 0
-        assert cold.cache_misses == len(STAGE_NAMES)
-        warm = api.analyze(victim_contract.runtime, cache=cache)
-        assert warm.cache_hits == len(STAGE_NAMES)
-        assert warm.cache_misses == 0
-        assert all(timing.cached for timing in warm.stage_timings)
-        assert [(w.kind, w.pc) for w in warm.warnings] == [
-            (w.kind, w.pc) for w in cold.warnings
+    @pytest.mark.parametrize("engine", ["python", "datalog"])
+    def test_fig8_battery_runs_the_prefix_once_per_contract(
+        self, stage_runs, engine
+    ):
+        bytecodes = [c.runtime for c in generate_corpus(5, seed=11)]
+        configs = [
+            AnalysisConfig(engine=engine, **overrides) for overrides in FIG8_CONFIGS
         ]
+        summaries = api.battery(bytecodes, configs, jobs=1)
+        assert not any(e.error for summary in summaries for e in summary.entries)
+        expected = {name: len(bytecodes) for name in PREFIX_STAGES}
+        expected.update(taint=4 * len(bytecodes), detect=4 * len(bytecodes))
+        assert dict(stage_runs) == expected
 
-    def test_ablation_shares_prefix_only(self, victim_contract):
-        cache = ArtifactCache()
-        api.analyze(victim_contract.runtime, cache=cache)
-        ablated = api.analyze(
-            victim_contract.runtime, AnalysisConfig(model_guards=False), cache=cache
+    def test_value_analysis_shares_only_lift_and_facts(self, stage_runs):
+        bytecodes = [c.runtime for c in generate_corpus(5, seed=11)]
+        api.battery(
+            bytecodes, [AnalysisConfig(), AnalysisConfig(value_analysis=True)]
         )
-        cached_stages = {
-            timing.name for timing in ablated.stage_timings if timing.cached
-        }
-        assert cached_stages == set(PREFIX_STAGES)
+        assert stage_runs["lift"] == stage_runs["facts"] == len(bytecodes)
+        for name in STAGE_NAMES[2:]:
+            assert stage_runs[name] == 2 * len(bytecodes), name
+
+    def test_timed_out_stage_reruns_under_the_next_budget(
+        self, monkeypatch, victim_contract
+    ):
+        """A lift the first configuration's budget aborts mid-stage is
+        not shared: the second configuration lifts under its own budget."""
+        lifts = []
+        real_lift = pipeline.lift
+
+        def slow_lift(*args, **kwargs):
+            lifts.append(kwargs["deadline"])
+            time.sleep(0.05)  # outlive the first budget, then tick it
+            return real_lift(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "lift", slow_lift)
+        aborted, rerun = run_pipeline(
+            victim_contract.runtime,
+            [AnalysisConfig(timeout_seconds=0.01), AnalysisConfig()],
+        )
+        assert aborted.error == "timeout"
+        assert [(t.name, t.error) for t in aborted.timings] == [("lift", "timeout")]
+        assert len(lifts) == 2 and lifts[0] is not lifts[1]
+        assert rerun.error is None and not rerun.deadline_exceeded
+        assert _reused(rerun) == set()
+        assert rerun.artifacts["detect"]
+
+    def test_reused_stage_is_timed_as_zero(self, victim_contract):
+        _, later = run_pipeline(
+            victim_contract.runtime,
+            [AnalysisConfig(), AnalysisConfig(model_guards=False)],
+        )
+        for timing in later.timings:
+            if timing.name in PREFIX_STAGES:
+                assert (timing.seconds, timing.cached, timing.error) == (
+                    0.0, True, None,
+                )
 
 
 class TestFacadeIntegration:
@@ -254,16 +299,3 @@ class TestFacadeIntegration:
         assert result.timed_out
         assert result.deadline_exceeded
         assert result.warnings == []
-
-    def test_datalog_engine_honors_cache(self, victim_contract):
-        cache = ArtifactCache()
-        cold = api.analyze(
-            victim_contract.runtime, AnalysisConfig(engine="datalog"), cache=cache
-        )
-        warm = api.analyze(
-            victim_contract.runtime, AnalysisConfig(engine="datalog"), cache=cache
-        )
-        assert warm.cache_hits == len(STAGE_NAMES)
-        assert {(w.kind, w.pc) for w in warm.warnings} == {
-            (w.kind, w.pc) for w in cold.warnings
-        }

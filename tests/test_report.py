@@ -111,7 +111,7 @@ class TestSweepReport:
         assert set(summary["stage_seconds"]) == {
             "lift", "facts", "values", "storage", "guards", "ordering", "taint", "detect",
         }
-        assert summary["cache"] == {"hits": 0, "misses": 0}
+        assert "cache" not in summary
 
     def test_summary_json(self, victim_contract):
         sweep = self._reports([victim_contract])
@@ -169,6 +169,22 @@ class TestSchemaV2:
             SweepReport.from_json({"schema_version": 3})
         with pytest.raises(ValueError):
             ContractReport.from_json(json.dumps([1, 2]))
+
+    def test_reports_with_cache_counters_still_parse(self, victim_contract):
+        """v2 reports written when stages had a process-wide cache carry
+        ``cache_hits``/``cache_misses`` per contract and a sweep ``cache``
+        block: they still parse, and re-emit without those keys."""
+        report = ContractReport.from_result(api.analyze(victim_contract.runtime))
+        older = json.loads(report.to_json())
+        older.update(cache_hits=0, cache_misses=8)
+        assert ContractReport.from_json(older).to_json() == report.to_json()
+        sweep = SweepReport()
+        sweep.add(report)
+        older = json.loads(sweep.to_json())
+        older["cache"] = {"hits": 0, "misses": 8}
+        for contract in older["contracts"]:
+            contract.update(cache_hits=0, cache_misses=8)
+        assert SweepReport.from_json(json.dumps(older)).to_json() == sweep.to_json()
 
     def test_from_entry_matches_from_result(self, victim_contract):
         from repro.core.batch import _entry_from_result

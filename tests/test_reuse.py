@@ -6,16 +6,102 @@ plus a stress test of the daemon's backend, which shares one funnel
 between request threads and the pool thread.
 """
 
+import json
+import os
 import sys
 import threading
 
 from repro import api
 from repro.core import reuse
 from repro.core.batch import BatchEntry
+from repro.core.report import ContractReport
 from repro.core.orchestrator import PersistentPool
 from repro.core.reuse import DISK, JOINED, MEMORY, ReuseFunnel
 from repro.corpus import generate_corpus
 from repro.serve.backend import ServingBackend
+
+
+# A default-configuration result-cache record of WALLET_RUNTIME (an owner
+# set by an unguarded initOwner, then checked by kill's selfdestruct), as
+# written while every entry still carried the per-stage cache counters
+# ``cache_hits``/``cache_misses``; ``json.dumps`` of it gives the bytes of
+# that file.
+WALLET_RUNTIME = bytes.fromhex(
+    '60003560e01c806303836d881461001d578063026e69f31461002d57005b60043560'
+    '805261002b610037565b005b610035610044565b005b608051600055600060405256'
+    '5b60005433146100535760006000fd5b600054ff600060405256'
+)
+WALLET_RECORD = json.loads(
+    """
+    {
+        "cache": "repro-sweep-results",
+        "version": 3,
+        "key": "22ad437cd5fb96de066d33db4eb34767a37d186afffb30b2f1e96dac67e0d215:bc629bd601022909",
+        "digest": "d4b57526c5c82b843d4da6f887c5832b794029816c73cc995f11e375562bddab",
+        "entries": [
+            {
+                "index": 0,
+                "kinds": [
+                    "accessible-selfdestruct",
+                    "tainted-owner-variable",
+                    "tainted-selfdestruct"
+                ],
+                "error": null,
+                "elapsed_seconds": 0.0018387009913567454,
+                "statement_count": 57,
+                "deadline_exceeded": false,
+                "stage_seconds": {
+                    "lift": 0.0008767649997025728,
+                    "facts": 0.00011370900028850883,
+                    "values": 3.3039978006854653e-06,
+                    "storage": 0.00015418398834299296,
+                    "guards": 0.00016171800962183625,
+                    "ordering": 8.417991921305656e-06,
+                    "taint": 0.0001952310121851042,
+                    "detect": 2.9185001039877534e-05
+                },
+                "cache_hits": 0,
+                "cache_misses": 8,
+                "datalog": {},
+                "block_count": 10,
+                "warnings": [
+                    {
+                        "kind": "accessible-selfdestruct",
+                        "pc": 87,
+                        "statement": "B53_1_4",
+                        "slot": null,
+                        "detail": "SELFDESTRUCT reachable by attacker"
+                    },
+                    {
+                        "kind": "tainted-selfdestruct",
+                        "pc": 87,
+                        "statement": "B53_1_4",
+                        "slot": null,
+                        "detail": "beneficiary v21 carries storage taint"
+                    },
+                    {
+                        "kind": "tainted-owner-variable",
+                        "pc": -1,
+                        "statement": "B1d_1_2",
+                        "slot": 0,
+                        "detail": "owner-comparison slot 0 is attacker-taintable"
+                    }
+                ],
+                "precision": {
+                    "value_tracked_vars": 0,
+                    "resolved_store_indices": 1,
+                    "unresolved_store_indices": 0,
+                    "resolved_load_indices": 2,
+                    "unresolved_load_indices": 0,
+                    "mapping_accesses": 0,
+                    "value_resolved_mappings": 0
+                },
+                "attempts": 1
+            }
+        ]
+    }
+    """
+)
 
 
 def _row(index=0, error=None):
@@ -83,6 +169,37 @@ class TestClaims:
         cache_dir = str(tmp_path / "rc")
         ReuseFunnel(cache_dir).resolve("k", _row())
         assert ReuseFunnel(cache_dir).claim("k", 2) is None
+
+
+class TestIdentity:
+    def test_identity_of_a_stored_record_is_unchanged(self):
+        key = WALLET_RECORD["key"]
+        config = api.AnalysisConfig()
+        assert reuse.identity_key(
+            WALLET_RUNTIME, reuse.sweep_fingerprint((config,))
+        ) == key
+        assert reuse.identity_key(
+            WALLET_RUNTIME, reuse.analysis_fingerprint(config)
+        ) == key
+        assert api.AnalyzeRequest(bytecode=WALLET_RUNTIME).identity() == key
+
+    def test_record_with_cache_counters_hits_and_replays(self, tmp_path):
+        cache_dir = str(tmp_path / "rc")
+        path = reuse.ResultCache(cache_dir)._path(WALLET_RECORD["key"])
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w") as handle:
+            json.dump(WALLET_RECORD, handle)
+        replayed = api.sweep([WALLET_RUNTIME], result_cache=cache_dir)
+        fresh = api.sweep([WALLET_RUNTIME])
+        assert (replayed.result_cache_hits, fresh.result_cache_hits) == (1, 0)
+
+        def report(summary):
+            payload = json.loads(ContractReport.from_entry(summary.entries[0]).to_json())
+            del payload["elapsed_seconds"], payload["stage_seconds"]
+            return payload
+
+        assert report(replayed) == report(fresh)
+        assert report(fresh)["warnings"]
 
 
 class TestBatchClaims:

@@ -15,6 +15,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -35,7 +36,7 @@ SRC_ROOT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
 )
 
-VOLATILE_FIELDS = ("elapsed_seconds", "stage_seconds", "cache_hits", "cache_misses")
+VOLATILE_FIELDS = ("elapsed_seconds", "stage_seconds")
 
 # A source nested past the recursion limit: a compile error, not a crash.
 DEEP_SOURCE = (
@@ -194,6 +195,52 @@ class TestAnalyzeParity:
             assert server.backend.stats.analyzed == 0
             assert request(port, "GET", "/nowhere")[0] == 404
             assert request(port, "GET", "/analyze")[0] == 405
+
+
+class TestFraming:
+    """Content-Length is one value of plain ASCII digits; anything else is
+    a 400 sent before any body byte is read (these requests send none, so
+    a server that waited for a body would never answer)."""
+
+    @staticmethod
+    def exchange(port, *header_lines):
+        head = "GET /health HTTP/1.1\r\n%s\r\n" % "".join(
+            line + "\r\n" for line in header_lines
+        )
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(head.encode("latin-1"))
+            reply = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        status = int(reply.split(b" ", 2)[1])
+        return status, json.loads(reply.partition(b"\r\n\r\n")[2])
+
+    def assert_bad_length(self, *header_lines):
+        with running_server() as (_server, port):
+            status, body = self.exchange(port, *header_lines)
+        assert (status, body) == (400, {"error": "bad Content-Length"})
+
+    def test_negative_length_is_400(self):
+        self.assert_bad_length("Content-Length: -5")
+
+    def test_signed_length_is_400(self):
+        self.assert_bad_length("Content-Length: +5")
+
+    def test_underscored_length_is_400(self):
+        self.assert_bad_length("Content-Length: 1_0")
+
+    def test_conflicting_lengths_are_400(self):
+        self.assert_bad_length("Content-Length: 5", "Content-Length: 6")
+
+    def test_repeated_equal_lengths_are_one_value(self):
+        with running_server() as (_server, port):
+            status, body = self.exchange(
+                port, "Content-Length: 0", "content-length: 0"
+            )
+        assert status == 200 and body["status"] == "ok"
 
 
 class TestRemovedEngines:
